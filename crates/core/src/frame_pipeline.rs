@@ -16,6 +16,7 @@
 //! [`TrackUpdate`]) is not usable there.
 
 use crate::pipeline::{TrackUpdate, WiTrack};
+use witrack_fmcw::Sweeps;
 use witrack_geom::Vec3;
 
 /// One tracked target inside a [`FrameReport`].
@@ -165,7 +166,7 @@ impl FramePipeline for WiTrack {
         flat: &[f64],
         samples_per_sweep: usize,
     ) -> Option<FrameReport> {
-        self.push_sweeps_flat(flat, samples_per_sweep)
+        self.push(Sweeps::Flat(flat, samples_per_sweep))
             .map(FrameReport::from)
     }
 
@@ -175,7 +176,7 @@ impl FramePipeline for WiTrack {
         samples_per_sweep: usize,
         scale: f64,
     ) -> Option<FrameReport> {
-        self.push_sweeps_flat_q(flat, samples_per_sweep, scale)
+        self.push(Sweeps::FlatQ(flat, samples_per_sweep, scale))
             .map(FrameReport::from)
     }
 

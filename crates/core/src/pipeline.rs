@@ -1,11 +1,12 @@
 //! The end-to-end WiTrack pipeline: sweeps in, 3D positions out.
 //!
-//! One [`WiTrack`] owns a per-antenna §4 TOF estimator for each receive
-//! antenna and the §5 geometric solver. Feed it one sweep per antenna per
-//! sweep interval; every `sweeps_per_frame` sweeps it emits a
-//! [`TrackUpdate`] carrying the per-antenna round trips, the solved 3D
-//! position, and the per-antenna spectral features the §6 applications
-//! consume.
+//! One [`WiTrack`] is the single-target back end of a §4
+//! [`FrontEnd`]: a denoiser per receive antenna (the shared
+//! [`TofFrame::detect`] step) and the §5 geometric solver. Feed it one
+//! sweep per antenna per sweep interval; every `sweeps_per_frame` sweeps
+//! it emits a [`TrackUpdate`] carrying the per-antenna round trips, the
+//! solved 3D position, and the per-antenna spectral features the §6
+//! applications consume.
 //!
 //! The per-antenna stages run serially on the calling thread. A server
 //! already spreads its sensors over one shard thread per core, so a
@@ -13,7 +14,7 @@
 //! cost without adding a core.
 
 use crate::config::{SolverChoice, WiTrackConfig};
-use witrack_fmcw::{Sweep, TofEstimator, TofFrame};
+use witrack_fmcw::{DistanceDenoiser, FrontEnd, Sweeps, TofFrame};
 use witrack_geom::multilateration::{solve_least_squares, GaussNewtonConfig};
 use witrack_geom::{AntennaArray, TArray, Vec3};
 
@@ -52,12 +53,15 @@ impl TrackUpdate {
 /// How many recent live solves a held position is the median of.
 const RECENT_LIVE: usize = 5;
 
-/// The WiTrack system: N per-antenna TOF estimators + the 3D solver.
+/// The WiTrack system: the §4 front end, per-antenna denoisers and the
+/// 3D solver.
 pub struct WiTrack {
     cfg: WiTrackConfig,
     array: AntennaArray,
     tarray: Option<TArray>,
-    estimators: Vec<TofEstimator>,
+    front: FrontEnd,
+    /// One §4.4 denoiser per receive antenna.
+    denoisers: Vec<DistanceDenoiser>,
     gn: GaussNewtonConfig,
     /// Recent positions solved from all-live (non-held) round trips. While
     /// any antenna interpolates, the component-wise median of these is
@@ -96,16 +100,7 @@ impl WiTrack {
     pub fn new(cfg: WiTrackConfig) -> Result<WiTrack, BuildError> {
         cfg.sweep.validate().map_err(BuildError::BadSweep)?;
         let tarray = TArray::symmetric(cfg.array_origin, cfg.antenna_separation);
-        let array = tarray.antenna_array();
-        Ok(WiTrack {
-            estimators: Self::make_estimators(&cfg, array.num_rx()),
-            tarray: Some(tarray),
-            array,
-            gn: GaussNewtonConfig::default(),
-            cfg,
-            recent_live: std::collections::VecDeque::new(),
-            stats: None,
-        })
+        Ok(Self::build(cfg, tarray.antenna_array(), Some(tarray)))
     }
 
     /// Builds the pipeline around an arbitrary antenna array (e.g. the §5
@@ -116,23 +111,21 @@ impl WiTrack {
         if cfg.solver == SolverChoice::ClosedForm {
             return Err(BuildError::ClosedFormNeedsTArray);
         }
-        Ok(WiTrack {
-            estimators: Self::make_estimators(&cfg, array.num_rx()),
-            tarray: None,
+        Ok(Self::build(cfg, array, None))
+    }
+
+    fn build(cfg: WiTrackConfig, array: AntennaArray, tarray: Option<TArray>) -> WiTrack {
+        let n_rx = array.num_rx();
+        WiTrack {
+            front: FrontEnd::new(cfg.sweep, cfg.max_round_trip_m, cfg.contour, n_rx),
+            denoisers: vec![DistanceDenoiser::new(cfg.denoise); n_rx],
+            tarray,
             array,
             gn: GaussNewtonConfig::default(),
             cfg,
             recent_live: std::collections::VecDeque::new(),
             stats: None,
-        })
-    }
-
-    fn make_estimators(cfg: &WiTrackConfig, n: usize) -> Vec<TofEstimator> {
-        (0..n)
-            .map(|_| {
-                TofEstimator::with_tuning(cfg.sweep, cfg.max_round_trip_m, cfg.contour, cfg.denoise)
-            })
-            .collect()
+        }
     }
 
     /// The antenna array in use.
@@ -160,91 +153,29 @@ impl WiTrack {
     /// Panics if `per_rx.len()` differs from the number of receive antennas
     /// or any sweep has the wrong length.
     pub fn push_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<TrackUpdate> {
-        assert_eq!(
-            per_rx.len(),
-            self.estimators.len(),
-            "one sweep per receive antenna"
-        );
-        self.push_sweeps_inner(per_rx.iter().copied().map(Sweep::F64))
+        self.push(Sweeps::PerRx(per_rx))
     }
 
-    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer:
-    /// antenna `k`'s sweep occupies
-    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]`. This is the
-    /// layout sweep batches arrive in off the wire, so the serving layer
-    /// feeds the pipeline without building a per-sweep slice table.
+    /// Pushes one sweep interval's baseband in any [`Sweeps`] form.
+    /// Returns a [`TrackUpdate`] on frame boundaries.
     ///
     /// # Panics
-    /// Panics if `flat.len()` is not exactly
-    /// `samples_per_sweep × num_rx`, or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<TrackUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.estimators.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(flat.chunks_exact(samples_per_sweep).map(Sweep::F64))
-    }
-
-    /// [`Self::push_sweeps_flat`] over wire-quantized samples
-    /// (`sample = q · scale`): the profile front half stays in fixed point
-    /// (see [`witrack_fmcw::RangeProfiler::push_sweep_q`]), so the serving
-    /// layer feeds i16 wire batches without a dequantization pass.
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not exactly
-    /// `samples_per_sweep × num_rx`, or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples_per_sweep: usize,
-        scale: f64,
-    ) -> Option<TrackUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.estimators.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(
-            flat.chunks_exact(samples_per_sweep)
-                .map(move |c| Sweep::Q(c, scale)),
-        )
-    }
-
-    fn push_sweeps_inner<'a>(
-        &mut self,
-        per_rx: impl Iterator<Item = Sweep<'a>>,
-    ) -> Option<TrackUpdate> {
+    /// Panics unless `sweeps` holds exactly one sweep per receive antenna.
+    pub fn push(&mut self, sweeps: Sweeps<'_>) -> Option<TrackUpdate> {
         // Filled only on frame-completing sweeps, so accumulate-only
         // sweeps never touch the heap.
         let mut frames = Vec::new();
-        for (est, sweep) in self.estimators.iter_mut().zip(per_rx) {
-            // Stage-timed when histograms are attached; only
-            // frame-completing sweeps are recorded.
-            let frame = match &self.stats {
-                Some(st) => {
-                    let mut times = witrack_fmcw::StageTimes::default();
-                    let frame = est.push_timed(sweep, &mut times);
-                    if frame.is_some() {
-                        st.profile.record(times.profile_ns);
-                        st.detect.record(times.detect_ns);
-                    }
-                    frame
-                }
-                None => est.push(sweep),
-            };
-            frames.extend(frame);
-        }
-        // All estimators share the sweep clock, so they emit frames together.
-        if frames.len() < self.estimators.len() {
-            debug_assert!(frames.is_empty(), "estimators desynchronized");
-            return None;
+        let denoisers = &mut self.denoisers;
+        let (clock, times) =
+            self.front
+                .push(sweeps, self.stats.is_some(), |clock, rx, mags, contour| {
+                    frames.push(TofFrame::detect(clock, mags, contour, &mut denoisers[rx]));
+                })?;
+        if let Some(st) = &self.stats {
+            for t in times {
+                st.profile.record(t.profile_ns);
+                st.detect.record(t.detect_ns);
+            }
         }
         let associate_start = self.stats.as_ref().map(|_| std::time::Instant::now());
         let round_trips: Vec<Option<f64>> = frames.iter().map(|f| f.round_trip_m()).collect();
@@ -270,8 +201,8 @@ impl WiTrack {
             st.associate.record_since(start);
         }
         Some(TrackUpdate {
-            frame_index: frames[0].frame_index,
-            time_s: frames[0].time_s,
+            frame_index: clock.index,
+            time_s: clock.time_s,
             round_trips,
             position,
             held,
@@ -313,8 +244,9 @@ impl WiTrack {
 
     /// Resets all stream state.
     pub fn reset(&mut self) {
-        for e in &mut self.estimators {
-            e.reset();
+        self.front.reset();
+        for d in &mut self.denoisers {
+            d.reset();
         }
         self.recent_live.clear();
     }
@@ -323,7 +255,7 @@ impl WiTrack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use witrack_fmcw::SweepConfig;
+    use witrack_fmcw::{SweepConfig, TofEstimator};
 
     fn small_cfg() -> WiTrackConfig {
         WiTrackConfig {
@@ -370,6 +302,8 @@ mod tests {
     fn tracks_a_synthetic_walker_in_3d() {
         let cfg = small_cfg();
         let mut wt = WiTrack::new(cfg).unwrap();
+        let stats = witrack_obs::StageStats::detached();
+        wt.attach_stage_stats(stats.clone());
         let array = wt.array().clone();
         let mut errs = Vec::new();
         for f in 0..150 {
@@ -397,10 +331,14 @@ mod tests {
         // Reduced config has 1.77 m bins; the solver + subbin refinement
         // should still land well under a bin.
         assert!(med < 0.6, "median 3D error {med}");
+        // Timing records each antenna's stages once per frame.
+        assert_eq!(stats.profile.count(), 3 * 150);
+        assert_eq!(stats.detect.count(), 3 * 150);
+        assert_eq!(stats.associate.count(), 150);
     }
 
     /// The fixed-point front half (i16 wire samples, Q15 windowing, i32
-    /// accumulation — [`WiTrack::push_sweeps_flat_q`]) must track as well
+    /// accumulation — [`WiTrack::push`]) must track as well
     /// as the float pipeline: the median 3D error of the quantized run may
     /// exceed the float run's by at most 1 mm. This is the accuracy gate
     /// for serving i16 wire batches without dequantization.
@@ -432,7 +370,7 @@ mod tests {
                         }
                     }
                 }
-                if let Some(u) = wt_q.push_sweeps_flat_q(&flat_q, n, scale) {
+                if let Some(u) = wt_q.push(Sweeps::FlatQ(&flat_q, n, scale)) {
                     if f > 15 {
                         if let Some(est) = u.position {
                             errs_q.push(est.distance(p));
@@ -447,6 +385,64 @@ mod tests {
         assert!(
             med_q <= med_f + 1e-3,
             "quantized median error {med_q} vs float {med_f}"
+        );
+    }
+
+    /// `WiTrack` and N one-antenna `TofEstimator`s run the same §4 stages
+    /// on the same sweeps, in both sample forms, so every per-antenna frame
+    /// must agree exactly, the baseline frame included.
+    #[test]
+    fn per_antenna_frames_match_separate_estimators() {
+        let cfg = small_cfg();
+        let mut wt_f = WiTrack::new(cfg).unwrap();
+        let mut wt_q = WiTrack::new(cfg).unwrap();
+        let array = wt_f.array().clone();
+        let n = cfg.sweep.samples_per_sweep();
+        let (sweep, max_rt) = (cfg.sweep, cfg.max_round_trip_m);
+        let est = TofEstimator::with_tuning(sweep, max_rt, cfg.contour, cfg.denoise);
+        let (mut ests_f, mut ests_q) = (vec![est.clone(); 3], vec![est; 3]);
+        let mut frames = 0;
+        let mut denoised = 0;
+        let mut check = |update: Option<TrackUpdate>, solo: Vec<Option<TofFrame>>| {
+            let Some(update) = update else {
+                assert!(solo.iter().all(Option::is_none), "estimator ran ahead");
+                return;
+            };
+            assert_eq!(update.frames.len(), solo.len());
+            for (got, want) in update.frames.iter().zip(solo) {
+                let want = want.expect("estimators emit on the same sweep");
+                assert_eq!(got.frame_index, want.frame_index);
+                assert_eq!(got.time_s.to_bits(), want.time_s.to_bits());
+                assert_eq!(got.magnitudes, want.magnitudes);
+                assert_eq!(got.detection, want.detection);
+                assert_eq!(got.denoised, want.denoised);
+                frames += 1;
+                denoised += usize::from(got.denoised.is_some());
+            }
+        };
+        for f in 0..60 {
+            let p = Vec3::new(-0.5 + 0.02 * f as f64, 4.0 + 0.03 * f as f64, 1.1);
+            let sweeps = sweeps_for(&cfg, &array, p, 1.0);
+            let refs: Vec<&[f64]> = sweeps.iter().map(|v| v.as_slice()).collect();
+            let scale = 1.0 / 32767.0;
+            let flat_q: Vec<i16> = sweeps
+                .iter()
+                .flatten()
+                .map(|&x| (x / scale).round() as i16)
+                .collect();
+            for _ in 0..cfg.sweep.sweeps_per_frame {
+                let solo = ests_f.iter_mut().zip(&refs);
+                let solo = solo.map(|(e, s)| e.push_sweep(s)).collect();
+                check(wt_f.push_sweeps(&refs), solo);
+                let solo = ests_q.iter_mut().zip(flat_q.chunks_exact(n));
+                let solo = solo.map(|(e, s)| e.push_sweep_q(s, scale)).collect();
+                check(wt_q.push(Sweeps::FlatQ(&flat_q, n, scale)), solo);
+            }
+        }
+        assert_eq!(frames, 2 * 60 * 3);
+        assert!(
+            denoised > frames / 2,
+            "only {denoised} of {frames} denoised"
         );
     }
 

@@ -13,7 +13,11 @@
 //!        ──► [denoise]    outlier gate + hold + Kalman   ──► clean round-trip distance
 //! ```
 //!
-//! assembled end-to-end by [`TofEstimator`] (one per receive antenna).
+//! The first three stages are the same on every receive antenna and in
+//! every tracker, so [`FrontEnd`] runs them for all of a sensor's
+//! antennas on one sweep clock and hands each antenna's frame to the
+//! tracker's own detect step. [`TofEstimator`] is the one-antenna tracker
+//! that adds the denoiser.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,6 +34,6 @@ pub use background::BackgroundSubtractor;
 pub use config::SweepConfig;
 pub use contour::{ContourConfig, ContourTracker, Detection};
 pub use denoise::{DenoiseConfig, DenoisedDistance, DistanceDenoiser};
-pub use pipeline::{StageTimes, TofEstimator, TofFrame};
+pub use pipeline::{FrameClock, FrontEnd, StageTimes, Sweeps, TofEstimator, TofFrame};
 pub use profile::{RangeProfiler, Sweep};
 pub use spectrogram::Spectrogram;

@@ -1,18 +1,203 @@
-//! The per-antenna TOF estimation pipeline (paper §4 end-to-end).
+//! The §4 pipeline: one front end shared by every tracker, and the
+//! single-antenna tracker built on it.
 //!
-//! One [`TofEstimator`] owns the §4 stages for a single receive antenna:
-//! sweep accumulation and FFT (§4.1), background subtraction (§4.2), bottom-
-//! contour tracking (§4.3), and denoising (§4.4). Push raw sweeps in; get a
-//! [`TofFrame`] out every `sweeps_per_frame` sweeps.
+//! [`FrontEnd`] owns the stages every tracker runs on every receive
+//! antenna, behind one sweep clock: sweep accumulation and FFT (§4.1),
+//! background subtraction (§4.2) and the bottom-contour tracker (§4.3).
+//! What a tracker does with each antenna's background-subtracted frame is
+//! its back end. The single-target trackers ([`TofEstimator`] here, on
+//! one antenna, and `witrack_core::WiTrack`, on N) take the bottom
+//! contour and denoise it (§4.4) with [`TofFrame::detect`]; the
+//! multi-target `witrack_mtt::MultiWiTrack` takes the top-K contours.
 
 use crate::background::BackgroundSubtractor;
 use crate::config::SweepConfig;
 use crate::contour::{ContourConfig, ContourTracker, Detection};
 use crate::denoise::{DenoiseConfig, DenoisedDistance, DistanceDenoiser};
 use crate::profile::{RangeProfiler, Sweep};
+use std::time::Instant;
 use witrack_dsp::window::WindowKind;
 
-/// Output of the pipeline for one processing frame.
+/// One sweep interval's baseband: one sweep per receive antenna, in any
+/// of the forms the trackers accept.
+#[derive(Debug, Clone, Copy)]
+pub enum Sweeps<'a> {
+    /// One float slice per antenna.
+    PerRx(&'a [&'a [f64]]),
+    /// One flat, antenna-contiguous float buffer and the sweep length:
+    /// antenna `k`'s sweep occupies
+    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]`, the layout
+    /// wire batches arrive in.
+    Flat(&'a [f64], usize),
+    /// [`Sweeps::Flat`] over wire-quantized samples (`sample = q · scale`)
+    /// and their scale. The profile front half stays in fixed point (see
+    /// [`RangeProfiler::push_sweep_q`]).
+    FlatQ(&'a [i16], usize, f64),
+}
+
+impl<'a> Sweeps<'a> {
+    /// Panics unless the interval holds one non-empty sweep per antenna.
+    fn check(self, num_rx: usize) {
+        let (len, n) = match self {
+            Sweeps::PerRx(per_rx) => (per_rx.len(), 1),
+            Sweeps::Flat(flat, n) => (flat.len(), n),
+            Sweeps::FlatQ(flat, n, _) => (flat.len(), n),
+        };
+        assert!(n > 0, "sweeps cannot be empty");
+        assert_eq!(len, n * num_rx, "one sweep per receive antenna");
+    }
+
+    /// Antenna `rx`'s sweep.
+    fn rx(self, rx: usize) -> Sweep<'a> {
+        match self {
+            Sweeps::PerRx(per_rx) => Sweep::F64(per_rx[rx]),
+            Sweeps::Flat(flat, n) => Sweep::F64(&flat[rx * n..][..n]),
+            Sweeps::FlatQ(flat, n, scale) => Sweep::Q(&flat[rx * n..][..n], scale),
+        }
+    }
+}
+
+/// Where a completed frame sits on its stream's sweep clock.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameClock {
+    /// Index of the frame since the stream started.
+    pub index: u64,
+    /// Time (s) at the *end* of the frame's last sweep.
+    pub time_s: f64,
+    /// Frame duration (s), the step the back ends' filters advance by.
+    pub duration_s: f64,
+}
+
+/// Wall times of one antenna's two heavy stages on a frame-completing
+/// sweep (see [`FrontEnd::push`]). Nanoseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Sweep accumulation + range profiling (the CZT work).
+    pub profile_ns: u64,
+    /// Background subtraction + the back end's detect step (contour
+    /// detection, and denoising in the single-target trackers).
+    pub detect_ns: u64,
+}
+
+/// The §4.1–§4.3 stages of one receive antenna.
+#[derive(Debug, Clone)]
+struct Antenna {
+    profiler: RangeProfiler,
+    background: BackgroundSubtractor,
+    contour: ContourTracker,
+}
+
+/// The §4 front end of one sensor: a range profiler, a background
+/// subtractor and a contour tracker per receive antenna, on one sweep
+/// clock. Every buffer is reused, so steady-state pushes never allocate.
+#[derive(Debug, Clone)]
+pub struct FrontEnd {
+    cfg: SweepConfig,
+    antennas: Vec<Antenna>,
+    /// Per-antenna stage times of the last timed frame, reused.
+    times: Vec<StageTimes>,
+    sweeps_seen: u64,
+    frame_index: u64,
+}
+
+impl FrontEnd {
+    /// A front end for `num_rx` receive antennas, keeping range bins up
+    /// to `max_round_trip_m` of round-trip distance.
+    ///
+    /// # Panics
+    /// Panics if `num_rx` is zero.
+    pub fn new(
+        cfg: SweepConfig,
+        max_round_trip_m: f64,
+        contour: ContourConfig,
+        num_rx: usize,
+    ) -> FrontEnd {
+        assert!(num_rx > 0, "a front end needs a receive antenna");
+        FrontEnd {
+            antennas: (0..num_rx)
+                .map(|_| Antenna {
+                    profiler: RangeProfiler::new(&cfg, WindowKind::Hann, max_round_trip_m),
+                    background: BackgroundSubtractor::new(),
+                    contour: ContourTracker::new(cfg, contour),
+                })
+                .collect(),
+            times: vec![StageTimes::default(); num_rx],
+            cfg,
+            sweeps_seen: 0,
+            frame_index: 0,
+        }
+    }
+
+    /// Pushes one sweep interval. On a frame-completing interval it runs
+    /// profile → background on each antenna in turn and hands `detect`
+    /// the frame's clock, the antenna's index, its background-subtracted
+    /// magnitudes (`None` on the baseline frame) and its contour tracker.
+    /// It then returns the clock and, when `timed`, each antenna's
+    /// [`StageTimes`] (empty otherwise). Accumulate-only intervals return
+    /// `None` without calling `detect`.
+    ///
+    /// # Panics
+    /// Panics unless `sweeps` holds exactly one sweep of
+    /// `samples_per_sweep` samples per antenna.
+    pub fn push<F>(
+        &mut self,
+        sweeps: Sweeps<'_>,
+        timed: bool,
+        mut detect: F,
+    ) -> Option<(FrameClock, &[StageTimes])>
+    where
+        F: FnMut(FrameClock, usize, Option<&[f64]>, &mut ContourTracker),
+    {
+        sweeps.check(self.antennas.len());
+        self.sweeps_seen += 1;
+        // All profilers share the sweep clock.
+        if !self.antennas[0].profiler.next_sweep_completes_frame() {
+            for (rx, ant) in self.antennas.iter_mut().enumerate() {
+                let emitted = ant.profiler.push(sweeps.rx(rx));
+                debug_assert!(emitted.is_none(), "profilers desynchronized");
+            }
+            return None;
+        }
+        let clock = FrameClock {
+            index: self.frame_index,
+            time_s: self.sweeps_seen as f64 * self.cfg.sweep_duration_s,
+            duration_s: self.cfg.frame_duration_s(),
+        };
+        let nanos =
+            |start: Instant, end: Instant| (end - start).as_nanos().min(u64::MAX as u128) as u64;
+        for (rx, (ant, times)) in self.antennas.iter_mut().zip(&mut self.times).enumerate() {
+            let profile_start = timed.then(Instant::now);
+            let profile = ant
+                .profiler
+                .push(sweeps.rx(rx))
+                .expect("frame-completing sweep");
+            let detect_start = profile_start.map(|start| {
+                let now = Instant::now();
+                times.profile_ns = nanos(start, now);
+                now
+            });
+            detect(clock, rx, ant.background.push(profile), &mut ant.contour);
+            if let Some(start) = detect_start {
+                times.detect_ns = nanos(start, Instant::now());
+            }
+        }
+        self.frame_index += 1;
+        Some((clock, if timed { &self.times } else { &[] }))
+    }
+
+    /// Clears all stream state: partial frames, baselines and the sweep
+    /// clock.
+    pub fn reset(&mut self) {
+        for ant in &mut self.antennas {
+            ant.profiler.reset();
+            ant.background.reset();
+        }
+        self.sweeps_seen = 0;
+        self.frame_index = 0;
+    }
+}
+
+/// Output of the single-target pipeline for one antenna and frame.
 #[derive(Debug, Clone)]
 pub struct TofFrame {
     /// Index of this frame since the stream started.
@@ -29,32 +214,45 @@ pub struct TofFrame {
 }
 
 impl TofFrame {
+    /// The single-target back end's detect step for one antenna
+    /// (§4.3–§4.4): the bottom contour of `magnitudes`, denoised. The
+    /// baseline frame (`magnitudes` is `None`) yields an empty frame and
+    /// leaves the denoiser untouched.
+    pub fn detect(
+        clock: FrameClock,
+        magnitudes: Option<&[f64]>,
+        contour: &mut ContourTracker,
+        denoiser: &mut DistanceDenoiser,
+    ) -> TofFrame {
+        let mut frame = TofFrame {
+            frame_index: clock.index,
+            time_s: clock.time_s,
+            magnitudes: Vec::new(),
+            detection: None,
+            denoised: None,
+        };
+        if let Some(mags) = magnitudes {
+            frame.detection = contour.detect(mags);
+            frame.denoised =
+                denoiser.push(frame.detection.map(|d| d.round_trip_m), clock.duration_s);
+            frame.magnitudes = mags.to_vec();
+        }
+        frame
+    }
+
     /// The clean round-trip estimate, if available.
     pub fn round_trip_m(&self) -> Option<f64> {
         self.denoised.map(|d| d.round_trip_m)
     }
 }
 
-/// Wall times of the heavy per-antenna stages for one frame-completing
-/// sweep (see [`TofEstimator::push_sweep_timed`]). Nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Sweep accumulation + range profiling (the CZT work).
-    pub profile_ns: u64,
-    /// Background subtraction + contour detection + denoising.
-    pub detect_ns: u64,
-}
-
-/// End-to-end §4 processing for one receive antenna.
+/// End-to-end §4 processing for one receive antenna: a one-antenna
+/// [`FrontEnd`] and a [`DistanceDenoiser`]. Push raw sweeps in; get a
+/// [`TofFrame`] out every `sweeps_per_frame` sweeps.
 #[derive(Debug, Clone)]
 pub struct TofEstimator {
-    cfg: SweepConfig,
-    profiler: RangeProfiler,
-    background: BackgroundSubtractor,
-    contour: ContourTracker,
+    front: FrontEnd,
     denoiser: DistanceDenoiser,
-    frame_index: u64,
-    sweeps_seen: u64,
 }
 
 impl TofEstimator {
@@ -77,24 +275,9 @@ impl TofEstimator {
         denoise: DenoiseConfig,
     ) -> TofEstimator {
         TofEstimator {
-            cfg,
-            profiler: RangeProfiler::new(&cfg, WindowKind::Hann, max_round_trip_m),
-            background: BackgroundSubtractor::new(),
-            contour: ContourTracker::new(cfg, contour),
+            front: FrontEnd::new(cfg, max_round_trip_m, contour, 1),
             denoiser: DistanceDenoiser::new(denoise),
-            frame_index: 0,
-            sweeps_seen: 0,
         }
-    }
-
-    /// The sweep configuration this estimator runs.
-    pub fn sweep_config(&self) -> &SweepConfig {
-        &self.cfg
-    }
-
-    /// Number of range bins in emitted magnitude frames.
-    pub fn num_bins(&self) -> usize {
-        self.profiler.keep_bins()
     }
 
     /// Pushes one sweep of baseband samples; returns a frame every
@@ -103,7 +286,7 @@ impl TofEstimator {
     /// # Panics
     /// Panics if `samples` is not exactly one sweep long.
     pub fn push_sweep(&mut self, samples: &[f64]) -> Option<TofFrame> {
-        self.push_inner(Sweep::F64(samples), None)
+        self.push(Sweeps::Flat(samples, samples.len()))
     }
 
     /// Pushes one wire-quantized sweep (`sample = q · scale`), keeping
@@ -113,110 +296,22 @@ impl TofEstimator {
     /// # Panics
     /// Panics if `samples` is not exactly one sweep long.
     pub fn push_sweep_q(&mut self, samples: &[i16], scale: f64) -> Option<TofFrame> {
-        self.push_inner(Sweep::Q(samples, scale), None)
+        self.push(Sweeps::FlatQ(samples, samples.len(), scale))
     }
 
-    /// [`Self::push_sweep`], additionally reporting how long the two
-    /// heavy stages took on a frame-completing sweep: range profiling
-    /// (the CZT) in `times.profile_ns`, background subtraction +
-    /// contour detection + denoising in `times.detect_ns`.
-    /// Accumulate-only sweeps leave `times` untouched.
-    ///
-    /// # Panics
-    /// Panics if `samples` is not exactly one sweep long.
-    pub fn push_sweep_timed(
-        &mut self,
-        samples: &[f64],
-        times: &mut StageTimes,
-    ) -> Option<TofFrame> {
-        self.push_inner(Sweep::F64(samples), Some(times))
-    }
-
-    /// [`Self::push_sweep_q`] with the stage timing of
-    /// [`Self::push_sweep_timed`].
-    ///
-    /// # Panics
-    /// Panics if `samples` is not exactly one sweep long.
-    pub fn push_sweep_q_timed(
-        &mut self,
-        samples: &[i16],
-        scale: f64,
-        times: &mut StageTimes,
-    ) -> Option<TofFrame> {
-        self.push_inner(Sweep::Q(samples, scale), Some(times))
-    }
-
-    /// Pushes one sweep in either representation.
-    ///
-    /// # Panics
-    /// Panics if the sweep is not exactly one sweep long.
-    pub fn push(&mut self, sweep: Sweep<'_>) -> Option<TofFrame> {
-        self.push_inner(sweep, None)
-    }
-
-    /// Pushes one sweep in either representation, stage-timed.
-    ///
-    /// # Panics
-    /// Panics if the sweep is not exactly one sweep long.
-    pub fn push_timed(&mut self, sweep: Sweep<'_>, times: &mut StageTimes) -> Option<TofFrame> {
-        self.push_inner(sweep, Some(times))
-    }
-
-    fn push_inner(
-        &mut self,
-        samples: Sweep<'_>,
-        mut times: Option<&mut StageTimes>,
-    ) -> Option<TofFrame> {
-        self.sweeps_seen += 1;
-        let profile_start = times
-            .as_ref()
-            .filter(|_| self.profiler.next_sweep_completes_frame())
-            .map(|_| std::time::Instant::now());
-        let profile = self.profiler.push(samples)?;
-        let detect_start = profile_start.map(|start| {
-            let now = std::time::Instant::now();
-            if let Some(t) = times.as_deref_mut() {
-                t.profile_ns = (now - start).as_nanos().min(u64::MAX as u128) as u64;
-            }
-            now
+    fn push(&mut self, sweep: Sweeps<'_>) -> Option<TofFrame> {
+        let denoiser = &mut self.denoiser;
+        let mut frame = None;
+        self.front.push(sweep, false, |clock, _, mags, contour| {
+            frame = Some(TofFrame::detect(clock, mags, contour, denoiser));
         });
-        let dt = self.cfg.frame_duration_s();
-        let time_s = self.sweeps_seen as f64 * self.cfg.sweep_duration_s;
-
-        let frame = match self.background.push(profile) {
-            None => TofFrame {
-                frame_index: self.frame_index,
-                time_s,
-                magnitudes: Vec::new(),
-                detection: None,
-                denoised: None,
-            },
-            Some(mags) => {
-                let detection = self.contour.detect(mags);
-                let denoised = self.denoiser.push(detection.map(|d| d.round_trip_m), dt);
-                TofFrame {
-                    frame_index: self.frame_index,
-                    time_s,
-                    magnitudes: mags.to_vec(),
-                    detection,
-                    denoised,
-                }
-            }
-        };
-        if let (Some(start), Some(t)) = (detect_start, times) {
-            t.detect_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        }
-        self.frame_index += 1;
-        Some(frame)
+        frame
     }
 
     /// Clears all stream state (baseline, denoiser history, counters).
     pub fn reset(&mut self) {
-        self.profiler.reset();
-        self.background.reset();
+        self.front.reset();
         self.denoiser.reset();
-        self.frame_index = 0;
-        self.sweeps_seen = 0;
     }
 }
 

@@ -147,8 +147,8 @@ impl RangeProfiler {
     }
 
     /// Whether the *next* [`RangeProfiler::push_sweep`] will complete a
-    /// frame — lets multi-antenna drivers fan the heavy frame work out to
-    /// threads only when there is frame work to do.
+    /// frame, so a multi-antenna front end knows before pushing whether there
+    /// is frame work to do (and to time).
     pub fn next_sweep_completes_frame(&self) -> bool {
         self.sweeps_accumulated + 1 == self.sweeps_per_frame
     }

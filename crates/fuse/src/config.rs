@@ -185,13 +185,6 @@ impl FuseConfig {
         }
     }
 
-    /// Returns a copy with the given zones.
-    #[deprecated(since = "0.9.0", note = "use `FuseConfig::builder().zones(..)`")]
-    pub fn with_zones(mut self, zones: Vec<Zone>) -> FuseConfig {
-        self.zones = zones;
-        self
-    }
-
     /// Effective per-axis variance for an observation: the reported
     /// variance (or the default when absent), floored, and inflated for
     /// held (predicted rather than measured) reports.
@@ -334,19 +327,5 @@ mod tests {
             cfg.gate_mahalanobis_sq,
             FuseConfig::default().gate_mahalanobis_sq
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_zones_matches_the_builder() {
-        let zones = vec![Zone {
-            id: 9,
-            name: "door".into(),
-            x: (-1.0, 1.0),
-            y: (-1.0, 1.0),
-        }];
-        let old = FuseConfig::default().with_zones(zones.clone());
-        let new = FuseConfig::builder().zones(zones).build();
-        assert_eq!(old, new);
     }
 }

@@ -4,16 +4,15 @@
 //! (one baseband sweep per receive antenna per sweep interval, one output
 //! per frame) but lifts the §10 single-person assumption:
 //!
-//! 1. **Top-K contours** — each antenna's background-subtracted range
-//!    profile yields up to `max_targets` contour detections
+//! 1. **Top-K contours** — the shared §4 [`witrack_fmcw::FrontEnd`]
+//!    profiles and background-subtracts each antenna, and each antenna's
+//!    frame yields up to `max_targets` contour detections
 //!    ([`witrack_fmcw::ContourTracker::detect_top_k`]) instead of one.
 //!    This per-antenna stage runs serially on the calling thread, and its
-//!    buffers — profile, CZT scratch, baseline, magnitudes, detections,
-//!    association cost matrix and solver scratch — are reused across
-//!    frames: the profile→background path performs no steady-state heap
-//!    allocation (the noise-floor order statistics inside contour
-//!    detection and the track bookkeeping still make small per-frame
-//!    allocations).
+//!    buffers — the front end's, the detections, the association cost
+//!    matrix and the solver scratch — are reused across frames: the
+//!    profile→background path performs no steady-state heap allocation
+//!    (the track bookkeeping still makes small per-frame allocations).
 //! 2. **Gated per-antenna association** — live tracks predict their
 //!    per-antenna round trips; a Hungarian assignment
 //!    ([`crate::assignment`]) matches detections to tracks within
@@ -42,9 +41,8 @@ use crate::config::MttConfig;
 use crate::track::{MttTrack, TrackId, TrackPhase};
 use witrack_core::frame_pipeline::{FramePipeline, FrameReport, TargetReport};
 use witrack_core::pipeline::BuildError;
-use witrack_dsp::window::WindowKind;
 use witrack_fmcw::contour::Detection;
-use witrack_fmcw::{BackgroundSubtractor, ContourTracker, RangeProfiler, Sweep};
+use witrack_fmcw::{FrontEnd, Sweeps};
 use witrack_geom::multilateration::{solve_least_squares, GaussNewtonConfig};
 use witrack_geom::{AntennaArray, TArray, Vec3};
 
@@ -109,13 +107,9 @@ impl MttUpdate {
 pub struct MultiWiTrack {
     cfg: MttConfig,
     array: AntennaArray,
-    profilers: Vec<RangeProfiler>,
-    backgrounds: Vec<BackgroundSubtractor>,
+    front: FrontEnd,
     /// Per-antenna detection buffers, reused across frames.
     detections: Vec<Vec<Detection>>,
-    /// One tracker per antenna: each owns its contour state and the
-    /// noise-floor scratch its detection reuses.
-    contours: Vec<ContourTracker>,
     gn: GaussNewtonConfig,
     /// Association cost matrix, reused across frames.
     cost: CostMatrix,
@@ -123,8 +117,6 @@ pub struct MultiWiTrack {
     solver: AssignmentSolver,
     tracks: Vec<MttTrack>,
     next_id: u64,
-    frame_index: u64,
-    sweeps_seen: u64,
     /// Per-stage latency histograms, when the owner attached them.
     stats: Option<witrack_obs::StageStats>,
 }
@@ -145,24 +137,15 @@ impl MultiWiTrack {
     pub fn with_array(cfg: MttConfig, array: AntennaArray) -> Result<MultiWiTrack, BuildError> {
         cfg.base.sweep.validate().map_err(BuildError::BadSweep)?;
         let n_rx = array.num_rx();
+        let base = &cfg.base;
         Ok(MultiWiTrack {
-            profilers: (0..n_rx)
-                .map(|_| {
-                    RangeProfiler::new(&cfg.base.sweep, WindowKind::Hann, cfg.base.max_round_trip_m)
-                })
-                .collect(),
-            backgrounds: (0..n_rx).map(|_| BackgroundSubtractor::new()).collect(),
-            detections: (0..n_rx).map(|_| Vec::new()).collect(),
-            contours: (0..n_rx)
-                .map(|_| ContourTracker::new(cfg.base.sweep, cfg.base.contour))
-                .collect(),
+            front: FrontEnd::new(base.sweep, base.max_round_trip_m, base.contour, n_rx),
+            detections: vec![Vec::new(); n_rx],
             gn: GaussNewtonConfig::default(),
             cost: CostMatrix::new(0, 0),
             solver: AssignmentSolver::new(),
             tracks: Vec::new(),
             next_id: 0,
-            frame_index: 0,
-            sweeps_seen: 0,
             stats: None,
             array,
             cfg,
@@ -200,111 +183,36 @@ impl MultiWiTrack {
     /// Panics if `per_rx.len()` differs from the number of receive antennas
     /// or any sweep has the wrong length.
     pub fn push_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<MttUpdate> {
-        assert_eq!(
-            per_rx.len(),
-            self.profilers.len(),
-            "one sweep per receive antenna"
-        );
-        self.push_sweeps_inner(per_rx.iter().copied().map(Sweep::F64))
+        self.push(Sweeps::PerRx(per_rx))
     }
 
-    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer
-    /// (antenna `k` at `flat[k * samples_per_sweep ..][.. samples_per_sweep]`)
-    /// — the layout wire batches arrive in, so the serving layer feeds the
-    /// tracker without building per-sweep slice tables.
+    /// Pushes one sweep interval's baseband in any [`Sweeps`] form.
+    /// Returns a [`MttUpdate`] on frame boundaries.
     ///
     /// # Panics
-    /// Panics if `flat.len()` is not exactly `samples_per_sweep × num_rx`,
-    /// or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<MttUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.profilers.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(flat.chunks_exact(samples_per_sweep).map(Sweep::F64))
-    }
-
-    /// [`Self::push_sweeps_flat`] over wire-quantized samples
-    /// (`sample = q · scale`), keeping the profile front half in fixed
-    /// point (see [`witrack_fmcw::RangeProfiler::push_sweep_q`]).
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not exactly `samples_per_sweep × num_rx`,
-    /// or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples_per_sweep: usize,
-        scale: f64,
-    ) -> Option<MttUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.profilers.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(
-            flat.chunks_exact(samples_per_sweep)
-                .map(move |c| Sweep::Q(c, scale)),
-        )
-    }
-
-    fn push_sweeps_inner<'a>(
-        &mut self,
-        per_rx: impl Iterator<Item = Sweep<'a>>,
-    ) -> Option<MttUpdate> {
-        self.sweeps_seen += 1;
-        // All profilers share the sweep clock; accumulate-only sweeps are
-        // microseconds of serial work.
-        let completes = self
-            .profilers
-            .first()
-            .map(|p| p.next_sweep_completes_frame())
-            .unwrap_or(false);
-        if !completes {
-            for (prof, sweep) in self.profilers.iter_mut().zip(per_rx) {
-                let emitted = prof.push(sweep);
-                debug_assert!(emitted.is_none(), "profilers desynchronized");
-            }
-            return None;
-        }
-
-        // Frame-completing sweep: the per-antenna profile → background →
-        // top-K contour stage, antenna by antenna.
+    /// Panics unless `sweeps` holds exactly one sweep per receive antenna.
+    pub fn push(&mut self, sweeps: Sweeps<'_>) -> Option<MttUpdate> {
+        // The back end's per-antenna step: top-K contours into the reused
+        // detection buffers.
         let budget = self.cfg.detection_budget();
         let min_sep = self.cfg.min_peak_separation_bins;
-        let stats = &self.stats;
-        let stages = self
-            .profilers
-            .iter_mut()
-            .zip(self.backgrounds.iter_mut())
-            .zip(self.contours.iter_mut())
-            .zip(self.detections.iter_mut())
-            .zip(per_rx);
-        for ((((prof, bg), contour), dets), sweep) in stages {
-            let profile_start = stats.as_ref().map(|st| (st, std::time::Instant::now()));
-            let profile = prof.push(sweep).expect("frame-completing sweep");
-            let detect_start = profile_start.map(|(st, start)| {
-                st.profile.record_since(start);
-                (st, std::time::Instant::now())
-            });
-            match bg.push(profile) {
-                None => dets.clear(),
-                Some(mags) => contour.detect_top_k_into(mags, budget, min_sep, dets),
-            }
-            if let Some((st, start)) = detect_start {
-                st.detect.record_since(start);
+        let detections = &mut self.detections;
+        let (clock, times) =
+            self.front
+                .push(sweeps, self.stats.is_some(), |_, rx, mags, contour| {
+                    let dets = &mut detections[rx];
+                    match mags {
+                        None => dets.clear(),
+                        Some(mags) => contour.detect_top_k_into(mags, budget, min_sep, dets),
+                    }
+                })?;
+        if let Some(st) = &self.stats {
+            for t in times {
+                st.profile.record(t.profile_ns);
+                st.detect.record(t.detect_ns);
             }
         }
-
-        let dt = self.cfg.base.sweep.frame_duration_s();
-        let time_s = self.sweeps_seen as f64 * self.cfg.base.sweep.sweep_duration_s;
+        let dt = clock.duration_s;
 
         // Take the detection buffers so &mut self methods can run; the
         // buffers (and their capacity) are returned afterwards.
@@ -318,8 +226,8 @@ impl MultiWiTrack {
         }
 
         let update = MttUpdate {
-            frame_index: self.frame_index,
-            time_s,
+            frame_index: clock.index,
+            time_s: clock.time_s,
             detections_per_antenna: detections.iter().map(|d| d.len()).collect(),
             tracks: self
                 .tracks
@@ -337,7 +245,6 @@ impl MultiWiTrack {
                 .collect(),
         };
         self.detections = detections;
-        self.frame_index += 1;
         Some(update)
     }
 
@@ -500,18 +407,11 @@ impl MultiWiTrack {
 
     /// Clears all stream and track state.
     pub fn reset(&mut self) {
-        for p in &mut self.profilers {
-            p.reset();
-        }
-        for b in &mut self.backgrounds {
-            b.reset();
-        }
+        self.front.reset();
         for d in &mut self.detections {
             d.clear();
         }
         self.tracks.clear();
-        self.frame_index = 0;
-        self.sweeps_seen = 0;
         // Track ids keep counting up: a reset mid-run must not recycle ids.
     }
 }
@@ -552,7 +452,7 @@ impl FramePipeline for MultiWiTrack {
         flat: &[f64],
         samples_per_sweep: usize,
     ) -> Option<FrameReport> {
-        self.push_sweeps_flat(flat, samples_per_sweep)
+        self.push(Sweeps::Flat(flat, samples_per_sweep))
             .map(FrameReport::from)
     }
 
@@ -562,7 +462,7 @@ impl FramePipeline for MultiWiTrack {
         samples_per_sweep: usize,
         scale: f64,
     ) -> Option<FrameReport> {
-        self.push_sweeps_flat_q(flat, samples_per_sweep, scale)
+        self.push(Sweeps::FlatQ(flat, samples_per_sweep, scale))
             .map(FrameReport::from)
     }
 

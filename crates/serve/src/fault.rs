@@ -98,60 +98,6 @@ impl FaultPlan {
             plan: FaultPlan::none(seed),
         }
     }
-
-    /// Returns the plan with the drop probability set.
-    #[deprecated(since = "0.9.0", note = "use `FaultPlan::builder(seed).drop(p)`")]
-    pub fn with_drop(mut self, p: f64) -> FaultPlan {
-        self.drop = p;
-        self
-    }
-
-    /// Returns the plan with the duplicate probability set.
-    #[deprecated(since = "0.9.0", note = "use `FaultPlan::builder(seed).duplicate(p)`")]
-    pub fn with_duplicate(mut self, p: f64) -> FaultPlan {
-        self.duplicate = p;
-        self
-    }
-
-    /// Returns the plan with the reorder probability and window set.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `FaultPlan::builder(seed).reorder(p, window)`"
-    )]
-    pub fn with_reorder(mut self, p: f64, window: usize) -> FaultPlan {
-        self.reorder = p;
-        self.reorder_window = window.max(1);
-        self
-    }
-
-    /// Returns the plan with the corrupt probability set.
-    #[deprecated(since = "0.9.0", note = "use `FaultPlan::builder(seed).corrupt(p)`")]
-    pub fn with_corrupt(mut self, p: f64) -> FaultPlan {
-        self.corrupt = p;
-        self
-    }
-
-    /// Returns the plan with the stall probability and duration set.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `FaultPlan::builder(seed).stall(p, stall_ms)`"
-    )]
-    pub fn with_stall(mut self, p: f64, stall_ms: u64) -> FaultPlan {
-        self.stall = p;
-        self.stall_ms = stall_ms;
-        self
-    }
-
-    /// Returns the plan with the burst probability and length set.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `FaultPlan::builder(seed).burst(p, burst_len)`"
-    )]
-    pub fn with_burst(mut self, p: f64, burst_len: usize) -> FaultPlan {
-        self.burst = p;
-        self.burst_len = burst_len.max(2);
-        self
-    }
 }
 
 /// Fluent construction for [`FaultPlan`] — see [`FaultPlan::builder`].
@@ -669,26 +615,5 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_helpers_match_the_builder() {
-        let old = FaultPlan::none(17)
-            .with_drop(0.1)
-            .with_duplicate(0.2)
-            .with_reorder(0.3, 5)
-            .with_corrupt(0.4)
-            .with_stall(0.5, 25)
-            .with_burst(0.6, 9);
-        let new = FaultPlan::builder(17)
-            .drop(0.1)
-            .duplicate(0.2)
-            .reorder(0.3, 5)
-            .corrupt(0.4)
-            .stall(0.5, 25)
-            .burst(0.6, 9)
-            .build();
-        assert_eq!(old, new);
     }
 }

@@ -22,56 +22,14 @@
 //! allocator sees every thread in the process, so the measurement must
 //! not share a process with concurrently-running tests.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::f64::consts::PI;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
+
+use counting_alloc::{allocations, quantized_sweeps};
 use witrack_core::{FramePipeline, WiTrack, WiTrackConfig};
-use witrack_geom::{AntennaArray, Vec3};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+use witrack_geom::Vec3;
 
 /// The allocations listed in the module docs.
 const ALLOCATIONS_PER_FRAME: u64 = 7;
-
-/// One sweep interval of a point reflector, quantized the way wire
-/// encoders do: antenna-contiguous i16 samples and one scale covering the
-/// peak.
-fn quantized_sweeps(cfg: &WiTrackConfig, array: &AntennaArray, point: Vec3) -> (Vec<i16>, f64) {
-    let sw = &cfg.sweep;
-    let n = sw.samples_per_sweep();
-    let flat: Vec<f64> = (0..array.num_rx())
-        .flat_map(|k| {
-            let tau = array.round_trip(point, k) / 299_792_458.0;
-            let beat = sw.beat_for_tof(tau);
-            let phase = 2.0 * PI * sw.start_freq_hz * tau;
-            (0..n).map(move |i| (2.0 * PI * beat * i as f64 / sw.sample_rate_hz + phase).cos())
-        })
-        .collect();
-    let scale = 1.0 / 32767.0;
-    let q = flat.iter().map(|&x| (x / scale).round() as i16).collect();
-    (q, scale)
-}
 
 #[test]
 fn single_target_frame_allocations_are_pinned() {
@@ -87,7 +45,7 @@ fn single_target_frame_allocations_are_pinned() {
     let frames: Vec<(Vec<i16>, f64)> = (0..WARMUP + MEASURED)
         .map(|f| {
             let s = f as f64 * 0.0125;
-            quantized_sweeps(&cfg, &array, Vec3::new(0.3, 3.0 + 1.0 * s, 1.0))
+            quantized_sweeps(&cfg, &array, &[Vec3::new(0.3, 3.0 + 1.0 * s, 1.0)])
         })
         .collect();
 
@@ -98,7 +56,7 @@ fn single_target_frame_allocations_are_pinned() {
     let mut fresh = 0;
     for (f, (flat, scale)) in frames.iter().enumerate() {
         if f == WARMUP {
-            measured_start = ALLOCATIONS.load(Ordering::SeqCst);
+            measured_start = allocations();
         }
         for _ in 0..cfg.sweep.sweeps_per_frame {
             if let Some(report) = pipeline.process_sweeps_flat_q(flat, n, *scale) {
@@ -110,7 +68,7 @@ fn single_target_frame_allocations_are_pinned() {
             }
         }
     }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - measured_start;
+    let allocs = allocations() - measured_start;
 
     assert_eq!(reports, MEASURED, "one report per frame");
     assert_eq!(targets, MEASURED, "every measured frame reports the walker");
