@@ -164,7 +164,7 @@ fn corridor_world() -> WorldConfig {
     // marking the (perfectly healthy) stub sensor suspect.
     WorldConfig::single_room(
         ROOM,
-        builder.suspect_timeout_s(0.0).build(),
+        builder.suspect_timeout_s(f64::INFINITY).build(),
         Registration::new().with_sensor(0, RigidTransform::IDENTITY),
     )
 }

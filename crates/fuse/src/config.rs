@@ -117,23 +117,18 @@ pub struct FuseConfig {
     /// Occupancy/event zones.
     pub zones: Vec<Zone>,
     /// Liveness: seconds of silence (no reports between engine ticks)
-    /// before a registered sensor is demoted to `Suspect`. `0` disables
-    /// the liveness state machine entirely (ticks become no-ops and the
-    /// watermark behaves as before).
+    /// before a registered sensor is demoted to `Suspect`. A `Suspect`
+    /// sensor still holds the watermark. `f64::INFINITY` keeps every
+    /// sensor `Live` for good, so a silent sensor then stalls its room
+    /// until it reports again or its session is torn down.
     pub suspect_timeout_s: f64,
     /// Liveness: seconds of silence before a `Suspect` sensor is
     /// declared `Dead` — removed from the watermark (epochs close on the
     /// surviving set), excluded from coverage expectations, its tracks
-    /// left to coast until another sensor reacquires them. Must exceed
-    /// [`FuseConfig::suspect_timeout_s`].
+    /// left to coast until another sensor reacquires them. This is the
+    /// longest a connected but silent sensor holds its room's fusion.
+    /// Must exceed [`FuseConfig::suspect_timeout_s`].
     pub dead_timeout_s: f64,
-    /// Clock-drift tolerance: EWMA coefficient tracking each sensor's
-    /// offset between its report timestamps and the epoch grid. The
-    /// offset is subtracted before epoch rounding, so a sensor whose
-    /// clock drifts slowly (≪ half a frame period between consecutive
-    /// reports) keeps pairing with its peers even after the accumulated
-    /// drift exceeds several periods. `0` disables the correction.
-    pub clock_drift_alpha: f64,
 }
 
 impl Default for FuseConfig {
@@ -171,7 +166,6 @@ impl Default for FuseConfig {
             // retransmit does not amputate a healthy sensor.
             suspect_timeout_s: 0.25,
             dead_timeout_s: 1.0,
-            clock_drift_alpha: 0.05,
         }
     }
 }

@@ -12,12 +12,12 @@
 //! so a sensor seeing a person broadside (small variance) outweighs one
 //! seeing them at the edge of coverage.
 //!
-//! Epoch close-out is **watermarked**: an epoch fuses once every active
-//! sensor has reported at or past it, so shard-thread interleaving never
-//! splits one instant's observations across epochs. A sensor that goes
-//! quiet for more than [`FusionEngine::MAX_SENSOR_LAG_EPOCHS`] epochs is
-//! dropped from the watermark (and its sessions' world tracks coast until
-//! another sensor reacquires them — the handoff path).
+//! Epoch close-out is **watermarked**: an epoch fuses once every sensor
+//! not [`SensorLiveness::Dead`] has reported at or past it, so fused
+//! output never depends on how shard threads interleave reports. A quiet
+//! sensor holds its room until [`FusionEngine::tick`] declares it dead;
+//! then epochs close on the survivors and its world tracks coast until
+//! another sensor reacquires them (the handoff path).
 
 use crate::config::FuseConfig;
 use crate::events::WorldEvent;
@@ -192,8 +192,9 @@ pub struct WorldFrame {
 pub enum SensorLiveness {
     /// Reporting within the suspect timeout.
     Live,
-    /// Silent past [`crate::FuseConfig::suspect_timeout_s`]; the
-    /// watermark still waits for it (the short-lag grace window).
+    /// Silent past [`crate::FuseConfig::suspect_timeout_s`]; it still
+    /// holds the watermark, so the room's fusion waits for it until it
+    /// is declared `Dead`.
     Suspect,
     /// Silent past [`crate::FuseConfig::dead_timeout_s`]; removed from
     /// the watermark so epochs close on the surviving set. Its tracks
@@ -237,10 +238,12 @@ pub struct LivenessTransition {
     pub silence_s: f64,
 }
 
-/// Per-sensor health bookkeeping (liveness + clock drift).
+/// Per-sensor health bookkeeping (liveness, watermark, clock drift).
 #[derive(Debug, Clone, Copy)]
 struct SensorHealth {
     liveness: SensorLiveness,
+    /// Newest epoch reported since the sensor (re)joined the watermark.
+    latest_epoch: u64,
     /// Reports ever ingested from this sensor.
     reports: u64,
     /// `reports` as of the last tick that saw progress.
@@ -255,11 +258,18 @@ impl SensorHealth {
     fn new() -> SensorHealth {
         SensorHealth {
             liveness: SensorLiveness::Live,
+            latest_epoch: 0,
             reports: 0,
             seen_reports: 0,
             silent_since_s: None,
             drift_offset_s: 0.0,
         }
+    }
+
+    /// The one liveness rule of fusion: every sensor not `Dead` holds
+    /// the watermark and counts toward coverage expectations.
+    fn holds_watermark(&self) -> bool {
+        self.liveness != SensorLiveness::Dead
     }
 }
 
@@ -295,9 +305,7 @@ pub struct FusionEngine {
     tracks: Vec<WorldTrack>,
     /// Observations buffered per epoch until the watermark passes them.
     pending: BTreeMap<u64, Vec<Obs>>,
-    /// Newest epoch each sensor has reported (drives the watermark).
-    latest_by_sensor: BTreeMap<u32, u64>,
-    /// Per-sensor liveness and drift state, keyed like the registration.
+    /// Per-sensor health, keyed like the registration.
     health: BTreeMap<u32, SensorHealth>,
     /// Liveness changes not yet drained by the owner.
     liveness_log: Vec<LivenessTransition>,
@@ -312,17 +320,14 @@ pub struct FusionEngine {
     handoff_latency: Option<std::sync::Arc<witrack_obs::Histo>>,
 }
 
-impl FusionEngine {
-    /// A sensor this many epochs behind the fleet's newest is considered
-    /// dead and stops holding the watermark back.
-    pub const MAX_SENSOR_LAG_EPOCHS: u64 = 8;
+/// EWMA coefficient of each sensor's clock offset from the epoch grid.
+const CLOCK_DRIFT_ALPHA: f64 = 0.05;
 
+impl FusionEngine {
     /// Creates an engine over the given registration table. Every
-    /// registered sensor starts at epoch 0 in the watermark, so fusion
-    /// waits for the whole roster to report (or fall
-    /// [`Self::MAX_SENSOR_LAG_EPOCHS`] behind) before closing an epoch.
+    /// registered sensor starts `Live` at epoch 0, so fusion waits for
+    /// the whole roster to report (or die) before closing an epoch.
     pub fn new(cfg: FuseConfig, registration: Registration) -> FusionEngine {
-        let latest_by_sensor = registration.sensor_ids().map(|id| (id, 0)).collect();
         let health = registration
             .sensor_ids()
             .map(|id| (id, SensorHealth::new()))
@@ -332,7 +337,6 @@ impl FusionEngine {
             registration,
             tracks: Vec::new(),
             pending: BTreeMap::new(),
-            latest_by_sensor,
             health,
             liveness_log: Vec::new(),
             last_fused_epoch: None,
@@ -372,23 +376,23 @@ impl FusionEngine {
         self.tracks.len()
     }
 
-    /// Fusion epoch lag: how far the newest sensor report has run ahead
-    /// of the watermark (the oldest epoch an active sensor is still at).
-    /// 0 when idle or perfectly in step; a persistently large lag means
-    /// one sensor is stalling the room's fusion.
+    /// Fusion epoch lag: how far the newest report has run ahead of the
+    /// watermark (the oldest epoch a sensor not `Dead` is still at). 0
+    /// when idle or perfectly in step; a large lag means one sensor is
+    /// stalling the room's fusion (for at most `dead_timeout_s`).
     pub fn watermark_lag_epochs(&self) -> u64 {
-        let Some(&newest) = self.latest_by_sensor.values().max() else {
-            return 0;
-        };
-        let active_floor = newest.saturating_sub(Self::MAX_SENSOR_LAG_EPOCHS);
-        let watermark = self
-            .latest_by_sensor
+        let (oldest, newest) = self
+            .holding_epochs()
+            .fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e), hi.max(e)));
+        newest.saturating_sub(oldest)
+    }
+
+    /// The newest reported epoch of every sensor holding the watermark.
+    fn holding_epochs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.health
             .values()
-            .filter(|&&e| e >= active_floor)
-            .min()
-            .copied()
-            .unwrap_or(newest);
-        newest.saturating_sub(watermark)
+            .filter(|h| h.holds_watermark())
+            .map(|h| h.latest_epoch)
     }
 
     /// Ingests one sensor's frame report. Returns the world frames of
@@ -400,11 +404,19 @@ impl FusionEngine {
             return Vec::new();
         };
         let period = self.cfg.frame_period_s;
-        let alpha = self.cfg.clock_drift_alpha;
+        // A pipeline clock starts at its session's hello, so a sensor
+        // joining a running room reports from epoch ~0. Its first report
+        // shifts its clock onto the newest epoch its peers have reached;
+        // from then on data time alone pairs it with them.
+        let first = self.health.get(&sensor_id).is_none_or(|h| h.reports == 0);
+        let join_epoch = first.then(|| self.holding_epochs().max().unwrap_or(0));
         let health = self
             .health
             .entry(sensor_id)
             .or_insert_with(SensorHealth::new);
+        if let Some(newest) = join_epoch {
+            health.drift_offset_s = (report.time_s - newest as f64 * period).min(0.0);
+        }
         health.reports += 1;
         health.silent_since_s = None;
         if health.liveness != SensorLiveness::Live {
@@ -412,6 +424,7 @@ impl FusionEngine {
             health.liveness = SensorLiveness::Live;
             if from == SensorLiveness::Dead {
                 self.stats.sensors_recovered += 1;
+                health.latest_epoch = 0;
             }
             self.liveness_log.push(LivenessTransition {
                 sensor_id,
@@ -427,10 +440,7 @@ impl FusionEngine {
         // even once the accumulated offset spans several periods.
         let corrected_s = report.time_s - health.drift_offset_s;
         let epoch = (corrected_s / period).round().max(0.0) as u64;
-        if alpha > 0.0 {
-            let residual = corrected_s - epoch as f64 * period;
-            health.drift_offset_s += alpha * residual;
-        }
+        health.drift_offset_s += CLOCK_DRIFT_ALPHA * (corrected_s - epoch as f64 * period);
         // A report older than anything still pending folds into the
         // oldest open epoch (a 12.5 ms attribution slip, ~1 cm of walker
         // motion) rather than being lost.
@@ -455,13 +465,7 @@ impl FusionEngine {
                 held: t.held,
             });
         }
-        let newest = self
-            .latest_by_sensor
-            .get(&sensor_id)
-            .copied()
-            .unwrap_or(0)
-            .max(epoch);
-        self.latest_by_sensor.insert(sensor_id, newest);
+        health.latest_epoch = health.latest_epoch.max(epoch);
         self.drain_watermarked()
     }
 
@@ -471,7 +475,6 @@ impl FusionEngine {
     /// logging a transition (it is not an anomaly); a later report
     /// revives it.
     pub fn remove_sensor(&mut self, sensor_id: u32) -> Vec<WorldFrame> {
-        self.latest_by_sensor.remove(&sensor_id);
         if let Some(h) = self.health.get_mut(&sensor_id) {
             h.liveness = SensorLiveness::Dead;
             h.silent_since_s = None;
@@ -505,10 +508,7 @@ impl FusionEngine {
     pub fn tick(&mut self, now_s: f64) -> Vec<WorldFrame> {
         let suspect_after = self.cfg.suspect_timeout_s;
         let dead_after = self.cfg.dead_timeout_s;
-        if suspect_after <= 0.0 {
-            return Vec::new();
-        }
-        let mut died: Vec<u32> = Vec::new();
+        let mut any_died = false;
         for (&id, h) in self.health.iter_mut() {
             if h.reports > h.seen_reports {
                 h.seen_reports = h.reports;
@@ -533,17 +533,14 @@ impl FusionEngine {
             h.liveness = next;
             if next == SensorLiveness::Dead {
                 self.stats.sensors_died += 1;
-                died.push(id);
+                any_died = true;
             }
         }
-        if died.is_empty() {
+        if !any_died {
             return Vec::new();
         }
-        for id in died {
-            self.latest_by_sensor.remove(&id);
-        }
         let mut out = self.drain_watermarked();
-        if self.latest_by_sensor.is_empty() && !self.pending.is_empty() {
+        if self.holding_epochs().next().is_none() && !self.pending.is_empty() {
             out.extend(self.flush());
         }
         out
@@ -558,17 +555,9 @@ impl FusionEngine {
 
     /// Fuses every pending epoch at or below the watermark.
     fn drain_watermarked(&mut self) -> Vec<WorldFrame> {
-        let Some(&newest) = self.latest_by_sensor.values().max() else {
+        let Some(watermark) = self.holding_epochs().min() else {
             return Vec::new();
         };
-        let active_floor = newest.saturating_sub(Self::MAX_SENSOR_LAG_EPOCHS);
-        let watermark = self
-            .latest_by_sensor
-            .values()
-            .filter(|&&e| e >= active_floor)
-            .min()
-            .copied()
-            .unwrap_or(newest);
         let mut out = Vec::new();
         while let Some(&epoch) = self.pending.keys().next() {
             if epoch > watermark {
@@ -677,27 +666,19 @@ impl FusionEngine {
             }
         }
 
-        // Live-aware expectation: how many sensors with a *live session*
-        // declare coverage of a world point. Drives every corroboration
-        // decision below; always 0 when the rule is disabled. "Live"
-        // uses the same lag cutoff as the watermark — a registered
-        // sensor that never connects (or wedges) must stop generating
-        // expectations, or it would permanently suppress real tracks in
-        // its declared overlap.
+        // Live-aware expectation: how many sensors not `Dead` declare
+        // coverage of a world point. Drives every corroboration decision
+        // below; always 0 when the rule is disabled. A sensor that never
+        // connects (or wedges) stops counting once declared dead, or it
+        // would permanently suppress real tracks in its declared overlap.
         let corroboration_on = self.cfg.max_uncorroborated_epochs > 0;
         let registration = &self.registration;
-        let live_sensors = &self.latest_by_sensor;
-        let active_floor = live_sensors
-            .values()
-            .max()
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(Self::MAX_SENSOR_LAG_EPOCHS);
+        let health = &self.health;
         let margin = self.cfg.coverage_margin_m;
         let expected_of = |p: Vec3| {
             if corroboration_on {
                 registration.expected_observers_where(p, margin, |id| {
-                    live_sensors.get(&id).is_some_and(|&e| e >= active_floor)
+                    health.get(&id).is_some_and(SensorHealth::holds_watermark)
                 })
             } else {
                 0
@@ -1137,7 +1118,7 @@ mod tests {
 
     #[test]
     fn non_finite_observations_are_shed_at_the_door() {
-        let (reg, _) = two_sensor_registration();
+        let reg = Registration::new().with_sensor(0, RigidTransform::IDENTITY);
         let mut engine = FusionEngine::new(FuseConfig::default(), reg);
         let mut frames = Vec::new();
         for e in 1..30u64 {
@@ -1186,9 +1167,8 @@ mod tests {
         let mut engine = FusionEngine::new(FuseConfig::default(), reg);
         let p = Vec3::new(1.0, 5.0, 1.0);
         let s1_from_world = world_from_s1.inverse();
-        // Sensor 1 reports first so the engine knows both sensors; then
-        // sensor 0 racing ahead must not close epochs sensor 1 has not
-        // reached.
+        // Both sensors report epoch 1; then sensor 0 racing ahead must
+        // not close epochs sensor 1 has not reached.
         assert!(engine
             .push_report(1, &report(1, vec![target(9, s1_from_world.apply(p), 0.2)]))
             .is_empty());
@@ -1208,6 +1188,70 @@ mod tests {
             .is_empty());
         let drained = engine.remove_sensor(1);
         assert_eq!(drained.len(), 1, "teardown releases epoch 4");
+    }
+
+    #[test]
+    fn fused_output_does_not_depend_on_report_interleaving() {
+        // One walk pushed in lockstep, and with sensor 0 running 20 epochs
+        // ahead of sensor 1 (after both first reported epoch 1) before
+        // sensor 1 catches up, fuses into identical frames.
+        let (reg, world_from_s1) = two_sensor_registration();
+        let s1_from_world = world_from_s1.inverse();
+        let walk = |e: u64| Vec3::new(0.5, 3.0 + 0.02 * e as f64, 1.0);
+        let s0 = |e: u64| report(e, vec![target(1, walk(e), 0.15)]);
+        let s1 = |e: u64| report(e, vec![target(9, s1_from_world.apply(walk(e)), 0.2)]);
+        let mut lockstep = FusionEngine::new(FuseConfig::default(), reg.clone());
+        let a = run_two_sensor_walk(&mut lockstep, &world_from_s1, 1..100, walk);
+        let mut skewed = FusionEngine::new(FuseConfig::default(), reg);
+        let mut b = Vec::new();
+        let mut s1_next = 1;
+        for e in 1..100 {
+            b.extend(skewed.push_report(0, &s0(e)));
+            if e == 1 || e > 20 {
+                b.extend(skewed.push_report(1, &s1(s1_next)));
+                s1_next += 1;
+            }
+        }
+        assert!(skewed.watermark_lag_epochs() >= 19);
+        for e in s1_next..100 {
+            b.extend(skewed.push_report(1, &s1(e)));
+        }
+        assert_eq!(a.len(), 99);
+        assert_eq!(a, b, "fused output depends on report interleaving");
+    }
+
+    #[test]
+    fn a_late_joiner_fuses_same_round_observations() {
+        // Sensor 1's session opens 40 rounds after sensor 0's, so its
+        // clock reads epoch 1 while sensor 0's reads 41. Its first report
+        // lines its clock up with sensor 0's; from then on both sensors'
+        // views of one instant fuse into one two-sensor track.
+        let (reg, world_from_s1) = two_sensor_registration();
+        let s1_from_world = world_from_s1.inverse();
+        let walk = |r: u64| Vec3::new(0.5, 3.0 + 0.02 * r as f64, 1.0);
+        let mut engine = FusionEngine::new(FuseConfig::default(), reg);
+        let mut frames = Vec::new();
+        for r in 1..=100u64 {
+            frames.extend(engine.push_report(0, &report(r, vec![target(1, walk(r), 0.15)])));
+            if r > 40 {
+                let seen = s1_from_world.apply(walk(r));
+                frames.extend(engine.push_report(1, &report(r - 40, vec![target(9, seen, 0.2)])));
+                assert!(engine.watermark_lag_epochs() <= 1, "round {r}");
+            }
+        }
+        assert_eq!(frames.len(), 100, "every epoch fuses exactly once");
+        for f in frames.iter().filter(|f| f.epoch > 41) {
+            let [t] = &f.tracks[..] else {
+                panic!("epoch {}: {} world tracks", f.epoch, f.tracks.len());
+            };
+            assert_eq!(t.contributors, 2, "epoch {}", f.epoch);
+            let err = (t.position - walk(f.epoch)).norm();
+            assert!(
+                err < 0.05,
+                "epoch {}: fused {err:.3} m off the walker",
+                f.epoch
+            );
+        }
     }
 
     #[test]
@@ -1570,7 +1614,7 @@ mod tests {
     fn liveness_disabled_keeps_ticks_inert() {
         let (reg, _) = two_sensor_registration();
         let cfg = FuseConfig {
-            suspect_timeout_s: 0.0,
+            suspect_timeout_s: f64::INFINITY,
             ..FuseConfig::default()
         };
         let mut engine = FusionEngine::new(cfg, reg);

@@ -11,7 +11,10 @@
 //! Delivery mirrors the per-sensor update path: frames are encoded into
 //! pooled buffers and `try_send`-shed to lagging subscribers (counted in
 //! [`MetricsSnapshot::updates_dropped`]); a vanished subscriber is pruned
-//! on its first failed send. The hub's inbox is unbounded — fusion is a
+//! on its first failed send. Control replies (acks, rejects, final
+//! `SubscriptionStats`) are never shed: one that meets a full outbox is
+//! held and retried, and its connection takes no world traffic until
+//! the reply is through. The hub's inbox is unbounded — fusion is a
 //! few Kalman updates per track per epoch, orders of magnitude cheaper
 //! than the sweep pipelines feeding it — so shards never block on it.
 //!
@@ -31,7 +34,7 @@
 
 use crate::engine::ConnSink;
 use crate::metrics::EngineMetrics;
-use crate::pool::BufPool;
+use crate::pool::{BufPool, PooledBuf};
 use crate::program::{CompiledProgram, EventCtx, ProgramState};
 use crate::wire::{self, Message, RejectCode, SubscribeAck, SubscribeV3, SubscriptionStats};
 use std::collections::{HashMap, HashSet};
@@ -50,6 +53,9 @@ use witrack_obs::{AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label};
 /// on liveness-timeout resolution — `FuseConfig::suspect_timeout_s`
 /// below this still takes one tick to notice.
 const LIVENESS_TICK: Duration = Duration::from_millis(50);
+
+/// Longest the hub sleeps while a control reply waits on a full outbox.
+const REPLY_RETRY: Duration = Duration::from_millis(1);
 
 /// One fused room: its sensor registration and fusion tuning.
 pub struct RoomSpec {
@@ -139,7 +145,7 @@ struct Room {
     /// Live world tracks after the room's newest fused epoch.
     tracks: Gauge,
     /// Fusion epoch lag: newest sensor epoch minus the fusion watermark
-    /// (how far the slowest active sensor trails the fastest).
+    /// (how far the slowest sensor that is not dead trails the fastest).
     epoch_lag: Gauge,
     /// Fleet events emitted for this room.
     events: Counter,
@@ -239,6 +245,10 @@ struct HubWorker {
     epoch: Instant,
     /// Last liveness sweep (sweeps run at most every [`LIVENESS_TICK`]).
     last_tick: Instant,
+    /// Control replies that met a full outbox, oldest first, retried on
+    /// every hub wake-up (at least every [`REPLY_RETRY`]) until their
+    /// connection takes them or closes.
+    held_replies: Vec<(ConnSink, PooledBuf<u8>)>,
 }
 
 impl WorldHub {
@@ -311,6 +321,7 @@ impl WorldHub {
             range_scratch: Vec::new(),
             epoch: now,
             last_tick: now,
+            held_replies: Vec::new(),
         };
         let thread = std::thread::spawn(move || worker.run());
         (WorldHub { thread }, HubHandle { tx, fused_sensors })
@@ -325,7 +336,13 @@ impl WorldHub {
 impl HubWorker {
     fn run(mut self) {
         loop {
-            match self.rx.recv_timeout(LIVENESS_TICK) {
+            let wait = if self.held_replies.is_empty() {
+                LIVENESS_TICK
+            } else {
+                self.retry_held_replies();
+                REPLY_RETRY
+            };
+            match self.rx.recv_timeout(wait) {
                 Ok(msg) => {
                     self.handle(msg);
                     // Busy rooms rarely idle long enough to hit the
@@ -423,6 +440,7 @@ impl HubWorker {
             HubMsg::Subscribe(sub, sink, ack) => self.subscribe(sub, sink, ack),
             HubMsg::Unsubscribe(unsub, sink) => self.unsubscribe(unsub, sink),
             HubMsg::ConnClosed(conn_id) => {
+                self.held_replies.retain(|(s, _)| s.conn_id != conn_id);
                 for room in &mut self.rooms {
                     let before = room.subscribers.len();
                     room.subscribers.retain(|s| s.sink.conn_id != conn_id);
@@ -437,23 +455,43 @@ impl HubWorker {
     }
 
     /// Sends a reply frame (ack, stats, reject) back to a subscriber's
-    /// connection, shedding on a full outbox.
-    fn reply(&self, sink: &ConnSink, msg: &Message) {
+    /// connection. A full outbox holds the reply for a retry instead of
+    /// shedding it, behind any reply the connection already waits on.
+    fn reply(&mut self, sink: &ConnSink, msg: &Message) {
         let mut buf = self.frame_pool.get(64);
         wire::encode_into(msg, &mut buf);
-        if sink.tx.try_send(buf).is_err() {
-            self.metrics.updates_dropped.inc();
+        self.held_replies.push((sink.clone(), buf));
+        self.retry_held_replies();
+    }
+
+    /// Offers every held reply to its outbox again, in order. A
+    /// connection whose oldest reply still meets a full outbox keeps the
+    /// rest of its replies held behind it.
+    fn retry_held_replies(&mut self) {
+        let mut blocked: Vec<u64> = Vec::new();
+        for (sink, buf) in std::mem::take(&mut self.held_replies) {
+            if blocked.contains(&sink.conn_id) {
+                self.held_replies.push((sink, buf));
+                continue;
+            }
+            // A disconnected outbox means the connection is closing.
+            if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
+                blocked.push(sink.conn_id);
+                self.held_replies.push((sink, buf));
+            }
         }
     }
 
     fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink, ack: bool) {
         let Some(room) = self.rooms.iter_mut().find(|r| r.room_id == sub.room_id) else {
             self.metrics.batches_rejected.inc();
-            let mut buf = self.frame_pool.get(32);
-            wire::encode_reject_into(sub.room_id, RejectCode::UnknownSubscription, &mut buf);
-            if sink.tx.try_send(buf).is_err() {
-                self.metrics.updates_dropped.inc();
-            }
+            self.reply(
+                &sink,
+                &Message::Reject(wire::Reject {
+                    sensor_id: sub.room_id,
+                    code: RejectCode::UnknownSubscription,
+                }),
+            );
             return;
         };
         // Validate the program once at install time: a stack-invalid or
@@ -680,16 +718,21 @@ impl HubWorker {
             }
 
             // --- Phase 3: deliver, shedding and pruning as before. ----
+            // A connection with a held reply yields its free outbox slots
+            // to that reply: its world traffic sheds until it is through.
             let pool = &self.frame_pool;
             let recorder = &self.recorder;
+            let held = &self.held_replies;
             let mut pruned = 0u64;
             room.subscribers.retain_mut(|sub| {
                 let mut alive = true;
+                let yields = held.iter().any(|(s, _)| s.conn_id == sub.sink.conn_id);
+                let out = |buf| push(&sub.sink, buf, yields, metrics, recorder);
                 if sub.send_world {
                     let mut buf = pool.get(world_len);
                     buf.extend_from_slice(&scratch[..world_len]);
                     metrics.world_bytes.add(world_len as u64);
-                    alive &= push(&sub.sink, buf, metrics, recorder, &mut sub.shed);
+                    alive &= out(buf) != Pushed::Gone;
                 }
                 if alive {
                     for &ei in &sub.hits {
@@ -698,9 +741,13 @@ impl HubWorker {
                         let mut buf = pool.get(bytes.len());
                         buf.extend_from_slice(bytes);
                         metrics.world_bytes.add(bytes.len() as u64);
-                        alive &= push(&sub.sink, buf, metrics, recorder, &mut sub.shed);
-                        if !alive {
-                            break;
+                        match out(buf) {
+                            Pushed::Sent => {}
+                            Pushed::Shed => sub.shed += 1,
+                            Pushed::Gone => {
+                                alive = false;
+                                break;
+                            }
                         }
                     }
                 }
@@ -717,24 +764,34 @@ impl HubWorker {
     }
 }
 
-/// `try_send` into a subscriber, shedding on full (counted both in the
-/// engine-wide `updates_dropped` and the subscription's own `shed`).
-/// Returns `false` when the connection is gone (prune it).
+/// What became of one message offered to a subscriber.
+#[derive(PartialEq)]
+enum Pushed {
+    Sent,
+    /// Shed on a full outbox (or one yielding to a held reply).
+    Shed,
+    /// The connection is gone: prune the subscriber.
+    Gone,
+}
+
+/// `try_send` into a subscriber, shedding on full (counted in the
+/// engine-wide `updates_dropped`; the caller also counts a shed matched
+/// event in the subscription's own `shed`, which pairs with `matched`).
 fn push(
     sink: &ConnSink,
-    buf: crate::pool::PooledBuf<u8>,
+    buf: PooledBuf<u8>,
+    yields: bool,
     metrics: &EngineMetrics,
     recorder: &FlightRecorder,
-    shed: &mut u64,
-) -> bool {
-    match sink.tx.try_send(buf) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) => {
-            metrics.updates_dropped.inc();
-            *shed += 1;
-            recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
-            true
+) -> Pushed {
+    if !yields {
+        match sink.tx.try_send(buf) {
+            Ok(()) => return Pushed::Sent,
+            Err(TrySendError::Disconnected(_)) => return Pushed::Gone,
+            Err(TrySendError::Full(_)) => {}
         }
-        Err(TrySendError::Disconnected(_)) => false,
     }
+    metrics.updates_dropped.inc();
+    recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
+    Pushed::Shed
 }

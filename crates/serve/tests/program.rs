@@ -229,7 +229,7 @@ fn stub_world() -> WorldConfig {
         })
         // Wall-clock liveness has no business in a test that pauses
         // between streaming phases.
-        .suspect_timeout_s(0.0)
+        .suspect_timeout_s(f64::INFINITY)
         .build();
     WorldConfig::single_room(
         ROOM,
@@ -399,6 +399,64 @@ fn unsubscribe_returns_final_counters_and_stops_hub_evaluation() {
     assert_eq!(m.subscriptions_closed, 1);
     client.close();
     server.shutdown();
+}
+
+/// A subscriber whose reader stalls fills its connection's outbox with
+/// world updates and events. The hub sheds that traffic, but the final
+/// `SubscriptionStats` still arrives once the reader resumes, and its
+/// `shed` counts only shed event messages, so it never exceeds `matched`.
+#[test]
+fn full_outbox_sheds_traffic_but_never_the_final_stats() {
+    let server = Server::builder(stub_factory()).world(stub_world()).start();
+    let (client_end, server_end) = in_proc_pair(1);
+    server.attach(server_end).expect("attach");
+    // The client's reader takes this lock for every message it reads,
+    // so holding it stalls the connection's writer and then its outbox.
+    let gate = Arc::new(Mutex::new(()));
+    let reader_gate = Arc::clone(&gate);
+    let mut client = SensorClient::connect_with(
+        client_end,
+        Some(Box::new(move |_: &Message| {
+            drop(reader_gate.lock().expect("gate poisoned"));
+        })),
+    )
+    .expect("connect");
+
+    const SUB: u64 = 7;
+    client
+        .subscribe_with(SubscriptionBuilder::room(ROOM).id(SUB).build())
+        .expect("subscribe");
+    wait_until("subscribe ack", || client.stats().subscribe_acks == 1);
+    client.hello(stub_hello(0)).expect("hello");
+
+    let stalled = gate.lock().expect("gate poisoned");
+    const FRAMES: u64 = 200;
+    stream_frames(&mut client, 0, FRAMES);
+    wait_until("every frame fused", || {
+        server.metrics().world_frames >= FRAMES
+    });
+    client.unsubscribe(ROOM, SUB).expect("unsubscribe");
+    wait_until("the hub released the subscription", || {
+        server.metrics().subscriptions_closed == 1
+    });
+    drop(stalled);
+
+    wait_until("final subscription stats", || {
+        client.last_subscription_stats().is_some()
+    });
+    let stats = client.last_subscription_stats().expect("stats polled");
+    client.close();
+    let m = server.shutdown();
+
+    assert_eq!(stats.sub_id, SUB);
+    assert!(m.updates_dropped > 0, "the outbox never filled");
+    assert!(stats.shed > 0, "no matched event was shed");
+    assert!(
+        stats.shed <= stats.matched,
+        "shed {} exceeds matched {}",
+        stats.shed,
+        stats.matched
+    );
 }
 
 #[test]
