@@ -51,9 +51,12 @@ swing an order of magnitude with host load, so they are carried in the
 artifact for inspection but never gated.
 
 Only entries present in BOTH files are compared (CI smoke runs a subset
-of the baseline matrix). Improvements never fail; a fresh value below
-``baseline * (1 - tolerance)`` does. Exits 0 on pass, 1 on regression,
-2 on a malformed or incomparable pair.
+of the baseline matrix). Every entry present in only one file is listed
+by name, marked with the file that has it, so a renamed row that drops
+out of the gate is visible in the log; these never fail the gate.
+Improvements never fail; a fresh value below ``baseline * (1 -
+tolerance)`` does. Exits 0 on pass, 1 on regression, 2 on a malformed or
+incomparable pair.
 """
 
 import argparse
@@ -186,9 +189,12 @@ def main():
         failed |= verdict != "ok"
         print(f"  {key!s:>32}: baseline {baseline:10.1f}  fresh {fresh[key]:10.1f}"
               f"  ({ratio:6.1%})  {verdict}")
-    skipped = (set(base) | set(fresh)) - set(common)
+    skipped = sorted((set(base) | set(fresh)) - set(common), key=str)
     if skipped:
-        print(f"  (skipped {len(skipped)} entries present in only one file)")
+        print(f"  skipped {len(skipped)} entries present in only one file:")
+        for key in skipped:
+            where = "baseline" if key in base else "fresh"
+            print(f"  {key!s:>32}: {where} only")
 
     if failed:
         print(f"perf gate: FAIL — fresh throughput fell more than "

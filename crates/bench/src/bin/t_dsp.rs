@@ -1,10 +1,10 @@
 //! t_dsp — DSP hot-path kernel microbenchmarks, with a machine-readable
 //! `BENCH_dsp.json` artifact.
 //!
-//! The profile stage (window → pack → CZT zoom transform) is the per-
-//! frame cost that bounds sensors-per-core, so this harness times its
-//! kernels at the paper shape (2500 samples/sweep, 5 sweeps/frame,
-//! 3 receive antennas) three ways:
+//! The profile stage (window → pack → 1250-point mixed-radix FFT →
+//! unpack) is the per-frame cost that bounds sensors-per-core, so this
+//! harness times its kernels at the paper shape (2500 samples/sweep,
+//! 5 sweeps/frame, 3 receive antennas) three ways:
 //!
 //! * the **dispatched** path (AVX2+FMA where the host has it, selected
 //!   once per process by `witrack_dsp::simd::active()`);
@@ -121,39 +121,33 @@ fn complex_buf(n: usize, seed: u64) -> Vec<Complex> {
         .collect()
 }
 
-/// All kernel rows at the paper sweep length `n`: dispatched path and
-/// the scalar reference, float and fixed-point. `conv` is the pruned
-/// CZT's inner convolution length (what production actually transforms).
-fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
+/// Length of the pointwise-multiply rows: a Bluestein convolution length.
+const CONV_LEN: usize = 2048;
+
+/// All kernel rows: dispatched path and the scalar reference, float and
+/// fixed-point. `n` is the sweep length; `fft_len` the length of the range
+/// transform's FFT (what production actually transforms).
+fn kernel_rows(n: usize, fft_len: usize, iters: u64) -> Vec<Row> {
     let active = path_name(simd::active());
 
-    let window = WindowKind::Hann.shared(n);
     let window_q15 = WindowKind::Hann.shared_q15(n);
     let src: Vec<f64> = (0..n).map(|i| wobble(i, 1)).collect();
     let src_q: Vec<i16> = src.iter().map(|&s| (s * 32767.0).round() as i16).collect();
-    // The pre-chirp packs are two-for-one: n real samples become n/2
-    // complex points.
-    let pre = complex_buf(n / 2, 2);
-    // Unit-magnitude kernel: repeated in-place multiplies must not walk
-    // the buffer off to infinity or down into (slow) denormals.
-    let kernel: Vec<Complex> = (0..conv)
-        .map(|i| Complex::cis(wobble(i, 3) * std::f64::consts::PI))
-        .collect();
-    let mut dst = vec![0.0f64; n];
+    // Unit-magnitude kernel and twiddles: repeated multiplies must not
+    // walk the buffers off to infinity or down into (slow) denormals.
+    let unit = |len: usize, seed: u64| -> Vec<Complex> {
+        (0..len)
+            .map(|i| Complex::cis(wobble(i, seed) * std::f64::consts::PI))
+            .collect()
+    };
+    let kernel = unit(CONV_LEN, 3);
     let mut accum_q = vec![0i32; n];
-    let accum_src: Vec<i32> = (0..n).map(|i| (wobble(i, 4) * 80_000.0) as i32).collect();
-    let mut packed = vec![Complex::ZERO; n / 2];
-    let conv_init = complex_buf(conv, 5);
+    let conv_init = complex_buf(CONV_LEN, 5);
     let mut conv_buf = conv_init.clone();
-    // Butterfly passes grow magnitudes by up to 2x per call; restore
-    // pristine data every 16 calls (amortized cost is noise).
-    let fft_a_init = complex_buf(conv / 2, 6);
-    let fft_b_init = complex_buf(conv / 2, 7);
-    let mut fft_a = fft_a_init.clone();
-    let mut fft_b = fft_b_init.clone();
-    let tw: Vec<Complex> = (0..conv / 2)
-        .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / (conv / 2) as f64))
-        .collect();
+    // Mixed-radix passes read a constant input, so nothing grows.
+    let pass_src = complex_buf(fft_len, 8);
+    let mut pass_dst = vec![Complex::ZERO; fft_len];
+    let pass_tw = unit(fft_len, 9);
 
     let mut rows = Vec::new();
     let mut push = |kernel: &'static str, path: &'static str, n: usize, ns: f64| {
@@ -166,27 +160,9 @@ fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
         });
     };
 
-    // Window multiply (f64): the first touch of every sweep.
-    push(
-        "window_scale",
-        active,
-        n,
-        time_ns(iters, |_| {
-            simd::window_scale(&mut dst, black_box(&src), &window, 0.2);
-        }),
-    );
-    push(
-        "window_scale",
-        "scalar",
-        n,
-        time_ns(iters, |_| {
-            simd::scalar::window_scale(&mut dst, black_box(&src), &window, 0.2);
-        }),
-    );
-
     // Fixed-point window-accumulate (i16 × Q15 → i32): the quantized
-    // front half's replacement for window_scale + frame averaging.
-    // Cleared at the frame cadence (5 sweeps), exactly like production.
+    // front half's windowing and frame averaging. Cleared at the frame
+    // cadence (5 sweeps), exactly like production.
     push(
         "window_accum_q",
         active,
@@ -210,49 +186,47 @@ fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
         }),
     );
 
-    // CZT pre-chirp pack (real signal × complex chirp → complex buf).
-    push(
-        "pack_premul",
-        active,
-        n,
-        time_ns(iters, |_| {
-            simd::pack_premul(&mut packed, black_box(&src), &pre);
-        }),
-    );
-    push(
-        "pack_premul",
-        "scalar",
-        n,
-        time_ns(iters, |_| {
-            simd::scalar::pack_premul(&mut packed, black_box(&src), &pre);
-        }),
-    );
+    // The range transform's mixed-radix passes: its first (radix 2,
+    // stride 1, vectorized over butterflies) and a radix-5 one (stride 2,
+    // vectorized over the stride).
+    for (kernel, radix, stride) in [("fft_pass_r2", 2, 1), ("fft_pass_r5", 5, 2)] {
+        push(
+            kernel,
+            active,
+            fft_len,
+            time_ns(iters, |_| {
+                simd::fft_pass(
+                    black_box(&pass_src),
+                    &mut pass_dst,
+                    radix,
+                    stride,
+                    &pass_tw,
+                    false,
+                );
+            }),
+        );
+        push(
+            kernel,
+            "scalar",
+            fft_len,
+            time_ns(iters, |_| {
+                simd::scalar::fft_pass(
+                    black_box(&pass_src),
+                    &mut pass_dst,
+                    radix,
+                    stride,
+                    &pass_tw,
+                    false,
+                );
+            }),
+        );
+    }
 
-    // Fixed-point pre-chirp pack: the late-dequantize step (i32 → f64
-    // fold into the chirp multiply).
-    push(
-        "pack_premul_q",
-        active,
-        n,
-        time_ns(iters, |_| {
-            simd::pack_premul_q(&mut packed, black_box(&accum_src), 1.0 / 32768.0, &pre);
-        }),
-    );
-    push(
-        "pack_premul_q",
-        "scalar",
-        n,
-        time_ns(iters, |_| {
-            simd::scalar::pack_premul_q(&mut packed, black_box(&accum_src), 1.0 / 32768.0, &pre);
-        }),
-    );
-
-    // The Bluestein convolution's frequency-domain kernel multiply —
-    // the largest single consumer in the profile stage.
+    // Bluestein's frequency-domain kernel multiply.
     push(
         "pointwise_mul",
         active,
-        conv,
+        CONV_LEN,
         time_ns(iters, |i| {
             if i % 1024 == 0 {
                 conv_buf.copy_from_slice(&conv_init);
@@ -263,38 +237,12 @@ fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
     push(
         "pointwise_mul",
         "scalar",
-        conv,
+        CONV_LEN,
         time_ns(iters, |i| {
             if i % 1024 == 0 {
                 conv_buf.copy_from_slice(&conv_init);
             }
             simd::scalar::pointwise_mul(&mut conv_buf, black_box(&kernel), false);
-        }),
-    );
-
-    // One radix-2 butterfly pass at the convolution FFT's widest rank.
-    push(
-        "butterflies",
-        active,
-        conv / 2,
-        time_ns(iters, |i| {
-            if i % 16 == 0 {
-                fft_a.copy_from_slice(&fft_a_init);
-                fft_b.copy_from_slice(&fft_b_init);
-            }
-            simd::butterflies(&mut fft_a, &mut fft_b, black_box(&tw), false);
-        }),
-    );
-    push(
-        "butterflies",
-        "scalar",
-        conv / 2,
-        time_ns(iters, |i| {
-            if i % 16 == 0 {
-                fft_a.copy_from_slice(&fft_a_init);
-                fft_b.copy_from_slice(&fft_b_init);
-            }
-            simd::scalar::butterflies(&mut fft_a, &mut fft_b, black_box(&tw), false);
         }),
     );
 
@@ -347,20 +295,20 @@ fn main() {
         "profile-stage kernel microbenchmarks (SIMD / scalar / fixed-point)",
         "§3.1 sweep → range profile at 2500 samples, 5 sweeps/frame, 3 rx antennas",
     );
-    // The pruned CZT's inner convolution length at the profiler shape —
-    // sized off a throwaway profiler so the kernel rows measure what
-    // production transforms.
-    let conv = RangeProfiler::new(&cfg, WindowKind::Hann, MAX_ROUND_TRIP_M)
+    // The range transform's FFT length at the profiler shape — sized off
+    // a throwaway profiler so the kernel rows measure what production
+    // transforms.
+    let fft_len = RangeProfiler::new(&cfg, WindowKind::Hann, MAX_ROUND_TRIP_M)
         .plan()
-        .inner_len();
+        .fft_len();
     println!(
-        "dispatched kernel path: {} ({} f64 lanes); CZT inner length {}\n",
+        "dispatched kernel path: {} ({} f64 lanes); transform length {}\n",
         path_name(simd::active()),
         simd::active().lanes(),
-        conv
+        fft_len
     );
 
-    let mut rows = kernel_rows(n, conv, opts.iters);
+    let mut rows = kernel_rows(n, fft_len, opts.iters);
 
     let f64_ns = profile_frame_ns(&cfg, opts.frames, false);
     let i16_ns = profile_frame_ns(&cfg, opts.frames, true);

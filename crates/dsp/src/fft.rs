@@ -4,25 +4,28 @@
 //! every sweep period" (paper §4.1, §7). A sweep is 2.5 ms sampled at
 //! 1 MS/s = **2500 samples** — not a power of two. Zero-padding to 4096
 //! would change the bin spacing away from the paper's 1/T_sweep = 400 Hz
-//! (and thus away from the C/2B = 8.87 cm range bins of Eq. 3), so this
-//! module implements:
+//! (and thus away from the C/2B = 8.87 cm range bins of Eq. 3), so a plan
+//! picks one of two algorithms by length:
 //!
-//! * an iterative, in-place **radix-2** Cooley–Tukey FFT for power-of-two
-//!   lengths, and
-//! * **Bluestein's chirp-Z algorithm** for everything else, which rewrites an
-//!   arbitrary-length DFT as a circular convolution evaluated with the
-//!   radix-2 core.
+//! * **mixed radix** — Stockham autosort passes of radix 4, 2, 3 and 5
+//!   ([`crate::simd::fft_pass`]) for every length whose prime factors are
+//!   all ≤ 5, powers of two included. The range profile's packed
+//!   1250 = 2·5⁴ points take this path: five passes, about 75k flops;
+//! * **Bluestein's chirp-Z identity** for everything else, which rewrites
+//!   an arbitrary-length DFT as a circular convolution evaluated with a
+//!   power-of-two mixed-radix plan.
 //!
-//! A [`Fft`] value is a *plan*: twiddles, bit-reversal tables, and (for
-//! Bluestein) the pre-transformed chirp are all precomputed so per-sweep work
-//! is allocation-free after plan creation.
+//! A [`Fft`] value is an immutable *plan*: twiddles and (for Bluestein)
+//! the pre-transformed chirp are all precomputed.
+//! Per-call working memory is the caller's ([`Fft::forward_with_scratch`]),
+//! so one plan can serve every thread and the hot path never allocates.
 
 use crate::complex::Complex;
 use std::f64::consts::PI;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
+enum Direction {
     Forward,
     Inverse,
 }
@@ -36,161 +39,174 @@ pub struct Fft {
 
 #[derive(Debug, Clone)]
 enum PlanKind {
-    /// `n` is a power of two: direct radix-2.
-    Radix2(Radix2Plan),
-    /// Arbitrary `n`: Bluestein on top of a radix-2 plan of length `m`.
+    /// `n` factors into 2, 3 and 5: Stockham passes.
+    Mixed(MixedPlan),
+    /// Any other `n`: Bluestein on top of a power-of-two plan of length `m`.
     Bluestein(Box<BluesteinPlan>),
 }
 
+/// One Stockham pass of a [`MixedPlan`].
 #[derive(Debug, Clone)]
-pub(crate) struct Radix2Plan {
-    /// Per-stage contiguous twiddle tables, concatenated: the stage with
-    /// half-length `h` (`h = 1, 2, 4, …, n/2`) owns `stage_tw[h−1..2h−1]`,
-    /// holding `e^{-2πik/2h}` for `k < h` (forward direction). Laying the
-    /// stage's twiddles out contiguously — instead of striding through one
-    /// length-`n/2` table — lets the butterfly kernel stream them with
-    /// vector loads. Total size `n − 1`.
-    stage_tw: Vec<Complex>,
-    /// Bit-reversal permutation.
-    bitrev: Vec<u32>,
+struct Pass {
+    radix: usize,
+    /// Stride: the product of the radices of the passes before this one.
+    stride: usize,
+    /// This pass's twiddles within [`MixedPlan::tw`], laid out as
+    /// [`crate::simd::fft_pass`] reads them.
+    tw: std::ops::Range<usize>,
 }
 
-/// Bluestein is the full-band (`bins = n`, `k0 = 0`) special case of the
-/// chirp-Z machinery in [`crate::czt`]; the chirp tables, kernel layout,
-/// and convolution all live there. The core is immutable and
-/// process-shared by length (every `Fft` of the same non-power-of-two
-/// length reuses one set of chirp/kernel tables); only the scratch buffer
-/// is per-instance.
+#[derive(Debug, Clone)]
+struct MixedPlan {
+    passes: Vec<Pass>,
+    tw: Vec<Complex>,
+}
+
+/// Bluestein's identity `jk = (j² + k² − (k−j)²)/2` turns the `n`-point
+/// DFT into a pre-chirp multiply, a linear convolution with the chirp
+/// `e^{+iπu²/n}`, and a post-chirp multiply. The convolution runs as a
+/// circular one of power-of-two length `m ≥ 2n − 1`.
 #[derive(Debug, Clone)]
 struct BluesteinPlan {
-    core: std::sync::Arc<crate::czt::CztCore>,
-    /// Scratch buffer reused across calls (cloned plans get their own).
-    scratch: Vec<Complex>,
+    inner: MixedPlan,
+    /// `e^{-iπj²/n}`, the input chirp.
+    pre: Vec<Complex>,
+    /// `e^{-iπk²/n} / m`: the output chirp with the inverse transform's
+    /// 1/m normalization folded in.
+    post: Vec<Complex>,
+    /// Forward transform of the circularly laid-out kernel
+    /// `b[u] = e^{+iπu²/n}`, `u ∈ (−n, n)`.
+    kernel_fft: Vec<Complex>,
 }
 
-/// Process-wide registry of shared full-band Bluestein cores, by length.
-static SHARED_CORES: std::sync::OnceLock<crate::plan_cache::PlanCache<usize, crate::czt::CztCore>> =
-    std::sync::OnceLock::new();
+/// `e^{-iπ t²/den}` with `t²` reduced mod `2·den` so large `t` keeps full
+/// precision (the exponential has period `2·den` in `t²`).
+fn chirp(t: usize, den: usize) -> Complex {
+    let j = (t * t) % (2 * den);
+    Complex::cis(-PI * j as f64 / den as f64)
+}
 
-impl Radix2Plan {
-    pub(crate) fn new(n: usize) -> Radix2Plan {
-        debug_assert!(n.is_power_of_two());
-        let mut stage_tw = Vec::with_capacity(n.saturating_sub(1));
-        let mut half = 1;
-        while half < n {
-            let len = 2 * half;
-            stage_tw.extend((0..half).map(|k| Complex::cis(-2.0 * PI * k as f64 / len as f64)));
-            half *= 2;
+impl MixedPlan {
+    /// The plan for `n`, or `None` when `n` has a prime factor above 5.
+    /// Radix 4 and 2 run first: every later pass then has an even stride,
+    /// which the vector kernel covers in whole register pairs.
+    fn new(n: usize) -> Option<MixedPlan> {
+        let mut radices = Vec::new();
+        let mut rest = n;
+        while rest.is_multiple_of(4) {
+            radices.push(4);
+            rest /= 4;
         }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n as u32)
-            .map(|i| {
-                if bits == 0 {
-                    0
-                } else {
-                    i.reverse_bits() >> (32 - bits)
-                }
-            })
-            .collect();
-        Radix2Plan { stage_tw, bitrev }
-    }
-
-    /// In-place transform. `dir` selects conjugated twiddles for the inverse;
-    /// the caller applies 1/n scaling for inverse transforms.
-    pub(crate) fn transform(&self, data: &mut [Complex], dir: Direction) {
-        let n = data.len();
-        debug_assert_eq!(n, self.bitrev.len());
-        if n <= 1 {
-            return;
-        }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                data.swap(i, j);
+        for r in [2, 3, 5] {
+            while rest.is_multiple_of(r) {
+                radices.push(r);
+                rest /= r;
             }
         }
-        // Butterflies: each stage reads its own contiguous twiddle table
-        // and hands the whole rank to the vectorized kernel in one call —
-        // the per-block loop runs inside the selected path, so the narrow
-        // early ranks (1024 one-butterfly blocks at `half == 1` for
-        // n = 2048) don't pay a dispatch per block.
-        self.dit_ladder(data, dir == Direction::Inverse);
+        if rest != 1 {
+            return None;
+        }
+        let mut passes = Vec::with_capacity(radices.len());
+        let mut tw = Vec::new();
+        let (mut len, mut stride) = (n, 1);
+        for radix in radices {
+            let m = len / radix;
+            let start = tw.len();
+            for k in 1..radix {
+                tw.extend((0..m).map(|p| {
+                    let e = (p * k) % len;
+                    Complex::cis(-2.0 * PI * e as f64 / len as f64)
+                }));
+            }
+            passes.push(Pass {
+                radix,
+                stride,
+                tw: start..tw.len(),
+            });
+            len = m;
+            stride *= radix;
+        }
+        Some(MixedPlan { passes, tw })
     }
 
-    /// Forward decimation-in-frequency transform with **no** bit-reversal
-    /// pass: natural-order input, bit-reversed-order spectrum. Paired with
-    /// [`Self::inverse_noperm`] around an order-agnostic pointwise multiply,
-    /// both permutations cancel — the convolution path uses exactly that.
-    pub(crate) fn forward_noperm(&self, data: &mut [Complex]) {
-        debug_assert_eq!(data.len(), self.bitrev.len());
-        self.dif_ladder(data, false);
-    }
-
-    /// Inverse decimation-in-time transform consuming **bit-reversed**
-    /// input (as produced by [`Self::forward_noperm`]) and yielding
-    /// natural-order output. No 1/n scaling — the caller folds it in.
-    pub(crate) fn inverse_noperm(&self, data: &mut [Complex]) {
-        debug_assert_eq!(data.len(), self.bitrev.len());
-        self.dit_ladder(data, true);
-    }
-
-    /// Narrow-to-wide butterfly ranks with adjacent ranks fused two to a
-    /// memory pass (radix-2²): rank 1 runs alone through the specialized
-    /// add/sub kernel, then `(2,4), (8,16), …` pairs, then at most one
-    /// leftover widest rank.
-    fn dit_ladder(&self, data: &mut [Complex], conj: bool) {
-        let n = data.len();
-        if n < 2 {
-            return;
+    /// Runs the passes ping-ponging between `data` and `work`; returns
+    /// `true` when the spectrum ends in `work` (an odd pass count).
+    fn transform(&self, data: &mut [Complex], work: &mut [Complex], dir: Direction) -> bool {
+        let (mut src, mut dst) = (data, work);
+        for pass in &self.passes {
+            crate::simd::fft_pass(
+                src,
+                dst,
+                pass.radix,
+                pass.stride,
+                &self.tw[pass.tw.clone()],
+                dir == Direction::Inverse,
+            );
+            std::mem::swap(&mut src, &mut dst);
         }
-        crate::simd::fft_stage(data, 1, &self.stage_tw[0..1], conj);
-        let mut half = 2;
-        while 4 * half <= n {
-            let tw1 = &self.stage_tw[half - 1..2 * half - 1];
-            let tw2 = &self.stage_tw[2 * half - 1..4 * half - 1];
-            crate::simd::fft_two_stages(data, half, tw1, tw2, conj);
-            half *= 4;
-        }
-        if 2 * half <= n {
-            let tw = &self.stage_tw[half - 1..2 * half - 1];
-            crate::simd::fft_stage(data, half, tw, conj);
-        }
-    }
-
-    /// Wide-to-narrow DIF ranks, fused pairwise like [`Self::dit_ladder`]:
-    /// `(n/2, n/4), …` down to a possible lone rank 2, with rank 1 always
-    /// last through the specialized add/sub kernel.
-    fn dif_ladder(&self, data: &mut [Complex], conj: bool) {
-        let n = data.len();
-        if n < 2 {
-            return;
-        }
-        let mut half = n / 2;
-        while half >= 4 {
-            let tw1 = &self.stage_tw[half / 2 - 1..half - 1];
-            let tw2 = &self.stage_tw[half - 1..2 * half - 1];
-            crate::simd::fft_two_stages_dif(data, half / 2, tw1, tw2, conj);
-            half /= 4;
-        }
-        if half == 2 {
-            crate::simd::fft_stage_dif(data, 2, &self.stage_tw[1..3], conj);
-        }
-        crate::simd::fft_stage_dif(data, 1, &self.stage_tw[0..1], conj);
+        self.passes.len() % 2 == 1
     }
 }
 
 impl BluesteinPlan {
     fn new(n: usize) -> BluesteinPlan {
-        let core = SHARED_CORES
-            .get_or_init(crate::plan_cache::PlanCache::new)
-            .get_or_build(n, || crate::czt::CztCore::new(n, n, n, 0));
-        let scratch = vec![Complex::ZERO; core.inner_len()];
-        BluesteinPlan { core, scratch }
+        let m = (2 * n - 1).next_power_of_two();
+        let inner = MixedPlan::new(m).expect("powers of two factor into 4s and 2s");
+        let pre: Vec<Complex> = (0..n).map(|j| chirp(j, n)).collect();
+        let inv_m = 1.0 / m as f64;
+        let post = pre.iter().map(|c| c.scale(inv_m)).collect();
+        // Kernel b[u] = conj(chirp(u)); b is even in u, laid out circularly
+        // over [0, n) ∪ (m − n, m). m ≥ 2n − 1 keeps the two arcs
+        // disjoint, so the linear convolution is exact.
+        let mut kernel = vec![Complex::ZERO; m];
+        for (u, c) in pre.iter().enumerate() {
+            kernel[u] = c.conj();
+            if u > 0 {
+                kernel[m - u] = c.conj();
+            }
+        }
+        let mut work = vec![Complex::ZERO; m];
+        let kernel_fft = if inner.transform(&mut kernel, &mut work, Direction::Forward) {
+            work
+        } else {
+            kernel
+        };
+        BluesteinPlan {
+            inner,
+            pre,
+            post,
+            kernel_fft,
+        }
     }
 
-    fn transform(&mut self, data: &mut [Complex], dir: Direction) {
-        self.core.transform_in_place(data, &mut self.scratch, dir);
+    /// The convolution length `m`.
+    fn inner_len(&self) -> usize {
+        self.kernel_fft.len()
+    }
+
+    /// Transforms `data` in place through `scratch`, which holds the
+    /// convolution buffer and the inner plan's ping-pong buffer (`2m`
+    /// points). `dir` conjugates both chirps and the kernel, turning the
+    /// forward DFT into the inverse (un-normalized) one.
+    fn transform(&self, data: &mut [Complex], scratch: &mut [Complex], dir: Direction) {
+        let n = data.len();
+        let conj = dir == Direction::Inverse;
+        let (mut buf, mut work) = scratch[..2 * self.inner_len()].split_at_mut(self.inner_len());
+        crate::simd::pointwise_mul_into(&mut buf[..n], data, &self.pre, conj);
+        buf[n..].fill(Complex::ZERO);
+        // Stockham passes leave both spectra in natural order, so the
+        // pointwise product lines up; `buf` follows the result around.
+        if self.inner.transform(buf, work, Direction::Forward) {
+            std::mem::swap(&mut buf, &mut work);
+        }
+        // The kernel is even (b[u] = b[−u]), so conjugating its
+        // *transform* — what the Inverse direction needs — is exactly the
+        // transform of the conjugated kernel.
+        crate::simd::pointwise_mul(buf, &self.kernel_fft, conj);
+        if self.inner.transform(buf, work, Direction::Inverse) {
+            std::mem::swap(&mut buf, &mut work);
+        }
+        crate::simd::pointwise_mul_into(data, &buf[..n], &self.post, conj);
     }
 }
 
@@ -201,8 +217,8 @@ impl Fft {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Fft {
         assert!(n > 0, "FFT length must be positive");
-        let kind = if n.is_power_of_two() {
-            PlanKind::Radix2(Radix2Plan::new(n))
+        let kind = if let Some(plan) = MixedPlan::new(n) {
+            PlanKind::Mixed(plan)
         } else {
             PlanKind::Bluestein(Box::new(BluesteinPlan::new(n)))
         };
@@ -219,66 +235,83 @@ impl Fft {
         self.n == 0
     }
 
-    /// In-place forward DFT: `X[k] = Σ_n x[n] e^{-2πikn/N}`.
+    /// Working memory, in complex points, that
+    /// [`Fft::forward_with_scratch`] needs: `n` for mixed radix, twice the
+    /// convolution length for Bluestein.
+    pub fn scratch_len(&self) -> usize {
+        match &self.kind {
+            PlanKind::Mixed(_) => self.n,
+            PlanKind::Bluestein(p) => 2 * p.inner_len(),
+        }
+    }
+
+    /// Forward DFT `X[k] = Σ_n x[n] e^{-2πikn/N}` of `data`, with
+    /// `scratch` as working memory. Returns the slice holding the
+    /// spectrum: `data` itself, or the first `N` points of `scratch` when
+    /// the mixed-radix passes end there — so no copy back is paid.
+    /// `data` is clobbered either way. Never allocates.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` differs from the plan length or `scratch`
+    /// is shorter than [`Fft::scratch_len`].
+    pub fn forward_with_scratch<'a>(
+        &self,
+        data: &'a mut [Complex],
+        scratch: &'a mut [Complex],
+    ) -> &'a [Complex] {
+        assert_eq!(data.len(), self.n, "buffer length must match plan");
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        if self.run(data, scratch, Direction::Forward) {
+            &scratch[..self.n]
+        } else {
+            data
+        }
+    }
+
+    /// Transforms `data`; returns `true` when the result is in `scratch`.
+    fn run(&self, data: &mut [Complex], scratch: &mut [Complex], dir: Direction) -> bool {
+        match &self.kind {
+            PlanKind::Mixed(p) => p.transform(data, &mut scratch[..self.n], dir),
+            PlanKind::Bluestein(p) => {
+                p.transform(data, scratch, dir);
+                false
+            }
+        }
+    }
+
+    /// In place through freshly allocated scratch — the convenience path.
+    fn in_place(&self, data: &mut [Complex], dir: Direction) {
+        assert_eq!(data.len(), self.n, "buffer length must match plan");
+        let mut scratch = vec![Complex::ZERO; self.scratch_len()];
+        if self.run(data, &mut scratch, dir) {
+            data.copy_from_slice(&scratch[..self.n]);
+        }
+    }
+
+    /// In-place forward DFT: `X[k] = Σ_n x[n] e^{-2πikn/N}`. Allocates
+    /// its working memory; hot paths use [`Fft::forward_with_scratch`].
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
-    pub fn forward(&mut self, data: &mut [Complex]) {
-        assert_eq!(data.len(), self.n, "buffer length must match plan");
-        match &mut self.kind {
-            PlanKind::Radix2(p) => p.transform(data, Direction::Forward),
-            PlanKind::Bluestein(p) => p.transform(data, Direction::Forward),
-        }
+    pub fn forward(&self, data: &mut [Complex]) {
+        self.in_place(data, Direction::Forward);
     }
 
     /// In-place inverse DFT (with 1/N normalization), the exact inverse of
     /// [`Fft::forward`].
-    pub fn inverse(&mut self, data: &mut [Complex]) {
-        assert_eq!(data.len(), self.n, "buffer length must match plan");
-        match &mut self.kind {
-            PlanKind::Radix2(p) => p.transform(data, Direction::Inverse),
-            PlanKind::Bluestein(p) => p.transform(data, Direction::Inverse),
-        }
+    pub fn inverse(&self, data: &mut [Complex]) {
+        self.in_place(data, Direction::Inverse);
         let inv = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(inv);
         }
     }
 
-    /// Forward DFT of `input` written into `out` (the in-place equivalent of
-    /// [`Fft::forward`] for callers that must keep the input intact). Never
-    /// allocates after plan creation.
-    ///
-    /// # Panics
-    /// Panics if either slice length differs from the plan length.
-    pub fn forward_into(&mut self, input: &[Complex], out: &mut [Complex]) {
-        assert_eq!(input.len(), self.n, "input length must match plan");
-        assert_eq!(out.len(), self.n, "output length must match plan");
-        out.copy_from_slice(input);
-        self.forward(out);
-    }
-
-    /// Forward DFT of a real signal written into caller-owned `out`. This is
-    /// the allocation-free form of [`Fft::forward_real`]: after plan
-    /// creation, repeated calls never touch the heap.
-    ///
-    /// # Panics
-    /// Panics if either slice length differs from the plan length.
-    pub fn forward_real_into(&mut self, signal: &[f64], out: &mut [Complex]) {
-        assert_eq!(signal.len(), self.n, "signal length must match plan");
-        assert_eq!(out.len(), self.n, "output length must match plan");
-        for (o, &x) in out.iter_mut().zip(signal) {
-            *o = Complex::real(x);
-        }
-        self.forward(out);
-    }
-
     /// Convenience: forward-transforms a real signal, allocating the output.
-    /// Hot paths should prefer [`Fft::forward_real_into`].
-    pub fn forward_real(&mut self, signal: &[f64]) -> Vec<Complex> {
+    pub fn forward_real(&self, signal: &[f64]) -> Vec<Complex> {
         assert_eq!(signal.len(), self.n, "buffer length must match plan");
-        let mut out = vec![Complex::ZERO; self.n];
-        self.forward_real_into(signal, &mut out);
+        let mut out: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
+        self.forward(&mut out);
         out
     }
 }
@@ -313,54 +346,53 @@ mod tests {
     }
 
     #[test]
-    fn noperm_ladders_are_the_permuted_transform() {
-        // forward_noperm yields the spectrum in bit-reversed order;
-        // inverse_noperm consumes that order. Composed around nothing they
-        // must reproduce n·identity, and un-permuting the forward output
-        // must match the plain transform.
-        for n in [2usize, 4, 8, 64, 512, 2048] {
-            let plan = Radix2Plan::new(n);
-            let data: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.53).sin(), (i as f64 * 0.29).cos()))
-                .collect();
-
-            let mut noperm = data.clone();
-            plan.forward_noperm(&mut noperm);
-            let mut unshuffled = vec![Complex::ZERO; n];
-            for (i, &v) in noperm.iter().enumerate() {
-                unshuffled[plan.bitrev[i] as usize] = v;
-            }
-            let mut plain = data.clone();
-            plan.transform(&mut plain, Direction::Forward);
-            spectrum_close(&unshuffled, &plain, 1e-9 * n as f64);
-
-            plan.inverse_noperm(&mut noperm);
-            let round: Vec<Complex> = noperm.iter().map(|v| *v / n as f64).collect();
-            spectrum_close(&round, &data, 1e-9 * n as f64);
-        }
-    }
-
-    #[test]
-    fn radix2_matches_naive_dft() {
-        for n in [1usize, 2, 4, 8, 16, 64, 256] {
+    fn powers_of_two_match_naive_dft() {
+        // Even and odd pass counts, and a lone radix-2 pass after the 4s.
+        for n in [1usize, 2, 4, 8, 16, 64, 256, 2048] {
+            let plan = Fft::new(n);
+            assert!(matches!(plan.kind, PlanKind::Mixed(_)), "n={n}");
             let data: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
                 .collect();
             let mut fast = data.clone();
-            Fft::new(n).forward(&mut fast);
+            plan.forward(&mut fast);
             spectrum_close(&fast, &dft_naive(&data), 1e-9 * n as f64);
         }
     }
 
     #[test]
-    fn bluestein_matches_naive_dft() {
-        for n in [3usize, 5, 6, 7, 12, 100, 250, 625] {
+    fn mixed_radix_matches_naive_dft() {
+        // Every radix, odd strides (no factor 2), and the packed range
+        // profile's 1250 = 2·5⁴, both directions.
+        for n in [
+            3usize, 5, 6, 9, 10, 12, 15, 20, 25, 45, 50, 60, 75, 120, 1250,
+        ] {
+            let plan = Fft::new(n);
+            assert!(matches!(plan.kind, PlanKind::Mixed(_)), "n={n}");
             let data: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.37).cos(), (i as f64 * 0.11).sin()))
                 .collect();
             let mut fast = data.clone();
-            Fft::new(n).forward(&mut fast);
+            plan.forward(&mut fast);
+            spectrum_close(&fast, &dft_naive(&data), 1e-9 * n as f64);
+            plan.inverse(&mut fast);
+            spectrum_close(&fast, &data, 1e-12 * n as f64);
+        }
+    }
+
+    #[test]
+    fn bluestein_matches_naive_dft() {
+        for n in [7usize, 14, 21, 127, 254, 1001] {
+            let plan = Fft::new(n);
+            assert!(matches!(plan.kind, PlanKind::Bluestein(_)), "n={n}");
+            let data: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).cos(), (i as f64 * 0.11).sin()))
+                .collect();
+            let mut fast = data.clone();
+            plan.forward(&mut fast);
             spectrum_close(&fast, &dft_naive(&data), 1e-8 * n as f64);
+            plan.inverse(&mut fast);
+            spectrum_close(&fast, &data, 1e-10 * n as f64);
         }
     }
 
@@ -392,7 +424,7 @@ mod tests {
                 .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.5).cos()))
                 .collect();
             let mut buf = data.clone();
-            let mut plan = Fft::new(n);
+            let plan = Fft::new(n);
             plan.forward(&mut buf);
             plan.inverse(&mut buf);
             spectrum_close(&buf, &data, 1e-10 * n as f64);
@@ -431,7 +463,7 @@ mod tests {
         let b: Vec<Complex> = (0..n)
             .map(|i| Complex::real((i as f64 * 0.9).cos()))
             .collect();
-        let mut plan = Fft::new(n);
+        let plan = Fft::new(n);
         let mut fa = a.clone();
         plan.forward(&mut fa);
         let mut fb = b.clone();
@@ -480,31 +512,22 @@ mod tests {
     }
 
     #[test]
-    fn forward_real_into_matches_forward_real() {
-        for n in [64usize, 100] {
-            let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-            let mut plan = Fft::new(n);
-            let alloc = plan.forward_real(&signal);
-            let mut out = vec![Complex::ZERO; n];
-            plan.forward_real_into(&signal, &mut out);
-            spectrum_close(&alloc, &out, 0.0);
+    fn forward_with_scratch_matches_forward() {
+        // An odd and an even mixed-radix pass count, and Bluestein: the
+        // returned slice holds the spectrum wherever the passes left it.
+        for n in [16usize, 50, 60, 127] {
+            let plan = Fft::new(n);
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64).cos(), (i as f64 * 0.3).sin()))
+                .collect();
+            let mut in_place = input.clone();
+            plan.forward(&mut in_place);
+            let mut data = input.clone();
+            // Longer than needed: a shared per-thread buffer usually is.
+            let mut scratch = vec![Complex::ZERO; plan.scratch_len() + 3];
+            let spec = plan.forward_with_scratch(&mut data, &mut scratch);
+            spectrum_close(spec, &in_place, 0.0);
         }
-    }
-
-    #[test]
-    fn forward_into_preserves_input() {
-        let n = 32;
-        let input: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64).cos(), (i as f64).sin()))
-            .collect();
-        let snapshot = input.clone();
-        let mut out = vec![Complex::ZERO; n];
-        let mut plan = Fft::new(n);
-        plan.forward_into(&input, &mut out);
-        spectrum_close(&input, &snapshot, 0.0);
-        let mut in_place = input.clone();
-        plan.forward(&mut in_place);
-        spectrum_close(&out, &in_place, 0.0);
     }
 
     #[test]
@@ -516,7 +539,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_buffer_length_panics() {
-        let mut plan = Fft::new(8);
+        let plan = Fft::new(8);
         let mut buf = vec![Complex::ZERO; 4];
         plan.forward(&mut buf);
     }

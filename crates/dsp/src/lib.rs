@@ -5,14 +5,15 @@
 //! point of the reproduction is to own these code paths):
 //!
 //! * [`Complex`] — complex arithmetic for baseband signals.
-//! * [`fft`] — an iterative radix-2 FFT plus a Bluestein chirp-Z fallback so
-//!   *exact* non-power-of-two lengths work. WiTrack's sweep is 2500 samples
+//! * [`fft`] — FFT plans at any length: mixed-radix Stockham passes for
+//!   lengths whose prime factors are all ≤ 5 (powers of two included), and
+//!   Bluestein's chirp-Z identity for the rest, so *exact*
+//!   non-power-of-two lengths work. WiTrack's sweep is 2500 samples
 //!   (2.5 ms at 1 MS/s); transforming at the exact length keeps the paper's
 //!   400 Hz bins = 8.87 cm one-way range resolution (Eq. 3).
-//! * [`czt`] — the zoomed chirp-Z transform: exactly the `keep_bins` range
-//!   bins an indoor scene occupies, computed from the real sweep via
-//!   two-for-one packing and a pruned convolution (the per-frame hot path;
-//!   see the module docs for the cost accounting).
+//! * [`range`] — the per-frame range transform: the kept band of a real
+//!   frame's DFT through one half-length packed FFT (the per-frame hot
+//!   path; see the module docs).
 //! * [`window`] — tapers for spectral analysis.
 //! * [`kalman`] — the 1-D constant-velocity Kalman filter used to smooth
 //!   per-antenna distance estimates (paper §4.4 "Filtering").
@@ -32,18 +33,18 @@
 #![deny(unsafe_code)]
 
 pub mod complex;
-pub mod czt;
 pub mod fft;
 pub mod filters;
 pub mod kalman;
 pub mod peak;
 pub(crate) mod plan_cache;
+pub mod range;
 pub mod regression;
 pub mod simd;
 pub mod stats;
 pub mod window;
 
 pub use complex::Complex;
-pub use czt::{Czt, CztScratch};
 pub use fft::Fft;
 pub use kalman::Kalman1D;
+pub use range::RangeTransform;

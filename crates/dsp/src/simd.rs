@@ -1,11 +1,10 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot path.
 //!
 //! Every per-frame inner loop of the range-profile stage funnels through
-//! this module: the complex pointwise multiplies of the pruned-CZT
-//! convolution, the radix-2 butterfly passes, the window/pack multiplies
-//! that feed the transform, and the fixed-point (i16/i32) front half that
-//! keeps wire-quantized sweeps in integer form until the last possible
-//! dequantization. Each kernel exists twice:
+//! this module: the mixed-radix Stockham FFT passes, the fixed-point
+//! (i16/i32) windowed accumulate that keeps wire-quantized sweeps in
+//! integer form until the transform packs them, and the complex
+//! pointwise multiplies of the Bluestein FFT. Each kernel exists twice:
 //!
 //! * a **scalar** reference implementation (in [`scalar`]), always
 //!   compiled, used directly on non-x86 hosts and kept exercised in CI by
@@ -107,7 +106,7 @@ pub fn force_scalar() -> bool {
 }
 
 /// `buf[i] *= k[i]` (conjugating `k` when `conj` — the inverse-direction
-/// CZT kernel multiply).
+/// Bluestein kernel multiply).
 pub fn pointwise_mul(buf: &mut [Complex], k: &[Complex], conj: bool) {
     debug_assert_eq!(buf.len(), k.len());
     match active() {
@@ -129,46 +128,6 @@ pub fn pointwise_mul_into(out: &mut [Complex], a: &[Complex], b: &[Complex], con
     }
 }
 
-/// Two-for-one real-input packing fused with the pre-chirp multiply:
-/// `buf[t] = (signal[2t] + i·signal[2t+1]) * pre[t]`. Adjacent real
-/// samples already sit in complex (re, im) layout, so the AVX2 path is a
-/// straight vector load plus complex multiply.
-///
-/// # Panics
-/// Panics if `signal.len() < 2 * buf.len()` or `pre.len() < buf.len()`.
-pub fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-    assert!(signal.len() >= 2 * buf.len());
-    assert!(pre.len() >= buf.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::pack_premul(buf, signal, pre) },
-        _ => scalar::pack_premul(buf, signal, pre),
-    }
-}
-
-/// Real-scalar pre-chirp multiply (the unpacked CZT input path):
-/// `buf[j] = pre[j].scale(signal[j])`.
-pub fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-    debug_assert_eq!(buf.len(), signal.len());
-    debug_assert_eq!(buf.len(), pre.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::scale_premul(buf, signal, pre) },
-        _ => scalar::scale_premul(buf, signal, pre),
-    }
-}
-
-/// Windowed frame average: `dst[i] = src[i] * win[i] * scale`.
-pub fn window_scale(dst: &mut [f64], src: &[f64], win: &[f64], scale: f64) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert_eq!(dst.len(), win.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::window_scale(dst, src, win, scale) },
-        _ => scalar::window_scale(dst, src, win, scale),
-    }
-}
-
 /// Fixed-point windowed accumulate, the front half of the quantized
 /// pipeline: `accum[i] += mulhrs(samples[i], win_q15[i])`, where `mulhrs`
 /// is the Q15 rounding multiply `(a·b + 2^14) >> 15`. Windowing happens
@@ -185,137 +144,41 @@ pub fn window_accum_q(accum: &mut [i32], samples: &[i16], win_q15: &[i16]) {
     }
 }
 
-/// Late-dequantizing two-for-one packing: `buf[t] = (q[2t] + i·q[2t+1])
-/// · scale · pre[t]`. This is where the quantized front half re-enters
-/// the float domain — fused into the pre-chirp multiply so the
-/// dequantized frame is never materialized.
+/// One Stockham autosort pass of a mixed-radix FFT, out of place from
+/// `src` to `dst`. With `n = src.len()`, `radix` `r ∈ {2, 3, 4, 5}`,
+/// stride `s` and `m = n / (r·s)`, it maps, for every `p < m` and
+/// `q < s`,
+///
+/// `dst[q + s·(r·p + k)] = w^{p·k} · Σ_j src[q + s·(p + j·m)]·ω_r^{j·k}`
+///
+/// where `ω_r = e^{-2πi/r}`, `w = e^{-2πi/(r·m)}`, and `tw[(k−1)·m + p]`
+/// holds `w^{p·k}` for `1 ≤ k < r` (all roots conjugated when `conj`, for
+/// the inverse direction; the `p = 0` entries are 1, and the vector kernel
+/// skips their multiplies). Running the passes of a factorization of `n`
+/// with `s = 1, r₁, r₁·r₂, …` leaves the DFT in natural order — no
+/// bit-reversal pass, and each pass is one streaming read and write.
 ///
 /// # Panics
-/// Panics if `q.len() < 2 * buf.len()` or `pre.len() < buf.len()`.
-pub fn pack_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-    assert!(q.len() >= 2 * buf.len());
-    assert!(pre.len() >= buf.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::pack_premul_q(buf, q, scale, pre) },
-        _ => scalar::pack_premul_q(buf, q, scale, pre),
-    }
-}
-
-/// Late-dequantizing real pre-chirp multiply (unpacked CZT input path):
-/// `buf[j] = pre[j].scale(q[j] · scale)`.
-pub fn scale_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-    debug_assert_eq!(buf.len(), q.len());
-    debug_assert_eq!(buf.len(), pre.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::scale_premul_q(buf, q, scale, pre) },
-        _ => scalar::scale_premul_q(buf, q, scale, pre),
-    }
-}
-
-/// One radix-2 butterfly pass over a block: `a` and `b` are the lower and
-/// upper halves, `tw` the stage's contiguous twiddles (`e^{-2πik/len}`,
-/// conjugated on the fly when `conj` for the inverse direction):
-/// `(a[k], b[k]) ← (a[k] + tw[k]·b[k], a[k] − tw[k]·b[k])`.
-pub fn butterflies(a: &mut [Complex], b: &mut [Complex], tw: &[Complex], conj: bool) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), tw.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::butterflies(a, b, tw, conj) },
-        _ => scalar::butterflies(a, b, tw, conj),
-    }
-}
-
-/// One whole radix-2 stage: the [`butterflies`] pass applied to every
-/// `2·half` block of `data`, with the block loop *inside* the selected
-/// kernel. Dispatching per stage instead of per block matters enormously
-/// at the narrow early stages — a 2048-point transform has 1024
-/// one-butterfly blocks at `half == 1`, and a per-block dispatch (path
-/// load + call + slice setup) costs more than the butterfly itself.
-///
-/// # Panics
-/// Panics (debug) if `data.len()` is not a multiple of `2·half` or
-/// `tw.len() < half`.
-pub fn fft_stage(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
-    debug_assert!(data.len().is_multiple_of(2 * half));
-    debug_assert!(tw.len() >= half);
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::fft_stage(data, half, tw, conj) },
-        _ => scalar::fft_stage(data, half, tw, conj),
-    }
-}
-
-/// One whole decimation-in-frequency radix-2 stage:
-/// `(a[k], b[k]) ← (a[k] + b[k], (a[k] − b[k])·tw[k])` over every
-/// `2·half` block. The DIF ladder (widest rank first) maps natural-order
-/// input to a bit-reversed-order spectrum *without* a permutation pass —
-/// inside a convolution the matching bit-reversed-input DIT inverse
-/// undoes the ordering, so both bit-reversal passes vanish.
-///
-/// # Panics
-/// Panics (debug) if `data.len()` is not a multiple of `2·half` or
-/// `tw.len() < half`.
-pub fn fft_stage_dif(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
-    debug_assert!(data.len().is_multiple_of(2 * half));
-    debug_assert!(tw.len() >= half);
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::fft_stage_dif(data, half, tw, conj) },
-        _ => scalar::fft_stage_dif(data, half, tw, conj),
-    }
-}
-
-/// Two consecutive DIT ranks — half-lengths `h` (twiddles `tw1`, length
-/// `h`) then `2h` (twiddles `tw2`, length `2h`) — fused into **one** pass
-/// over memory. Each group of four points is loaded once, carried through
-/// both butterfly ranks in registers, and stored once, halving the FFT's
-/// dominant cost (load/store traffic). Requires `h ≥ 2` and a power of
-/// two (so the vector kernel never needs a tail).
-///
-/// # Panics
-/// Panics (debug) if `h < 2`, `data.len()` is not a multiple of `4h`, or
-/// a twiddle table is short.
-pub fn fft_two_stages(
-    data: &mut [Complex],
-    h: usize,
-    tw1: &[Complex],
-    tw2: &[Complex],
+/// Panics if `radix` is not 2–5, `src` and `dst` differ in length, `n` is
+/// not a multiple of `radix · s`, or `tw` is shorter than `(radix−1)·m`.
+pub fn fft_pass(
+    src: &[Complex],
+    dst: &mut [Complex],
+    radix: usize,
+    s: usize,
+    tw: &[Complex],
     conj: bool,
 ) {
-    debug_assert!(h >= 2 && h.is_power_of_two());
-    debug_assert!(data.len().is_multiple_of(4 * h));
-    debug_assert!(tw1.len() >= h && tw2.len() >= 2 * h);
+    assert!((2..=5).contains(&radix), "radix {radix} has no kernel");
+    assert_eq!(src.len(), dst.len(), "pass is out of place at one length");
+    assert!(s > 0 && src.len().is_multiple_of(radix * s));
+    assert!(tw.len() >= (radix - 1) * (src.len() / (radix * s)));
     match active() {
+        // SAFETY: `active()` only selects Avx2Fma after detecting avx2 and
+        // fma, and the asserts above bound every index the kernel forms.
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::fft_two_stages(data, h, tw1, tw2, conj) },
-        _ => scalar::fft_two_stages(data, h, tw1, tw2, conj),
-    }
-}
-
-/// Two consecutive DIF ranks — half-lengths `2h` (twiddles `tw2`) then
-/// `h` (twiddles `tw1`) — fused into one pass over memory; the DIF mirror
-/// of [`fft_two_stages`]. Same `h ≥ 2` power-of-two requirement.
-///
-/// # Panics
-/// Panics (debug) if `h < 2`, `data.len()` is not a multiple of `4h`, or
-/// a twiddle table is short.
-pub fn fft_two_stages_dif(
-    data: &mut [Complex],
-    h: usize,
-    tw1: &[Complex],
-    tw2: &[Complex],
-    conj: bool,
-) {
-    debug_assert!(h >= 2 && h.is_power_of_two());
-    debug_assert!(data.len().is_multiple_of(4 * h));
-    debug_assert!(tw1.len() >= h && tw2.len() >= 2 * h);
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::fft_two_stages_dif(data, h, tw1, tw2, conj) },
-        _ => scalar::fft_two_stages_dif(data, h, tw1, tw2, conj),
+        KernelPath::Avx2Fma => unsafe { avx2::fft_pass(src, dst, radix, s, tw, conj) },
+        _ => scalar::fft_pass(src, dst, radix, s, tw, conj),
     }
 }
 
@@ -360,27 +223,6 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::pack_premul`].
-    pub fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        for (t, (b, p)) in buf.iter_mut().zip(pre).enumerate() {
-            *b = Complex::new(signal[2 * t], signal[2 * t + 1]) * *p;
-        }
-    }
-
-    /// See [`super::scale_premul`].
-    pub fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        for (b, (&s, p)) in buf.iter_mut().zip(signal.iter().zip(pre)) {
-            *b = p.scale(s);
-        }
-    }
-
-    /// See [`super::window_scale`].
-    pub fn window_scale(dst: &mut [f64], src: &[f64], win: &[f64], scale: f64) {
-        for (d, (&s, &w)) in dst.iter_mut().zip(src.iter().zip(win)) {
-            *d = s * w * scale;
-        }
-    }
-
     /// See [`super::window_accum_q`].
     pub fn window_accum_q(accum: &mut [i32], samples: &[i16], win_q15: &[i16]) {
         for (a, (&s, &w)) in accum.iter_mut().zip(samples.iter().zip(win_q15)) {
@@ -388,112 +230,130 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::pack_premul_q`].
-    pub fn pack_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-        for (t, (b, p)) in buf.iter_mut().zip(pre).enumerate() {
-            *b = Complex::new(q[2 * t] as f64 * scale, q[2 * t + 1] as f64 * scale) * *p;
+    /// `cos(2π/3)`, `sin(2π/3)`: the radix-3 butterfly constants.
+    pub(super) const C3: f64 = -0.5;
+    pub(super) const S3: f64 = 0.866_025_403_784_438_6;
+    /// `cos(2π/5)`, `cos(4π/5)`, `sin(2π/5)`, `sin(4π/5)`: radix 5.
+    pub(super) const C51: f64 = 0.309_016_994_374_947_45;
+    pub(super) const C52: f64 = -0.809_016_994_374_947_5;
+    pub(super) const S51: f64 = 0.951_056_516_295_153_5;
+    pub(super) const S52: f64 = 0.587_785_252_292_473_1;
+
+    /// `v·(−i)`, or `v·(+i)` for the inverse direction.
+    #[inline(always)]
+    fn rot<const CONJ: bool>(v: Complex) -> Complex {
+        if CONJ {
+            Complex::new(-v.im, v.re)
+        } else {
+            Complex::new(v.im, -v.re)
         }
     }
 
-    /// See [`super::scale_premul_q`].
-    pub fn scale_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-        for (b, (&v, p)) in buf.iter_mut().zip(q.iter().zip(pre)) {
-            *b = p.scale(v as f64 * scale);
+    /// The `R`-point DFT of `a` (conjugated roots when `CONJ`).
+    #[inline(always)]
+    fn bfly<const R: usize, const CONJ: bool>(a: [Complex; R]) -> [Complex; R] {
+        let mut b = [Complex::ZERO; R];
+        match R {
+            2 => {
+                b[0] = a[0] + a[1];
+                b[1] = a[0] - a[1];
+            }
+            3 => {
+                let t = a[1] + a[2];
+                let m = a[0] + t.scale(C3);
+                let n = rot::<CONJ>((a[1] - a[2]).scale(S3));
+                b[0] = a[0] + t;
+                b[1] = m + n;
+                b[2] = m - n;
+            }
+            4 => {
+                let (u0, u1) = (a[0] + a[2], a[0] - a[2]);
+                let (u2, u3) = (a[1] + a[3], rot::<CONJ>(a[1] - a[3]));
+                b[0] = u0 + u2;
+                b[1] = u1 + u3;
+                b[2] = u0 - u2;
+                b[3] = u1 - u3;
+            }
+            5 => {
+                let (t1, t2) = (a[1] + a[4], a[2] + a[3]);
+                let (d1, d2) = (a[1] - a[4], a[2] - a[3]);
+                let m1 = a[0] + t1.scale(C51) + t2.scale(C52);
+                let m2 = a[0] + t1.scale(C52) + t2.scale(C51);
+                let n1 = rot::<CONJ>(d1.scale(S51) + d2.scale(S52));
+                let n2 = rot::<CONJ>(d1.scale(S52) - d2.scale(S51));
+                b[0] = a[0] + t1 + t2;
+                b[1] = m1 + n1;
+                b[2] = m2 + n2;
+                b[3] = m2 - n2;
+                b[4] = m1 - n1;
+            }
+            _ => unreachable!("radix {R} has no butterfly"),
+        }
+        b
+    }
+
+    /// One `(p, q)` butterfly of a [`super::fft_pass`]: the whole scalar
+    /// pass, and the vector kernel's odd tail.
+    #[inline(always)]
+    pub(super) fn fft_point<const R: usize, const CONJ: bool>(
+        src: &[Complex],
+        dst: &mut [Complex],
+        s: usize,
+        m: usize,
+        p: usize,
+        q: usize,
+        tw: &[Complex],
+    ) {
+        let a: [Complex; R] = std::array::from_fn(|j| src[q + s * (p + j * m)]);
+        let b = bfly::<R, CONJ>(a);
+        dst[q + s * R * p] = b[0];
+        for k in 1..R {
+            let w = tw[(k - 1) * m + p];
+            dst[q + s * (R * p + k)] = b[k] * if CONJ { w.conj() } else { w };
         }
     }
 
-    /// See [`super::butterflies`].
-    pub fn butterflies(a: &mut [Complex], b: &mut [Complex], tw: &[Complex], conj: bool) {
-        for k in 0..a.len() {
-            let t = if conj { tw[k].conj() } else { tw[k] };
-            let x = a[k];
-            let y = b[k] * t;
-            a[k] = x + y;
-            b[k] = x - y;
+    fn pass<const R: usize, const CONJ: bool>(
+        src: &[Complex],
+        dst: &mut [Complex],
+        s: usize,
+        tw: &[Complex],
+    ) {
+        let m = src.len() / (R * s);
+        if s == 1 {
+            // A literal stride: with a runtime one, the per-`p` setup of
+            // the one-trip `q` loop costs more than the butterfly.
+            for p in 0..m {
+                fft_point::<R, CONJ>(src, dst, 1, m, p, 0, tw);
+            }
+            return;
         }
-    }
-
-    /// See [`super::fft_stage`].
-    pub fn fft_stage(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
-        for block in data.chunks_exact_mut(2 * half) {
-            let (a, b) = block.split_at_mut(half);
-            butterflies(a, b, &tw[..half], conj);
-        }
-    }
-
-    /// See [`super::fft_stage_dif`].
-    pub fn fft_stage_dif(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
-        for block in data.chunks_exact_mut(2 * half) {
-            let (a, b) = block.split_at_mut(half);
-            for k in 0..half {
-                let t = if conj { tw[k].conj() } else { tw[k] };
-                let x = a[k];
-                let y = b[k];
-                a[k] = x + y;
-                b[k] = (x - y) * t;
+        for p in 0..m {
+            for q in 0..s {
+                fft_point::<R, CONJ>(src, dst, s, m, p, q, tw);
             }
         }
     }
 
-    /// See [`super::fft_two_stages`].
-    pub fn fft_two_stages(
-        data: &mut [Complex],
-        h: usize,
-        tw1: &[Complex],
-        tw2: &[Complex],
+    /// See [`super::fft_pass`].
+    pub fn fft_pass(
+        src: &[Complex],
+        dst: &mut [Complex],
+        radix: usize,
+        s: usize,
+        tw: &[Complex],
         conj: bool,
     ) {
-        for block in data.chunks_exact_mut(4 * h) {
-            for k in 0..h {
-                let (t1, t2a, t2b) = if conj {
-                    (tw1[k].conj(), tw2[k].conj(), tw2[k + h].conj())
-                } else {
-                    (tw1[k], tw2[k], tw2[k + h])
-                };
-                let x0 = block[k];
-                let x1 = block[k + h] * t1;
-                let x2 = block[k + 2 * h];
-                let x3 = block[k + 3 * h] * t1;
-                let y0 = x0 + x1;
-                let y1 = x0 - x1;
-                let u2 = (x2 + x3) * t2a;
-                let u3 = (x2 - x3) * t2b;
-                block[k] = y0 + u2;
-                block[k + 2 * h] = y0 - u2;
-                block[k + h] = y1 + u3;
-                block[k + 3 * h] = y1 - u3;
-            }
-        }
-    }
-
-    /// See [`super::fft_two_stages_dif`].
-    pub fn fft_two_stages_dif(
-        data: &mut [Complex],
-        h: usize,
-        tw1: &[Complex],
-        tw2: &[Complex],
-        conj: bool,
-    ) {
-        for block in data.chunks_exact_mut(4 * h) {
-            for k in 0..h {
-                let (t1, t2a, t2b) = if conj {
-                    (tw1[k].conj(), tw2[k].conj(), tw2[k + h].conj())
-                } else {
-                    (tw1[k], tw2[k], tw2[k + h])
-                };
-                let x0 = block[k];
-                let x1 = block[k + h];
-                let x2 = block[k + 2 * h];
-                let x3 = block[k + 3 * h];
-                let y0 = x0 + x2;
-                let y2 = (x0 - x2) * t2a;
-                let y1 = x1 + x3;
-                let y3 = (x1 - x3) * t2b;
-                block[k] = y0 + y1;
-                block[k + h] = (y0 - y1) * t1;
-                block[k + 2 * h] = y2 + y3;
-                block[k + 3 * h] = (y2 - y3) * t1;
-            }
+        match (radix, conj) {
+            (2, false) => pass::<2, false>(src, dst, s, tw),
+            (2, true) => pass::<2, true>(src, dst, s, tw),
+            (3, false) => pass::<3, false>(src, dst, s, tw),
+            (3, true) => pass::<3, true>(src, dst, s, tw),
+            (4, false) => pass::<4, false>(src, dst, s, tw),
+            (4, true) => pass::<4, true>(src, dst, s, tw),
+            (5, false) => pass::<5, false>(src, dst, s, tw),
+            (5, true) => pass::<5, true>(src, dst, s, tw),
+            _ => panic!("radix {radix} has no kernel"),
         }
     }
 }
@@ -594,71 +454,6 @@ mod avx2 {
         );
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let sp = signal.as_ptr();
-        let pp = pre.as_ptr();
-        for i in 0..pairs {
-            // Four consecutive real samples ARE two packed complex values.
-            let s = _mm256_loadu_pd(sp.add(4 * i));
-            store(bp.add(2 * i), cmul::<false>(s, load(pp.add(2 * i))));
-        }
-        super::scalar::pack_premul(
-            &mut buf[2 * pairs..],
-            &signal[4 * pairs..],
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let sp = signal.as_ptr();
-        let pp = pre.as_ptr();
-        for i in 0..pairs {
-            let s = _mm_loadu_pd(sp.add(2 * i)); // [s0, s1]
-                                                 // [s0, s0, s1, s1]: each real scalar duplicated over its pair.
-            let dup = _mm256_permute4x64_pd(_mm256_castpd128_pd256(s), 0x50);
-            store(bp.add(2 * i), _mm256_mul_pd(load(pp.add(2 * i)), dup));
-        }
-        super::scalar::scale_premul(
-            &mut buf[2 * pairs..],
-            &signal[2 * pairs..n],
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn window_scale(dst: &mut [f64], src: &[f64], win: &[f64], scale: f64) {
-        let n = dst.len();
-        let quads = n / 4;
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let wp = win.as_ptr();
-        let sc = _mm256_set1_pd(scale);
-        for i in 0..quads {
-            let v = _mm256_mul_pd(
-                _mm256_mul_pd(
-                    _mm256_loadu_pd(sp.add(4 * i)),
-                    _mm256_loadu_pd(wp.add(4 * i)),
-                ),
-                sc,
-            );
-            _mm256_storeu_pd(dp.add(4 * i), v);
-        }
-        super::scalar::window_scale(
-            &mut dst[4 * quads..],
-            &src[4 * quads..n],
-            &win[4 * quads..n],
-            scale,
-        );
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn window_accum_q(accum: &mut [i32], samples: &[i16], win_q15: &[i16]) {
         let n = accum.len();
@@ -684,251 +479,164 @@ mod avx2 {
         );
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_premul_q(
-        buf: &mut [Complex],
-        q: &[i32],
-        scale: f64,
-        pre: &[Complex],
-    ) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let qp = q.as_ptr();
-        let pp = pre.as_ptr();
-        let sc = _mm256_set1_pd(scale);
-        for i in 0..pairs {
-            // Four i32 → four f64 lanes = two packed complex values.
-            let qi = _mm_loadu_si128(qp.add(4 * i) as *const __m128i);
-            let s = _mm256_mul_pd(_mm256_cvtepi32_pd(qi), sc);
-            store(bp.add(2 * i), cmul::<false>(s, load(pp.add(2 * i))));
-        }
-        super::scalar::pack_premul_q(
-            &mut buf[2 * pairs..],
-            &q[4 * pairs..],
-            scale,
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_premul_q(
-        buf: &mut [Complex],
-        q: &[i32],
-        scale: f64,
-        pre: &[Complex],
-    ) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let qp = q.as_ptr();
-        let pp = pre.as_ptr();
-        let sc = _mm_set1_pd(scale);
-        for i in 0..pairs {
-            let qi = _mm_loadl_epi64(qp.add(2 * i) as *const __m128i); // [q0, q1, _, _]
-            let s = _mm_mul_pd(_mm_cvtepi32_pd(qi), sc); // [q0·sc, q1·sc]
-            let dup = _mm256_permute4x64_pd(_mm256_castpd128_pd256(s), 0x50);
-            store(bp.add(2 * i), _mm256_mul_pd(load(pp.add(2 * i)), dup));
-        }
-        super::scalar::scale_premul_q(
-            &mut buf[2 * pairs..],
-            &q[2 * pairs..n],
-            scale,
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn butterflies(
-        a: &mut [Complex],
-        b: &mut [Complex],
-        tw: &[Complex],
-        conj: bool,
-    ) {
-        let n = a.len();
-        let pairs = n / 2;
-        let ap = a.as_mut_ptr();
-        let bp = b.as_mut_ptr();
-        let tp = tw.as_ptr();
-        if conj {
-            for k in 0..pairs {
-                let y = cmul::<true>(load(bp.add(2 * k)), load(tp.add(2 * k)));
-                let x = load(ap.add(2 * k));
-                store(ap.add(2 * k), _mm256_add_pd(x, y));
-                store(bp.add(2 * k), _mm256_sub_pd(x, y));
-            }
+    /// `v·(−i)` per complex lane, or `v·(+i)` when `CONJ`.
+    #[inline(always)]
+    unsafe fn rot<const CONJ: bool>(v: __m256d) -> __m256d {
+        let swapped = _mm256_permute_pd(v, 0x5); // [im0, re0, im1, re1]
+        let sign = if CONJ {
+            _mm256_set_pd(0.0, -0.0, 0.0, -0.0) // → [−im, re]
         } else {
-            for k in 0..pairs {
-                let y = cmul::<false>(load(bp.add(2 * k)), load(tp.add(2 * k)));
-                let x = load(ap.add(2 * k));
-                store(ap.add(2 * k), _mm256_add_pd(x, y));
-                store(bp.add(2 * k), _mm256_sub_pd(x, y));
-            }
-        }
-        super::scalar::butterflies(
-            &mut a[2 * pairs..],
-            &mut b[2 * pairs..],
-            &tw[2 * pairs..n],
-            conj,
-        );
+            _mm256_set_pd(-0.0, 0.0, -0.0, 0.0) // → [im, −re]
+        };
+        _mm256_xor_pd(swapped, sign)
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fft_stage(data: &mut [Complex], half: usize, tw: &[Complex], conj: bool) {
-        if half == 1 {
-            // The first rank's lone twiddle is 1 (conjugation included):
-            // `(a, b) ← (a + b, a − b)`. Two adjacent blocks are four
-            // complex values — shuffle into ([a0, a1], [b0, b1]) halves,
-            // add/sub, shuffle back.
-            let n = data.len();
-            let quads = n / 4;
-            let dp = data.as_mut_ptr();
-            for i in 0..quads {
-                let v0 = load(dp.add(4 * i)); // [a0, b0]
-                let v1 = load(dp.add(4 * i + 2)); // [a1, b1]
-                let a = _mm256_permute2f128_pd(v0, v1, 0x20); // [a0, a1]
-                let b = _mm256_permute2f128_pd(v0, v1, 0x31); // [b0, b1]
-                let sum = _mm256_add_pd(a, b);
-                let diff = _mm256_sub_pd(a, b);
-                store(dp.add(4 * i), _mm256_permute2f128_pd(sum, diff, 0x20));
-                store(dp.add(4 * i + 2), _mm256_permute2f128_pd(sum, diff, 0x31));
+    /// Two `R`-point DFTs at once, one per 128-bit half: the vector twin
+    /// of `scalar::bfly` (same formulas, with FMA contractions).
+    #[inline(always)]
+    unsafe fn bfly<const R: usize, const CONJ: bool>(a: [__m256d; R]) -> [__m256d; R] {
+        use super::scalar::{C3, C51, C52, S3, S51, S52};
+        let mut b = [_mm256_setzero_pd(); R];
+        match R {
+            2 => {
+                b[0] = _mm256_add_pd(a[0], a[1]);
+                b[1] = _mm256_sub_pd(a[0], a[1]);
             }
-            for block in data[4 * quads..].chunks_exact_mut(2) {
-                let (x, y) = (block[0], block[1]);
-                block[0] = x + y;
-                block[1] = x - y;
+            3 => {
+                let t = _mm256_add_pd(a[1], a[2]);
+                let m = _mm256_fmadd_pd(_mm256_set1_pd(C3), t, a[0]);
+                let n = rot::<CONJ>(_mm256_mul_pd(_mm256_set1_pd(S3), _mm256_sub_pd(a[1], a[2])));
+                b[0] = _mm256_add_pd(a[0], t);
+                b[1] = _mm256_add_pd(m, n);
+                b[2] = _mm256_sub_pd(m, n);
+            }
+            4 => {
+                let u0 = _mm256_add_pd(a[0], a[2]);
+                let u1 = _mm256_sub_pd(a[0], a[2]);
+                let u2 = _mm256_add_pd(a[1], a[3]);
+                let u3 = rot::<CONJ>(_mm256_sub_pd(a[1], a[3]));
+                b[0] = _mm256_add_pd(u0, u2);
+                b[1] = _mm256_add_pd(u1, u3);
+                b[2] = _mm256_sub_pd(u0, u2);
+                b[3] = _mm256_sub_pd(u1, u3);
+            }
+            5 => {
+                let (c51, c52) = (_mm256_set1_pd(C51), _mm256_set1_pd(C52));
+                let (s51, s52) = (_mm256_set1_pd(S51), _mm256_set1_pd(S52));
+                let t1 = _mm256_add_pd(a[1], a[4]);
+                let t2 = _mm256_add_pd(a[2], a[3]);
+                let d1 = _mm256_sub_pd(a[1], a[4]);
+                let d2 = _mm256_sub_pd(a[2], a[3]);
+                let m1 = _mm256_fmadd_pd(c51, t1, _mm256_fmadd_pd(c52, t2, a[0]));
+                let m2 = _mm256_fmadd_pd(c52, t1, _mm256_fmadd_pd(c51, t2, a[0]));
+                let n1 = rot::<CONJ>(_mm256_fmadd_pd(s51, d1, _mm256_mul_pd(s52, d2)));
+                let n2 = rot::<CONJ>(_mm256_fmsub_pd(s52, d1, _mm256_mul_pd(s51, d2)));
+                b[0] = _mm256_add_pd(a[0], _mm256_add_pd(t1, t2));
+                b[1] = _mm256_add_pd(m1, n1);
+                b[2] = _mm256_add_pd(m2, n2);
+                b[3] = _mm256_sub_pd(m2, n2);
+                b[4] = _mm256_sub_pd(m1, n1);
+            }
+            _ => unreachable!("radix {R} has no butterfly"),
+        }
+        b
+    }
+
+    /// One Stockham pass (see [`super::fft_pass`]). The vectors run over
+    /// `q` in pairs, where each `p` has one twiddle per output — except on
+    /// the first pass (`s == 1`), where they run over `p` in pairs and
+    /// each half stores to its own output group. Odd tails go through
+    /// `scalar::fft_point` after the vector loop.
+    ///
+    /// # Safety
+    /// The host supports avx2 and fma, `src.len() == dst.len()` is a
+    /// multiple of `R·s`, and `tw` holds at least `(R−1)·m` twiddles.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn pass<const R: usize, const CONJ: bool>(
+        src: &[Complex],
+        dst: &mut [Complex],
+        s: usize,
+        tw: &[Complex],
+    ) {
+        let m = src.len() / (R * s);
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        let tp = tw.as_ptr();
+        if s == 1 {
+            for p in (0..m - m % 2).step_by(2) {
+                let mut a = [_mm256_setzero_pd(); R];
+                for (j, a) in a.iter_mut().enumerate() {
+                    *a = load(sp.add(p + j * m)); // [x(p), x(p + 1)]
+                }
+                let b = bfly::<R, CONJ>(a);
+                for (k, &v) in b.iter().enumerate() {
+                    let v = if k == 0 {
+                        v
+                    } else {
+                        cmul::<CONJ>(v, load(tp.add((k - 1) * m + p)))
+                    };
+                    _mm_storeu_pd(dp.add(R * p + k) as *mut f64, _mm256_castpd256_pd128(v));
+                    _mm_storeu_pd(
+                        dp.add(R * (p + 1) + k) as *mut f64,
+                        _mm256_extractf128_pd(v, 1),
+                    );
+                }
+            }
+            if m % 2 == 1 {
+                super::scalar::fft_point::<R, CONJ>(src, dst, 1, m, m - 1, 0, tw);
             }
             return;
         }
-        for block in data.chunks_exact_mut(2 * half) {
-            let (a, b) = block.split_at_mut(half);
-            butterflies(a, b, &tw[..half], conj);
+        for p in 0..m {
+            // The p = 0 twiddles are all 1: skip their multiplies (the
+            // whole last pass, where m = 1).
+            let mut w = [_mm256_setzero_pd(); R];
+            for (k, w) in w.iter_mut().enumerate().skip(1) {
+                let one = _mm_loadu_pd(tp.add((k - 1) * m + p) as *const f64);
+                *w = _mm256_permute4x64_pd(_mm256_castpd128_pd256(one), 0x44);
+            }
+            for q in (0..s - s % 2).step_by(2) {
+                let mut a = [_mm256_setzero_pd(); R];
+                for (j, a) in a.iter_mut().enumerate() {
+                    *a = load(sp.add(q + s * (p + j * m)));
+                }
+                let b = bfly::<R, CONJ>(a);
+                for (k, &v) in b.iter().enumerate() {
+                    let v = if k == 0 || p == 0 {
+                        v
+                    } else {
+                        cmul::<CONJ>(v, w[k])
+                    };
+                    store(dp.add(q + s * (R * p + k)), v);
+                }
+            }
+        }
+        if s % 2 == 1 {
+            for p in 0..m {
+                super::scalar::fft_point::<R, CONJ>(src, dst, s, m, p, s - 1, tw);
+            }
         }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fft_stage_dif(
-        data: &mut [Complex],
-        half: usize,
+    pub(super) unsafe fn fft_pass(
+        src: &[Complex],
+        dst: &mut [Complex],
+        radix: usize,
+        s: usize,
         tw: &[Complex],
         conj: bool,
     ) {
-        if half == 1 {
-            // The last DIF rank's lone twiddle is 1, so it is the same
-            // add/sub shuffle as the first DIT rank.
-            fft_stage(data, 1, tw, conj);
-            return;
-        }
-        let pairs = half / 2;
-        for block in data.chunks_exact_mut(2 * half) {
-            let (a, b) = block.split_at_mut(half);
-            let ap = a.as_mut_ptr();
-            let bp = b.as_mut_ptr();
-            let tp = tw.as_ptr();
-            if conj {
-                for k in 0..pairs {
-                    let x = load(ap.add(2 * k));
-                    let y = load(bp.add(2 * k));
-                    store(ap.add(2 * k), _mm256_add_pd(x, y));
-                    let d = _mm256_sub_pd(x, y);
-                    store(bp.add(2 * k), cmul::<true>(d, load(tp.add(2 * k))));
-                }
-            } else {
-                for k in 0..pairs {
-                    let x = load(ap.add(2 * k));
-                    let y = load(bp.add(2 * k));
-                    store(ap.add(2 * k), _mm256_add_pd(x, y));
-                    let d = _mm256_sub_pd(x, y);
-                    store(bp.add(2 * k), cmul::<false>(d, load(tp.add(2 * k))));
-                }
-            }
-            for k in 2 * pairs..half {
-                let t = if conj { tw[k].conj() } else { tw[k] };
-                let x = a[k];
-                let y = b[k];
-                a[k] = x + y;
-                b[k] = (x - y) * t;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fft_two_stages(
-        data: &mut [Complex],
-        h: usize,
-        tw1: &[Complex],
-        tw2: &[Complex],
-        conj: bool,
-    ) {
-        // `h` is a power of two ≥ 2, so the k-loop (step 2 complex) has no
-        // tail and every pointer below stays in bounds.
-        let t1p = tw1.as_ptr();
-        let t2p = tw2.as_ptr();
-        for block in data.chunks_exact_mut(4 * h) {
-            let dp = block.as_mut_ptr();
-            macro_rules! body {
-                ($conj:literal) => {
-                    for k in (0..h).step_by(2) {
-                        let t1 = load(t1p.add(k));
-                        let x0 = load(dp.add(k));
-                        let x1 = cmul::<$conj>(load(dp.add(k + h)), t1);
-                        let x2 = load(dp.add(k + 2 * h));
-                        let x3 = cmul::<$conj>(load(dp.add(k + 3 * h)), t1);
-                        let y0 = _mm256_add_pd(x0, x1);
-                        let y1 = _mm256_sub_pd(x0, x1);
-                        let u2 = cmul::<$conj>(_mm256_add_pd(x2, x3), load(t2p.add(k)));
-                        let u3 = cmul::<$conj>(_mm256_sub_pd(x2, x3), load(t2p.add(k + h)));
-                        store(dp.add(k), _mm256_add_pd(y0, u2));
-                        store(dp.add(k + 2 * h), _mm256_sub_pd(y0, u2));
-                        store(dp.add(k + h), _mm256_add_pd(y1, u3));
-                        store(dp.add(k + 3 * h), _mm256_sub_pd(y1, u3));
-                    }
-                };
-            }
-            if conj {
-                body!(true);
-            } else {
-                body!(false);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fft_two_stages_dif(
-        data: &mut [Complex],
-        h: usize,
-        tw1: &[Complex],
-        tw2: &[Complex],
-        conj: bool,
-    ) {
-        let t1p = tw1.as_ptr();
-        let t2p = tw2.as_ptr();
-        for block in data.chunks_exact_mut(4 * h) {
-            let dp = block.as_mut_ptr();
-            macro_rules! body {
-                ($conj:literal) => {
-                    for k in (0..h).step_by(2) {
-                        let x0 = load(dp.add(k));
-                        let x1 = load(dp.add(k + h));
-                        let x2 = load(dp.add(k + 2 * h));
-                        let x3 = load(dp.add(k + 3 * h));
-                        let y0 = _mm256_add_pd(x0, x2);
-                        let y2 = cmul::<$conj>(_mm256_sub_pd(x0, x2), load(t2p.add(k)));
-                        let y1 = _mm256_add_pd(x1, x3);
-                        let y3 = cmul::<$conj>(_mm256_sub_pd(x1, x3), load(t2p.add(k + h)));
-                        let t1 = load(t1p.add(k));
-                        store(dp.add(k), _mm256_add_pd(y0, y1));
-                        store(dp.add(k + h), cmul::<$conj>(_mm256_sub_pd(y0, y1), t1));
-                        store(dp.add(k + 2 * h), _mm256_add_pd(y2, y3));
-                        store(dp.add(k + 3 * h), cmul::<$conj>(_mm256_sub_pd(y2, y3), t1));
-                    }
-                };
-            }
-            if conj {
-                body!(true);
-            } else {
-                body!(false);
-            }
+        match (radix, conj) {
+            (2, false) => pass::<2, false>(src, dst, s, tw),
+            (2, true) => pass::<2, true>(src, dst, s, tw),
+            (3, false) => pass::<3, false>(src, dst, s, tw),
+            (3, true) => pass::<3, true>(src, dst, s, tw),
+            (4, false) => pass::<4, false>(src, dst, s, tw),
+            (4, true) => pass::<4, true>(src, dst, s, tw),
+            (5, false) => pass::<5, false>(src, dst, s, tw),
+            (5, true) => pass::<5, true>(src, dst, s, tw),
+            _ => unreachable!("radix {radix} has no kernel"),
         }
     }
 }
@@ -936,12 +644,6 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn signal(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| (i as f64 * 0.61).sin() + 0.2 * (i as f64 * 1.7).cos())
-            .collect()
-    }
 
     fn complexes(n: usize, seed: f64) -> Vec<Complex> {
         (0..n)
@@ -977,20 +679,6 @@ mod tests {
             pointwise_mul(&mut a, &k, true);
             scalar::pointwise_mul(&mut r, &k, true);
             close(&a, &r, 1e-12 * (n + 1) as f64);
-
-            let s = signal(2 * n);
-            let mut a = vec![Complex::ZERO; n];
-            let mut r = a.clone();
-            pack_premul(&mut a, &s, &k);
-            scalar::pack_premul(&mut r, &s, &k);
-            close(&a, &r, 1e-12 * (n + 1) as f64);
-
-            let s = signal(n);
-            let mut a = vec![Complex::ZERO; n];
-            let mut r = a.clone();
-            scale_premul(&mut a, &s, &k);
-            scalar::scale_premul(&mut r, &s, &k);
-            close(&a, &r, 1e-12 * (n + 1) as f64);
         }
     }
 
@@ -1004,92 +692,6 @@ mod tests {
             window_accum_q(&mut a, &samples, &win);
             scalar::window_accum_q(&mut r, &samples, &win);
             assert_eq!(a, r, "n={n}");
-        }
-    }
-
-    #[test]
-    fn butterfly_pass_matches_scalar() {
-        for half in [1usize, 2, 3, 8, 33] {
-            let tw: Vec<Complex> = (0..half)
-                .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / half as f64))
-                .collect();
-            for conj in [false, true] {
-                let mut a = complexes(half, 0.1);
-                let mut b = complexes(half, 0.7);
-                let (mut ra, mut rb) = (a.clone(), b.clone());
-                butterflies(&mut a, &mut b, &tw, conj);
-                scalar::butterflies(&mut ra, &mut rb, &tw, conj);
-                close(&a, &ra, 1e-12 * (half + 1) as f64);
-                close(&b, &rb, 1e-12 * (half + 1) as f64);
-            }
-        }
-    }
-
-    fn stage_tw(half: usize) -> Vec<Complex> {
-        (0..half)
-            .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / half as f64))
-            .collect()
-    }
-
-    #[test]
-    fn whole_stage_kernels_match_scalar() {
-        // Multiple blocks per stage, including the specialized half == 1
-        // pass (with a non-multiple-of-4 total so its scalar tail runs).
-        for (n, half) in [(2usize, 1usize), (8, 1), (6, 1), (8, 2), (16, 4), (48, 8)] {
-            let tw = stage_tw(half);
-            for conj in [false, true] {
-                let mut a = complexes(n, 0.4);
-                let mut r = a.clone();
-                fft_stage(&mut a, half, &tw, conj);
-                scalar::fft_stage(&mut r, half, &tw, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-
-                let mut a = complexes(n, 1.9);
-                let mut r = a.clone();
-                fft_stage_dif(&mut a, half, &tw, conj);
-                scalar::fft_stage_dif(&mut r, half, &tw, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_two_stage_passes_match_single_stages() {
-        // The radix-2² fusion must equal running the two ranks it covers
-        // back-to-back through the scalar single-stage reference.
-        for (n, h) in [(8usize, 2usize), (16, 2), (16, 4), (64, 8), (256, 16)] {
-            let tw1 = stage_tw(h);
-            let tw2 = stage_tw(2 * h);
-            for conj in [false, true] {
-                let mut a = complexes(n, 0.6);
-                let mut r = a.clone();
-                fft_two_stages(&mut a, h, &tw1, &tw2, conj);
-                scalar::fft_stage(&mut r, h, &tw1, conj);
-                scalar::fft_stage(&mut r, 2 * h, &tw2, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-
-                let mut a = complexes(n, 2.4);
-                let mut r = a.clone();
-                fft_two_stages_dif(&mut a, h, &tw1, &tw2, conj);
-                scalar::fft_stage_dif(&mut r, 2 * h, &tw2, conj);
-                scalar::fft_stage_dif(&mut r, h, &tw1, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-
-                // The scalar fused variants against the same references.
-                let mut a = complexes(n, 0.6);
-                let mut r = a.clone();
-                scalar::fft_two_stages(&mut a, h, &tw1, &tw2, conj);
-                scalar::fft_stage(&mut r, h, &tw1, conj);
-                scalar::fft_stage(&mut r, 2 * h, &tw2, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-
-                let mut a = complexes(n, 2.4);
-                let mut r = a.clone();
-                scalar::fft_two_stages_dif(&mut a, h, &tw1, &tw2, conj);
-                scalar::fft_stage_dif(&mut r, 2 * h, &tw2, conj);
-                scalar::fft_stage_dif(&mut r, h, &tw1, conj);
-                close(&a, &r, 1e-12 * (n + 1) as f64);
-            }
         }
     }
 

@@ -5,21 +5,8 @@
 //! every other suite on this path anyway; this test makes that coverage
 //! unconditional on vector-capable CI machines too.
 
-use witrack_dsp::{simd, Complex, Czt, Fft};
-
-fn dft_naive(data: &[Complex]) -> Vec<Complex> {
-    let n = data.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::ZERO;
-            for (j, &x) in data.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
-                acc += x * Complex::cis(ang);
-            }
-            acc
-        })
-        .collect()
-}
+use witrack_dsp::fft::dft_naive;
+use witrack_dsp::{simd, Complex, Fft};
 
 #[test]
 fn forced_scalar_path_runs_the_whole_transform_stack() {
@@ -30,14 +17,19 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
     assert_eq!(simd::active(), simd::KernelPath::Scalar);
     assert_eq!(simd::active().lanes(), 1);
 
-    // Radix-2 path (the noperm DIF/DIT convolution ladders included, via
-    // Bluestein's inner convolution at the non-power-of-two length).
-    for n in [16usize, 250] {
+    // A power of two (16 = 4·4), every mixed radix with even and odd
+    // strides (12 = 4·3, 50 = 2·5·5, 75 = 3·5·5, and the range profile's
+    // 1250 = 2·5⁴), and Bluestein (254, whose inner convolution runs a
+    // 512-point plan), each through the scratch entry point the range
+    // profile uses and back through the inverse.
+    for n in [16usize, 12, 50, 75, 1250, 254] {
         let data: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
             .collect();
-        let mut fast = data.clone();
-        Fft::new(n).forward(&mut fast);
+        let plan = Fft::new(n);
+        let mut buf = data.clone();
+        let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
+        let fast = plan.forward_with_scratch(&mut buf, &mut scratch).to_vec();
         let naive = dft_naive(&data);
         for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
             assert!(
@@ -45,41 +37,10 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
                 "n={n} bin {i}: {a} vs {b}"
             );
         }
-    }
-
-    // Zoomed CZT band, float and quantized inputs, on the scalar path.
-    let n = 500;
-    let bins = 40;
-    let czt = Czt::new(n, bins);
-    let mut scratch = czt.make_scratch();
-    let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
-    let mut band = vec![Complex::ZERO; bins];
-    czt.transform_into(&signal, &mut band, &mut scratch);
-
-    let scale = 1.0 / 4096.0;
-    let q: Vec<i32> = signal.iter().map(|&s| (s / scale).round() as i32).collect();
-    let mut band_q = vec![Complex::ZERO; bins];
-    czt.transform_q_into(&q, scale, &mut band_q, &mut scratch);
-
-    let full: Vec<Complex> = dft_naive(
-        &signal
-            .iter()
-            .map(|&s| Complex::new(s, 0.0))
-            .collect::<Vec<_>>(),
-    );
-    for (k, b) in band.iter().enumerate() {
-        assert!(
-            (*b - full[k]).abs() <= 1e-9 * n as f64,
-            "float band bin {k}: {b} vs {}",
-            full[k]
-        );
-        // The quantized path carries the input rounding error (≤ scale/2
-        // per sample, n samples), not kernel error.
-        assert!(
-            (band_q[k] - full[k]).abs() <= 0.5 * scale * n as f64,
-            "quantized band bin {k}: {} vs {}",
-            band_q[k],
-            full[k]
-        );
+        let mut round = fast;
+        plan.inverse(&mut round);
+        for (i, (a, b)) in round.iter().zip(&data).enumerate() {
+            assert!((*a - *b).abs() <= 1e-12 * n as f64, "n={n} sample {i}");
+        }
     }
 }

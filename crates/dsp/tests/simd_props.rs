@@ -1,6 +1,6 @@
 //! Property tests over the SIMD kernel dispatch layer: for random
 //! lengths (odd sizes force every tail path), random data, and random
-//! non-power-of-two block batches, the dispatched kernels must agree
+//! radix/stride shapes, the dispatched kernels must agree
 //! with the scalar references — floats to 1e-9, fixed-point bit-exactly
 //! plus the analytic half-step rounding bound of the Q15 multiply.
 
@@ -15,10 +15,6 @@ fn complexes(n: usize) -> impl Strategy<Value = Vec<Complex>> {
     )
 }
 
-fn reals(n: usize) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-1.0f64..1.0, n..n + 1)
-}
-
 fn conj_flag() -> impl Strategy<Value = bool> {
     (0u32..2).prop_map(|b| b == 1)
 }
@@ -28,13 +24,6 @@ fn close(a: &[Complex], b: &[Complex]) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert!((*x - *y).abs() <= 1e-9, "element {i}: {x} vs {y}");
     }
-}
-
-/// Unit-circle twiddles for a stage of half-length `h`.
-fn twiddles(h: usize) -> Vec<Complex> {
-    (0..h)
-        .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / h as f64))
-        .collect()
 }
 
 proptest! {
@@ -60,80 +49,27 @@ proptest! {
     }
 
     #[test]
-    fn premul_kernels_match_scalar(
-        (extra, signal, pre) in (0usize..3, reals(194), complexes(97))
+    fn mixed_radix_passes_match_scalar(
+        (radix, sp, m) in (2usize..6, 0u32..4, 1usize..8),
+        (data, conj) in (complexes(5 * 9 * 7), conj_flag()),
     ) {
-        let n = 97 - 4 * extra - 1;
+        // Strides 1, 2, 3 and 9 reach both vector layouts (over
+        // butterflies at s = 1, over the stride otherwise) and their odd
+        // tails; m up to 7 gives odd butterfly counts at s = 1.
+        let s = [1usize, 2, 3, 9][sp as usize];
+        let n = radix * s * m;
+        // The pass's own twiddles w^{p·k}: the kernel skips the p = 0
+        // multiplies, which holds only because those are exactly 1.
+        let tw: Vec<Complex> = (1..radix)
+            .flat_map(|k| (0..m).map(move |p| (p, k)))
+            .map(|(p, k)| {
+                Complex::cis(-2.0 * std::f64::consts::PI * (p * k) as f64 / (radix * m) as f64)
+            })
+            .collect();
         let mut a = vec![Complex::ZERO; n];
-        let mut r = a.clone();
-        simd::pack_premul(&mut a, &signal[..2 * n], &pre[..n]);
-        scalar::pack_premul(&mut r, &signal[..2 * n], &pre[..n]);
-        close(&a, &r);
-
-        let mut a = vec![Complex::ZERO; n];
-        let mut r = a.clone();
-        simd::scale_premul(&mut a, &signal[..n], &pre[..n]);
-        scalar::scale_premul(&mut r, &signal[..n], &pre[..n]);
-        close(&a, &r);
-    }
-
-    #[test]
-    fn window_scale_matches_scalar(
-        (extra, src, win, scale) in (0usize..3, reals(101), reals(101), -2.0f64..2.0)
-    ) {
-        let n = 101 - 4 * extra - 2;
-        let mut d_a = vec![0.0; n];
-        let mut d_r = vec![0.0; n];
-        simd::window_scale(&mut d_a, &src[..n], &win[..n], scale);
-        scalar::window_scale(&mut d_r, &src[..n], &win[..n], scale);
-        for (i, (x, y)) in d_a.iter().zip(&d_r).enumerate() {
-            prop_assert!((x - y).abs() <= 1e-9, "element {}: {} vs {}", i, x, y);
-        }
-    }
-
-    #[test]
-    fn stage_kernels_match_scalar_for_random_batches(
-        (hp, blocks, data, conj) in (0u32..7, 1usize..6, complexes(64 * 2 * 5), conj_flag())
-    ) {
-        // half ∈ {1..64}, block count not a power of two in general.
-        let half = 1usize << hp;
-        let n = 2 * half * blocks;
-        let tw = twiddles(half);
-
-        let mut a = data[..n].to_vec();
-        let mut r = a.clone();
-        simd::fft_stage(&mut a, half, &tw, conj);
-        scalar::fft_stage(&mut r, half, &tw, conj);
-        close(&a, &r);
-
-        let mut a = data[..n].to_vec();
-        let mut r = a.clone();
-        simd::fft_stage_dif(&mut a, half, &tw, conj);
-        scalar::fft_stage_dif(&mut r, half, &tw, conj);
-        close(&a, &r);
-    }
-
-    #[test]
-    fn fused_stage_pairs_match_their_composition(
-        (hp, blocks, data, conj) in (1u32..6, 1usize..6, complexes(32 * 4 * 5), conj_flag())
-    ) {
-        let h = 1usize << hp; // 2..32 — the fused kernels require h ≥ 2
-        let n = 4 * h * blocks;
-        let tw1 = twiddles(h);
-        let tw2 = twiddles(2 * h);
-
-        let mut a = data[..n].to_vec();
-        let mut r = data[..n].to_vec();
-        simd::fft_two_stages(&mut a, h, &tw1, &tw2, conj);
-        scalar::fft_stage(&mut r, h, &tw1, conj);
-        scalar::fft_stage(&mut r, 2 * h, &tw2, conj);
-        close(&a, &r);
-
-        let mut a = data[..n].to_vec();
-        let mut r = data[..n].to_vec();
-        simd::fft_two_stages_dif(&mut a, h, &tw1, &tw2, conj);
-        scalar::fft_stage_dif(&mut r, 2 * h, &tw2, conj);
-        scalar::fft_stage_dif(&mut r, h, &tw1, conj);
+        let mut r = vec![Complex::ZERO; n];
+        simd::fft_pass(&data[..n], &mut a, radix, s, &tw, conj);
+        scalar::fft_pass(&data[..n], &mut r, radix, s, &tw, conj);
         close(&a, &r);
     }
 
@@ -170,26 +106,5 @@ proptest! {
                 i, q, exact
             );
         }
-
-        // Late dequantize: the fused q-input premuls must equal running
-        // the float premuls on the dequantized accumulator.
-        let pre: Vec<Complex> = (0..n)
-            .map(|k| Complex::cis(0.37 * k as f64) * 0.9)
-            .collect();
-        let scale = 1.0 / (32767.0 * sweeps as f64);
-        let deq: Vec<f64> = acc_a.iter().map(|&q| q as f64 * scale).collect();
-
-        let m = n / 2;
-        let mut a = vec![Complex::ZERO; m];
-        let mut r = vec![Complex::ZERO; m];
-        simd::pack_premul_q(&mut a, &acc_a, scale, &pre[..m]);
-        scalar::pack_premul(&mut r, &deq, &pre[..m]);
-        close(&a, &r);
-
-        let mut a = vec![Complex::ZERO; n];
-        let mut r = vec![Complex::ZERO; n];
-        simd::scale_premul_q(&mut a, &acc_a, scale, &pre);
-        scalar::scale_premul(&mut r, &deq, &pre);
-        close(&a, &r);
     }
 }

@@ -72,7 +72,7 @@ pub struct FrameClock {
 /// sweep (see [`FrontEnd::push`]). Nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Sweep accumulation + range profiling (the CZT work).
+    /// Sweep accumulation + range profiling (the range-transform work).
     pub profile_ns: u64,
     /// Background subtraction + the back end's detect step (contour
     /// detection, and denoising in the single-target trackers).

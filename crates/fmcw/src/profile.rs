@@ -13,23 +13,28 @@
 //! averaging.
 //!
 //! Only `keep_bins` of the sweep's beat-frequency bins can hold an indoor
-//! target, so the transform is a zoomed chirp-Z ([`witrack_dsp::Czt`]) that
-//! computes exactly those bins — never the full spectrum — and every buffer
-//! (accumulator, windowed frame, CZT scratch, output profile) is owned by
-//! the profiler and reused, so the steady-state per-frame path performs no
+//! target. The frame is real, so [`RangeTransform`] packs its even and odd
+//! samples into the real and imaginary parts of `n/2` complex points (the
+//! `i32` accumulator is dequantized in the same pass), runs one
+//! `n/2`-point [`witrack_dsp::Fft`] — for the paper's 2500-sample sweep a
+//! 1250 = 2·5⁴-point mixed-radix plan — and unpacks only the kept bins.
+//! Odd `n` transforms the real frame at full length. The profiler owns
+//! its accumulators and output profile; the transform's working memory is
+//! one per-thread buffer, so the steady-state per-frame path performs no
 //! heap allocation.
 
 use crate::config::SweepConfig;
 use std::sync::Arc;
+use witrack_dsp::simd;
 use witrack_dsp::window::{WindowKind, Q15_GAIN};
-use witrack_dsp::{simd, Complex, Czt, CztScratch};
+use witrack_dsp::{Complex, RangeTransform};
 
 /// One sweep of baseband samples, in either representation the wire
 /// delivers: dequantized `f64`, or the raw `i16` quantized form plus its
 /// dequantization scale (`sample = q · scale`). The quantized form feeds
 /// the fixed-point front half of the profiler — windowing and frame
 /// accumulation stay in `i16`/`i32` and the samples only become floats
-/// inside the zoom transform's pre-chirp multiply.
+/// when the range transform packs them.
 #[derive(Debug, Clone, Copy)]
 pub enum Sweep<'a> {
     /// Float samples.
@@ -61,11 +66,11 @@ impl Sweep<'_> {
 
 /// Converts accumulated sweeps into complex range profiles.
 ///
-/// The window table and CZT plan are **process-shared** (via
-/// [`WindowKind::shared`] and [`Czt::shared`]): every profiler at the same
-/// sweep configuration — all antennas of all sensors on a serving host —
-/// reads one copy of each. Only the per-stream buffers (accumulator,
-/// windowed frame, CZT scratch, output profile) are owned per instance.
+/// The window tables and range transform are **process-shared** (via
+/// [`WindowKind::shared`] and [`RangeTransform::shared`]): every profiler
+/// at the same sweep configuration — all antennas of all sensors on a
+/// serving host — reads one copy of each. Only the per-stream buffers
+/// (accumulators, windowed frame, output profile) are owned per instance.
 #[derive(Debug, Clone)]
 pub struct RangeProfiler {
     samples_per_sweep: usize,
@@ -77,9 +82,8 @@ pub struct RangeProfiler {
     /// The frame average (1/sweeps_per_frame), folded into the windowing
     /// multiply so the shared table stays unscaled.
     frame_scale: f64,
-    /// Shared zoom transform producing exactly `keep_bins` bins.
-    czt: Arc<Czt>,
-    scratch: CztScratch,
+    /// Shared range transform producing exactly `keep_bins` bins.
+    transform: Arc<RangeTransform>,
     /// Time-domain accumulator for the current frame (float sweeps).
     accum: Vec<f64>,
     /// Fixed-point accumulator for quantized sweeps: windowed Q15
@@ -90,7 +94,7 @@ pub struct RangeProfiler {
     accum_q_scale: f64,
     /// Quantized sweeps folded into the current frame so far.
     q_sweeps: usize,
-    /// Windowed average of the accumulated sweeps (CZT input), reused.
+    /// Windowed average of the accumulated sweeps (transform input), reused.
     windowed: Vec<f64>,
     /// The emitted range profile, reused across frames.
     profile: Vec<Complex>,
@@ -109,16 +113,14 @@ impl RangeProfiler {
         let keep = keep.max(2).min(n);
         let window_q15 = window.shared_q15(n);
         let window = window.shared(n);
-        let czt = Czt::shared(n, keep);
-        let scratch = czt.make_scratch();
+        let transform = RangeTransform::shared(n, keep);
         RangeProfiler {
             samples_per_sweep: n,
             sweeps_per_frame: cfg.sweeps_per_frame,
             window,
             window_q15,
             frame_scale: 1.0 / cfg.sweeps_per_frame as f64,
-            czt,
-            scratch,
+            transform,
             accum: vec![0.0; n],
             accum_q: vec![0; n],
             accum_q_scale: 0.0,
@@ -135,10 +137,10 @@ impl RangeProfiler {
         self.keep_bins
     }
 
-    /// The shared zoom-transform plan this profiler runs (two profilers at
+    /// The shared range transform this profiler runs (two profilers at
     /// the same sweep configuration return the same `Arc`).
-    pub fn plan(&self) -> &Arc<Czt> {
-        &self.czt
+    pub fn plan(&self) -> &Arc<RangeTransform> {
+        &self.transform
     }
 
     /// Sweeps accumulated toward the next frame.
@@ -168,8 +170,8 @@ impl RangeProfiler {
     /// fixed-point fast path: the sweep is windowed in `i16` (Q15
     /// rounding multiplies against the shared quantized window table) and
     /// accumulated exactly in `i32`; on frame completion the integer
-    /// accumulator feeds the zoom transform directly, dequantizing inside
-    /// the pre-chirp multiply. Per-frame the samples are touched once in
+    /// accumulator feeds the range transform directly, dequantized as it
+    /// is packed. Per-frame the samples are touched once in
     /// integer form — 4× less accumulator memory traffic than the float
     /// path, and no dequantized copy of the frame ever exists.
     ///
@@ -224,8 +226,8 @@ impl RangeProfiler {
         Some(&self.profile)
     }
 
-    /// Frame complete: window the averaged sweeps, zoom-transform the
-    /// kept band, reset the accumulators. (The 1/sweeps_per_frame average
+    /// Frame complete: window the averaged sweeps, transform to the kept
+    /// band, reset the accumulators. (The 1/sweeps_per_frame average
     /// folds into the windowing — or dequantization — multiply; the
     /// shared tables stay unscaled.)
     fn complete_frame(&mut self) {
@@ -236,19 +238,25 @@ impl RangeProfiler {
         if self.q_sweeps == self.sweeps_accumulated {
             // Pure quantized frame (the serving hot path): the integer
             // accumulator is already windowed; hand it straight to the
-            // transform, which dequantizes inside the pre-chirp multiply.
-            self.czt
-                .transform_q_into(&self.accum_q, q_scale, &mut self.profile, &mut self.scratch);
+            // transform, which dequantizes it as it packs it.
+            self.transform
+                .transform_q_into(&self.accum_q, q_scale, &mut self.profile);
         } else {
-            simd::window_scale(&mut self.windowed, &self.accum, &self.window, scale);
+            for (w, (&a, &win)) in self
+                .windowed
+                .iter_mut()
+                .zip(self.accum.iter().zip(self.window.iter()))
+            {
+                *w = a * win * scale;
+            }
             if self.q_sweeps > 0 {
                 // Mixed frame: the quantized part is windowed already.
                 for (w, &q) in self.windowed.iter_mut().zip(&self.accum_q) {
                     *w += q as f64 * q_scale;
                 }
             }
-            self.czt
-                .transform_into(&self.windowed, &mut self.profile, &mut self.scratch);
+            self.transform
+                .transform_into(&self.windowed, &mut self.profile);
         }
         self.clear_accumulators();
     }
@@ -383,8 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn zoom_transform_matches_full_fft_then_truncate() {
-        // The pre-CZT production path: full-length FFT, truncate to keep.
+    fn range_transform_matches_full_fft_then_truncate() {
+        // The reference: full-length FFT of the windowed frame, truncated.
         let cfg = small_cfg();
         let mut p = RangeProfiler::new(&cfg, WindowKind::Hann, cfg.round_trip_for_bin(40.0));
         let n = cfg.samples_per_sweep();
@@ -427,7 +435,7 @@ mod tests {
         let b = RangeProfiler::new(&cfg, WindowKind::Hann, 50.0);
         assert!(
             std::sync::Arc::ptr_eq(a.plan(), b.plan()),
-            "same sweep config must share one CZT plan"
+            "same sweep config must share one range transform"
         );
         // And the shared plan still produces per-stream-independent output.
         let mut a = a;
