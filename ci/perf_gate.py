@@ -10,12 +10,9 @@ Understands the artifact shapes this repo emits:
 * ``t_throughput``: top-level ``scenarios``, keyed by ``name``, metric
   ``frames_per_sec``;
 * ``t_serve``: top-level ``results``, keyed by
-  ``(wire, shards, sensors)`` (entries without a ``wire`` field — the
-  pre-v2 artifact — count as the f64 wire), gating ``per_sensor_fps``
-  and, when present, the wire byte rate ``wire_mb_per_sec`` and the
-  per-wire ``sensors_sustained_realtime`` counts;
-* ``t_ingest``: top-level ``results`` keyed by ``variant``, metric
-  ``msgs_per_sec``;
+  ``(wire, shards, sensors)``, gating ``per_sensor_fps`` and, when
+  present, the wire byte rate ``wire_mb_per_sec`` and the per-wire
+  ``sensors_sustained_realtime`` counts;
 * ``t_dsp``: top-level ``results`` keyed by ``(kernel, path)``, metric
   ``calls_per_sec`` — per-kernel SIMD/scalar microbenchmarks plus the
   whole profile-stage frame rows;
@@ -93,9 +90,6 @@ def entries(doc):
                 yield key + ("matched/s",), float(r["matched_events_per_sec"])
                 yield from latency_entries(key, r)
                 continue
-            if "variant" in r:  # t_ingest rows
-                yield (r["variant"], "msgs/s"), float(r["msgs_per_sec"])
-                continue
             if "kernel" in r:  # t_dsp rows
                 yield ("dsp", r["kernel"], r["path"]), float(r["calls_per_sec"])
                 continue
@@ -108,7 +102,7 @@ def entries(doc):
                 yield key + ("fused/s",), float(r["fused_tracks_per_sec"])
                 yield from latency_entries(key, r)
                 continue
-            key = (r.get("wire", "f64"), r["shards"], r["sensors"])
+            key = (r["wire"], r["shards"], r["sensors"])
             yield key + ("fps",), float(r["per_sensor_fps"])
             if "wire_mb_per_sec" in r:
                 yield key + ("MB/s",), float(r["wire_mb_per_sec"])
@@ -117,11 +111,9 @@ def entries(doc):
         if ratio is not None:  # t_fanout: filtered-fan-out savings factor
             yield ("fanout", "bytes_ratio"), float(ratio)
         sustained = doc.get("sensors_sustained_realtime")
-        if isinstance(sustained, dict):
+        if sustained is not None:
             for wire, n in sustained.items():
                 yield ("sustained", wire), float(n)
-        elif isinstance(sustained, (int, float)):
-            yield ("sustained", "f64"), float(sustained)
     else:
         raise KeyError("neither 'scenarios' nor 'results' present")
 

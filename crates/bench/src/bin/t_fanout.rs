@@ -121,7 +121,7 @@ impl FramePipeline for CorridorStub {
         1
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps_flat_q(&mut self, _: &[i16], _: usize, _: f64) -> Option<FrameReport> {
         let i = self.frame;
         self.frame += 1;
         let period = 2 * ZONES as u64;

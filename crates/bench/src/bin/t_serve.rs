@@ -5,12 +5,11 @@
 //! A deployment's real-time rate is 80 frames/s (one frame per 12.5 ms,
 //! §7). This harness records a few rooms of fleet signal up front
 //! ([`witrack_sim::fleet`], flat frame buffers), pre-encodes each frame
-//! as a wire batch — the classic f64 `SweepBatch` and/or the wire-v2
-//! quantized `SweepBatchQ` (i16 + scale, 4× fewer sample bytes) — then
-//! for every (wire × shard count × sensor count) cell pushes the whole
-//! workload through a [`witrack_serve::Server`] over the in-process
-//! transport: framing, pooled decode (with dequantization), shard
-//! routing, pipeline, pooled update encode. It measures the sustained
+//! as a wire `SweepBatchQ` (i16 steps + one scale), then for every
+//! (shard count × sensor count) cell pushes the whole workload through a
+//! [`witrack_serve::Server`] over the in-process transport: framing,
+//! pooled i16 decode, shard routing, pipeline, pooled update encode. It
+//! measures the sustained
 //! per-sensor frame rate, the wire byte rate, and — from the engine's
 //! telemetry registry — per-shard queue-wait and dequeue-to-report
 //! latency p50/p99. A cell is "real-time" when every sensor's rate is
@@ -18,39 +17,24 @@
 //!
 //! Flags: `--sensors A,B,..` (default `4,8,16,24,32,40`), `--shards
 //! A,B,..` (default `1,2`), `--frames N` (per sensor, default 48),
-//! `--wire i16|f64|both` (default `both`), `--seed N`, `--out PATH`
-//! (default `BENCH_serve.json`; `-` skips writing).
+//! `--seed N`, `--out PATH` (default `BENCH_serve.json`; `-` skips
+//! writing). Rows carry `"wire": "i16"`, the key the perf gate compares
+//! them under.
 
 use std::time::Instant;
 use witrack_bench::printing::banner;
 use witrack_core::WiTrackConfig;
 use witrack_obs::{HistoSnapshot, MetricSample, MetricValue};
 use witrack_serve::engine::{EngineConfig, OverloadPolicy};
-use witrack_serve::factory::{hello_for, hello_quantized_for, witrack_factory};
+use witrack_serve::factory::{hello_quantized_for, witrack_factory};
 use witrack_serve::transport::{in_proc_pair, TransportTx};
 use witrack_serve::wire::{self, Message, PipelineKind, SweepBatch, SweepBatchQ, HEADER_LEN};
 use witrack_serve::{SensorClient, Server};
 use witrack_sim::{FleetConfig, FleetSimulator, SimConfig};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireKind {
-    F64,
-    I16,
-}
-
-impl WireKind {
-    fn label(self) -> &'static str {
-        match self {
-            WireKind::F64 => "f64",
-            WireKind::I16 => "i16",
-        }
-    }
-}
-
 struct Options {
     sensors: Vec<usize>,
     shards: Vec<usize>,
-    wires: Vec<WireKind>,
     frames: u64,
     seed: u64,
     out: Option<String>,
@@ -64,7 +48,6 @@ fn parse_options() -> Options {
     let mut opts = Options {
         sensors: vec![4, 8, 16, 24, 32, 40],
         shards: vec![1, 2],
-        wires: vec![WireKind::I16, WireKind::F64],
         frames: 48,
         seed: 7,
         out: Some("BENCH_serve.json".into()),
@@ -82,12 +65,6 @@ fn parse_options() -> Options {
                     opts.shards = v;
                 }
             }
-            "--wire" => match it.next().as_deref() {
-                Some("f64") => opts.wires = vec![WireKind::F64],
-                Some("i16") => opts.wires = vec![WireKind::I16],
-                Some("both") => opts.wires = vec![WireKind::I16, WireKind::F64],
-                other => panic!("--wire must be f64|i16|both, got {other:?}"),
-            },
             "--frames" => {
                 if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
                     opts.frames = v;
@@ -128,14 +105,9 @@ fn record_rooms(base: &WiTrackConfig, rooms: usize, frames: u64, seed: u64) -> V
     recorded
 }
 
-/// Pre-encodes every room frame for one wire kind. Sensor id and
-/// sequence are zero here and patched per send (same payload offsets in
-/// both batch forms).
-fn encode_rooms(
-    base: &WiTrackConfig,
-    rooms: &[Vec<Vec<f64>>],
-    wire_kind: WireKind,
-) -> Vec<Vec<Vec<u8>>> {
+/// Pre-encodes every room frame. Sensor id and sequence are zero here and
+/// patched per send.
+fn encode_rooms(base: &WiTrackConfig, rooms: &[Vec<Vec<f64>>]) -> Vec<Vec<Vec<u8>>> {
     let sweeps = base.sweep.sweeps_per_frame;
     let samples = base.sweep.samples_per_sweep();
     rooms
@@ -151,12 +123,7 @@ fn encode_rooms(
                         samples_per_sweep: samples as u32,
                         data: flat.clone(),
                     };
-                    match wire_kind {
-                        WireKind::F64 => wire::encode(&Message::SweepBatch(batch)),
-                        WireKind::I16 => {
-                            wire::encode(&Message::SweepBatchQ(SweepBatchQ::quantize(&batch)))
-                        }
-                    }
+                    wire::encode(&Message::SweepBatchQ(SweepBatchQ::quantize(&batch)))
                 })
                 .collect()
         })
@@ -164,7 +131,7 @@ fn encode_rooms(
 }
 
 /// Patches the sensor id and sequence number into an encoded sweep-batch
-/// frame (payload offsets 0..4 and 4..12, identical for both forms).
+/// frame (payload offsets 0..4 and 4..12).
 fn patch_frame(frame: &mut [u8], sensor_id: u32, seq: u64) {
     frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&sensor_id.to_le_bytes());
     frame[HEADER_LEN + 4..HEADER_LEN + 12].copy_from_slice(&seq.to_le_bytes());
@@ -184,7 +151,6 @@ fn merged_shard_histo(samples: &[MetricSample], name: &str) -> HistoSnapshot {
 }
 
 struct CellResult {
-    wire: WireKind,
     shards: usize,
     sensors: usize,
     frames_per_sensor: u64,
@@ -214,7 +180,6 @@ impl CellResult {
 
 fn run_cell(
     base: &WiTrackConfig,
-    wire_kind: WireKind,
     shards: usize,
     sensors: usize,
     frames: u64,
@@ -238,11 +203,9 @@ fn run_cell(
     server.attach(server_end).expect("in-proc attach");
     let mut client = SensorClient::connect(client_end).expect("in-proc connect");
     for id in 0..sensors as u32 {
-        let hello = match wire_kind {
-            WireKind::F64 => hello_for(base, id, PipelineKind::SingleTarget),
-            WireKind::I16 => hello_quantized_for(base, id, PipelineKind::SingleTarget),
-        };
-        client.hello(hello).expect("hello");
+        client
+            .hello(hello_quantized_for(base, id, PipelineKind::SingleTarget))
+            .expect("hello");
     }
     let bytes_per_frame = encoded[0][0].len();
     let start = Instant::now();
@@ -280,7 +243,6 @@ fn run_cell(
     }
     assert_eq!(m.frames_emitted, expected, "every frame must be processed");
     CellResult {
-        wire: wire_kind,
         shards,
         sensors,
         frames_per_sensor: frames,
@@ -317,8 +279,7 @@ fn main() {
         frame_period_s * 1e3
     );
     println!(
-        "{:>5} {:>6} {:>8} {:>8} {:>10} {:>12} {:>12} {:>10} {:>9} {:>15}",
-        "wire",
+        "{:>6} {:>8} {:>8} {:>10} {:>12} {:>12} {:>10} {:>9} {:>15}",
         "shards",
         "sensors",
         "frames",
@@ -330,52 +291,41 @@ fn main() {
         "svc p50/p99 us"
     );
     let mut results = Vec::new();
-    for &wire_kind in &opts.wires {
-        let encoded = encode_rooms(&base, &recorded, wire_kind);
-        for &s in &opts.shards {
-            for &k in &opts.sensors {
-                let r = run_cell(&base, wire_kind, s, k, opts.frames, &encoded);
-                println!(
-                    "{:>5} {:>6} {:>8} {:>8} {:>9.3}s {:>12.1} {:>12.1} {:>10.1} {:>9} {:>15}",
-                    r.wire.label(),
-                    r.shards,
-                    r.sensors,
-                    r.frames_per_sensor,
-                    r.elapsed_s,
-                    r.per_sensor_fps(),
-                    r.aggregate_fps(),
-                    r.wire_mb_per_sec(),
-                    if r.per_sensor_fps() >= realtime_fps {
-                        "yes"
-                    } else {
-                        "NO"
-                    },
-                    format!(
-                        "{:.0}/{:.0}",
-                        r.service.p50() as f64 / 1e3,
-                        r.service.p99() as f64 / 1e3
-                    )
-                );
-                results.push(r);
-            }
+    let encoded = encode_rooms(&base, &recorded);
+    for &s in &opts.shards {
+        for &k in &opts.sensors {
+            let r = run_cell(&base, s, k, opts.frames, &encoded);
+            println!(
+                "{:>6} {:>8} {:>8} {:>9.3}s {:>12.1} {:>12.1} {:>10.1} {:>9} {:>15}",
+                r.shards,
+                r.sensors,
+                r.frames_per_sensor,
+                r.elapsed_s,
+                r.per_sensor_fps(),
+                r.aggregate_fps(),
+                r.wire_mb_per_sec(),
+                if r.per_sensor_fps() >= realtime_fps {
+                    "yes"
+                } else {
+                    "NO"
+                },
+                format!(
+                    "{:.0}/{:.0}",
+                    r.service.p50() as f64 / 1e3,
+                    r.service.p99() as f64 / 1e3
+                )
+            );
+            results.push(r);
         }
     }
-    let sustained_for = |wire_kind: WireKind| {
-        results
-            .iter()
-            .filter(|r| r.wire == wire_kind && r.per_sensor_fps() >= realtime_fps)
-            .map(|r| r.sensors)
-            .max()
-            .unwrap_or(0)
-    };
+    let sustained = results
+        .iter()
+        .filter(|r| r.per_sensor_fps() >= realtime_fps)
+        .map(|r| r.sensors)
+        .max()
+        .unwrap_or(0);
     println!();
-    for &w in &opts.wires {
-        println!(
-            "sensors sustained at real time ({}): {}",
-            w.label(),
-            sustained_for(w)
-        );
-    }
+    println!("sensors sustained at real time: {sustained}");
 
     if let Some(path) = &opts.out {
         let cells: Vec<String> = results
@@ -384,7 +334,7 @@ fn main() {
                 format!(
                     concat!(
                         "    {{\n",
-                        "      \"wire\": \"{}\",\n",
+                        "      \"wire\": \"i16\",\n",
                         "      \"shards\": {},\n",
                         "      \"sensors\": {},\n",
                         "      \"frames_per_sensor\": {},\n",
@@ -402,7 +352,6 @@ fn main() {
                         "      \"dequeue_to_report_p99_ns\": {}\n",
                         "    }}"
                     ),
-                    r.wire.label(),
                     r.shards,
                     r.sensors,
                     r.frames_per_sensor,
@@ -421,11 +370,6 @@ fn main() {
                 )
             })
             .collect();
-        let sustained_fields: Vec<String> = opts
-            .wires
-            .iter()
-            .map(|w| format!("    \"{}\": {}", w.label(), sustained_for(*w)))
-            .collect();
         let json = format!(
             concat!(
                 "{{\n",
@@ -441,7 +385,7 @@ fn main() {
                 "    \"transport\": \"in_process_wire\"\n",
                 "  }},\n",
                 "  \"results\": [\n{}\n  ],\n",
-                "  \"sensors_sustained_realtime\": {{\n{}\n  }}\n",
+                "  \"sensors_sustained_realtime\": {{\n    \"i16\": {}\n  }}\n",
                 "}}\n"
             ),
             base.sweep.samples_per_sweep(),
@@ -450,7 +394,7 @@ fn main() {
             realtime_fps,
             rooms,
             cells.join(",\n"),
-            sustained_fields.join(",\n")
+            sustained
         );
         std::fs::write(path, json).expect("write serve JSON");
         println!("wrote {path}");

@@ -36,7 +36,7 @@ pub struct TargetReport {
     /// carries a state covariance (`MultiWiTrack`'s per-track Kalman).
     /// Cross-sensor fusion (`witrack-fuse`) gates and merges on it;
     /// backends without one report `None` and fusion falls back to a
-    /// configured default. Not carried by the v1 `UpdateBatch` wire
+    /// configured default. Not carried by the `UpdateBatch` wire
     /// message (world-level uncertainty travels in `WorldUpdate` instead).
     pub pos_var: Option<Vec3>,
     /// The last accepted measurement's per-axis innovation (m): how far
@@ -66,43 +66,17 @@ pub trait FramePipeline: Send {
     /// Number of receive antennas (one sweep slice expected per antenna).
     fn num_rx(&self) -> usize;
 
-    /// Pushes one sweep interval's baseband, one slice per receive
-    /// antenna; returns a report on frame boundaries.
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport>;
-
-    /// [`Self::process_sweeps`] over one flat, antenna-contiguous buffer:
+    /// Pushes one sweep interval of **wire-quantized** baseband
+    /// (`sample = q · scale`), the form `SweepBatchQ` batches arrive in;
+    /// returns a report on frame boundaries. `flat` is antenna-contiguous:
     /// antenna `k`'s sweep occupies
-    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]` — the exact
-    /// layout wire sweep batches arrive in, so the serving hot path feeds
-    /// pipelines without building per-sweep slice tables. The default
-    /// builds the table and delegates; the in-tree backends override it
-    /// allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != samples_per_sweep * num_rx()` or
-    /// `samples_per_sweep` is zero.
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.num_rx(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        let refs: Vec<&[f64]> = flat.chunks_exact(samples_per_sweep).collect();
-        self.process_sweeps(&refs)
-    }
-
-    /// [`Self::process_sweeps_flat`] over **wire-quantized** samples
-    /// (`sample = q · scale`), the form `SweepBatchQ` batches arrive in.
-    /// The default dequantizes into a temporary and delegates, so every
-    /// backend accepts quantized input; the in-tree backends override it
-    /// to keep the profile front half in fixed point (i16 windowing, i32
-    /// accumulation — see `witrack_fmcw::RangeProfiler::push_sweep_q`),
-    /// skipping both the dequantization pass and the float accumulate.
+    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]`, the exact
+    /// wire layout, so the serving hot path feeds pipelines without
+    /// building per-sweep slice tables. The in-tree backends keep the
+    /// profile front half in fixed point (i16 windowing, i32
+    /// accumulation — see `witrack_fmcw::RangeProfiler::push_sweep_q`).
+    /// For f64 input, the backends' inherent `push` is the in-process
+    /// reference.
     ///
     /// # Panics
     /// Panics if `flat.len() != samples_per_sweep * num_rx()` or
@@ -112,10 +86,7 @@ pub trait FramePipeline: Send {
         flat: &[i16],
         samples_per_sweep: usize,
         scale: f64,
-    ) -> Option<FrameReport> {
-        let dequantized: Vec<f64> = flat.iter().map(|&q| q as f64 * scale).collect();
-        self.process_sweeps_flat(&dequantized, samples_per_sweep)
-    }
+    ) -> Option<FrameReport>;
 
     /// Clears all stream state (frame counter restarts at zero).
     fn reset(&mut self);
@@ -155,19 +126,6 @@ impl From<TrackUpdate> for FrameReport {
 impl FramePipeline for WiTrack {
     fn num_rx(&self) -> usize {
         self.array().num_rx()
-    }
-
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.push_sweeps(per_rx).map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        self.push(Sweeps::Flat(flat, samples_per_sweep))
-            .map(FrameReport::from)
     }
 
     fn process_sweeps_flat_q(
@@ -216,10 +174,11 @@ mod tests {
         let mut wt = WiTrack::new(cfg).unwrap();
         let pipeline: &mut dyn FramePipeline = &mut wt;
         assert_eq!(pipeline.num_rx(), 3);
-        let silent = vec![0.0; cfg.sweep.samples_per_sweep()];
+        let n = cfg.sweep.samples_per_sweep();
+        let silent = vec![0i16; 3 * n];
         let mut reports = 0;
         for _ in 0..cfg.sweep.sweeps_per_frame * 3 {
-            if let Some(r) = pipeline.process_sweeps(&[&silent, &silent, &silent]) {
+            if let Some(r) = pipeline.process_sweeps_flat_q(&silent, n, 1.0) {
                 // Nothing moving: a report with no targets, not no report.
                 assert!(r.targets.is_empty());
                 reports += 1;
@@ -229,7 +188,7 @@ mod tests {
         pipeline.reset();
         let mut first = None;
         for _ in 0..cfg.sweep.sweeps_per_frame {
-            first = pipeline.process_sweeps(&[&silent, &silent, &silent]);
+            first = pipeline.process_sweeps_flat_q(&silent, n, 1.0);
         }
         assert_eq!(first.unwrap().frame_index, 0);
     }

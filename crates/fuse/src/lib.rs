@@ -25,7 +25,7 @@
 //! * [`config`] — gates, lifecycle windows, zones.
 //!
 //! The serving layer (`witrack-serve`) runs one engine per room behind
-//! its wire protocol (`Subscribe`/`WorldUpdate`/`Event` messages), so
+//! its wire protocol (`SubscribeV3`/`WorldUpdate`/`Event` messages), so
 //! clients subscribe to *rooms*, not raw sensors.
 
 #![warn(missing_docs)]

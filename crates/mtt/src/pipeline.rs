@@ -443,19 +443,6 @@ impl FramePipeline for MultiWiTrack {
         self.array.num_rx()
     }
 
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.push_sweeps(per_rx).map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        self.push(Sweeps::Flat(flat, samples_per_sweep))
-            .map(FrameReport::from)
-    }
-
     fn process_sweeps_flat_q(
         &mut self,
         flat: &[i16],

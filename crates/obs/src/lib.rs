@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// whichever stages they actually run.
 #[derive(Clone)]
 pub struct StageStats {
-    /// Range profiling (sweep → range profile; the CZT work).
+    /// Range profiling (sweep → range profile; the range-transform work).
     pub profile: Arc<Histo>,
     /// Background subtraction + contour detection (+ denoising).
     pub detect: Arc<Histo>,

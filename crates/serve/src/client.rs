@@ -8,8 +8,8 @@
 
 use crate::transport::{Transport, TransportRx, TransportTx};
 use crate::wire::{
-    Hello, Message, StatsQuery, StatsReport, SubscribeV3, SubscriptionStats, SweepBatch,
-    SweepBatchQ, Teardown, Unsubscribe,
+    Hello, Message, StatsQuery, StatsReport, SubscribeV3, SubscriptionStats, SweepBatchQ, Teardown,
+    Unsubscribe,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,9 +51,9 @@ pub struct ClientStats {
     pub world_events: u64,
     /// `StatsReport` snapshots received.
     pub stats_reports: u64,
-    /// `SubscribeAck` replies received (wire v3).
+    /// `SubscribeAck` replies received.
     pub subscribe_acks: u64,
-    /// `SubscriptionStats` replies received (wire v3).
+    /// `SubscriptionStats` replies received.
     pub subscription_stats: u64,
 }
 
@@ -111,35 +111,19 @@ impl<T: Transport> SensorClient<T> {
     }
 
     /// Sends one sweep batch.
-    pub fn send_batch(&mut self, batch: SweepBatch) -> io::Result<()> {
-        self.tx().send_msg(&Message::SweepBatch(batch))
+    pub fn send_batch(&mut self, batch: SweepBatchQ) -> io::Result<()> {
+        self.tx().send_msg(&Message::SweepBatchQ(batch))
     }
 
-    /// Sends per-sweep, per-antenna slices as one batch.
+    /// Quantizes per-sweep, per-antenna slices and sends them as one
+    /// batch.
     pub fn send_sweeps(
         &mut self,
         sensor_id: u32,
         seq: u64,
         sweeps: &[Vec<Vec<f64>>],
     ) -> io::Result<()> {
-        self.send_batch(SweepBatch::from_sweeps(sensor_id, seq, sweeps))
-    }
-
-    /// Sends one quantized (wire v2, i16) sweep batch — 4× fewer sample
-    /// bytes than [`Self::send_batch`]. Announce intent by setting
-    /// [`Hello::quantized`] on the session's hello.
-    pub fn send_batch_q(&mut self, batch: SweepBatchQ) -> io::Result<()> {
-        self.tx().send_msg(&Message::SweepBatchQ(batch))
-    }
-
-    /// Quantizes and sends per-sweep, per-antenna slices as one v2 batch.
-    pub fn send_sweeps_quantized(
-        &mut self,
-        sensor_id: u32,
-        seq: u64,
-        sweeps: &[Vec<Vec<f64>>],
-    ) -> io::Result<()> {
-        self.send_batch_q(SweepBatchQ::from_sweeps(sensor_id, seq, sweeps))
+        self.send_batch(SweepBatchQ::from_sweeps(sensor_id, seq, sweeps))
     }
 
     /// Closes a sensor session.
@@ -148,7 +132,7 @@ impl<T: Transport> SensorClient<T> {
             .send_msg(&Message::Teardown(Teardown { sensor_id }))
     }
 
-    /// Subscribes with a wire-v3 programmable subscription — typically
+    /// Subscribes with a programmable subscription — typically
     /// built by [`SubscriptionBuilder`](crate::program::SubscriptionBuilder).
     /// The server answers with a `SubscribeAck` (watch
     /// [`ClientStats::subscribe_acks`]); a malformed filter program comes
@@ -176,7 +160,7 @@ impl<T: Transport> SensorClient<T> {
         *self.last_sub_stats.lock().expect("sub stats poisoned")
     }
 
-    /// Asks the server for a metrics snapshot (`StatsQuery`, wire v2).
+    /// Asks the server for a metrics snapshot (`StatsQuery`).
     /// The answering `StatsReport` arrives asynchronously on the drain
     /// thread: poll [`Self::last_stats`] (or watch
     /// [`ClientStats::stats_reports`], or use a handler) for it.
@@ -334,23 +318,14 @@ impl<T: Transport> ReconnectingClient<T> {
             .unwrap_or_default()
     }
 
-    /// Sends one sweep batch, stamping and advancing the monotone
-    /// sequence number; on transport failure, reconnects and retries
-    /// (once per fresh connection, up to the backoff's attempt budget).
-    /// Returns the sequence number the batch went out under.
+    /// Quantizes and sends one sweep batch, stamping and advancing the
+    /// monotone sequence number; on transport failure, reconnects and
+    /// retries (once per fresh connection, up to the backoff's attempt
+    /// budget). Returns the sequence number the batch went out under.
     pub fn send_sweeps(&mut self, sweeps: &[Vec<Vec<f64>>]) -> io::Result<u64> {
         let seq = self.next_seq;
-        let batch = SweepBatch::from_sweeps(self.hello.sensor_id, seq, sweeps);
-        self.send_with_retry(|c| c.send_batch(batch.clone()))?;
-        self.next_seq = seq + 1;
-        Ok(seq)
-    }
-
-    /// Quantized (wire v2) sibling of [`Self::send_sweeps`].
-    pub fn send_sweeps_quantized(&mut self, sweeps: &[Vec<Vec<f64>>]) -> io::Result<u64> {
-        let seq = self.next_seq;
         let batch = SweepBatchQ::from_sweeps(self.hello.sensor_id, seq, sweeps);
-        self.send_with_retry(|c| c.send_batch_q(batch.clone()))?;
+        self.send_with_retry(|c| c.send_batch(batch.clone()))?;
         self.next_seq = seq + 1;
         Ok(seq)
     }

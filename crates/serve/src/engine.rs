@@ -10,7 +10,7 @@
 //! where stale sweeps are worse than missing ones).
 //!
 //! Lifecycle per sensor: [`Hello`] (builds the pipeline via the
-//! [`PipelineFactory`]) → any number of [`SweepBatch`]es (sequence-checked;
+//! [`PipelineFactory`]) → any number of [`SweepBatchQ`]s (sequence-checked;
 //! gaps and reordering are counted and reported) → [`Teardown`]. Every
 //! frame report is emitted as an `UpdateBatch` carrying a per-sensor
 //! output sequence number.
@@ -25,8 +25,8 @@
 
 use crate::hub::{HubHandle, HubMsg, WorldConfig, WorldHub};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::pool::{BatchSamples, BufPool, PooledBatch, PooledBuf, SamplePools};
-use crate::wire::{self, Hello, Message, Reject, RejectCode, SweepBatch, Teardown, UpdateBatch};
+use crate::pool::{BufPool, PooledBatch, PooledBuf, SamplePools};
+use crate::wire::{self, Hello, Message, Reject, RejectCode, SweepBatchQ, Teardown, UpdateBatch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -133,8 +133,8 @@ pub enum SubmitError {
     /// `UpdateBatch`/`Reject`/`WorldUpdate`/`Event` are server→client
     /// messages; clients cannot submit them.
     ServerOnlyMessage,
-    /// A `Subscribe` was submitted without a connection sink — the world
-    /// stream has nowhere to go.
+    /// A `SubscribeV3` or `Unsubscribe` was submitted without a
+    /// connection sink — the world stream has nowhere to go.
     SubscribeNeedsConnection,
     /// A `StatsQuery` was submitted without a connection sink — the
     /// report has nowhere to go (direct engine users should call
@@ -181,8 +181,8 @@ pub struct EngineHandle {
     shards: Vec<SyncSender<ShardMsg>>,
     overload: OverloadPolicy,
     metrics: Arc<EngineMetrics>,
-    /// Recycles ingest sample buffers, one pool per wire representation
-    /// (socket → decode → shard → pipeline).
+    /// Recycles ingest sample buffers (socket → decode → shard →
+    /// pipeline).
     ingest: SamplePools,
     /// Recycles outbox encode buffers (shard → outbox → transport).
     frame_pool: BufPool<u8>,
@@ -204,16 +204,9 @@ impl EngineHandle {
     }
 
     /// The pools connection readers should decode sweep samples into
-    /// (see [`crate::transport::TransportRx::recv_msg_pooled`]): f64
-    /// batches fill `f64s`, quantized batches stay i16 in `i16s`.
+    /// (see [`crate::transport::TransportRx::recv_msg_pooled`]).
     pub fn ingest_pools(&self) -> &SamplePools {
         &self.ingest
-    }
-
-    /// The f64 half of [`Self::ingest_pools`] (compatibility accessor
-    /// for callers decoding only f64 batches).
-    pub fn sample_pool(&self) -> &BufPool<f64> {
-        &self.ingest.f64s
     }
 
     /// The pool shards encode outbound frames into — exposed for tests
@@ -223,7 +216,7 @@ impl EngineHandle {
     }
 
     /// Routes one client message to its sensor's shard. `Hello` and
-    /// `Teardown` always block on a full queue; `SweepBatch` follows the
+    /// `Teardown` always block on a full queue; `SweepBatchQ` follows the
     /// configured [`OverloadPolicy`]. Sessions opened this way have no
     /// sink: their updates arrive on the engine event stream.
     pub fn submit(&self, msg: Message) -> Result<Submitted, SubmitError> {
@@ -243,15 +236,7 @@ impl EngineHandle {
             Message::Teardown(t) => {
                 self.send_control(t.sensor_id, ShardMsg::Teardown(t, None, sink))
             }
-            Message::SweepBatch(b) => self.submit_batch_pooled(PooledBatch::from_owned(b), sink),
-            // Quantized batches stay i16 all the way to the shard — the
-            // pipeline's fixed-point front half dequantizes late.
             Message::SweepBatchQ(q) => self.submit_batch_pooled(PooledBatch::from_owned_q(q), sink),
-            // The v2 subscribe keeps working as a match-all v3 program —
-            // no ack, because v2 clients don't know the type exists.
-            Message::Subscribe(s) => {
-                self.route_subscribe(wire::SubscribeV3::from_v2(s), sink, false)
-            }
             Message::SubscribeV3(s) => self.submit_subscribe_v3(s, sink),
             Message::Unsubscribe(u) => self.submit_unsubscribe(u, sink),
             Message::StatsQuery(q) => self.submit_stats_query(q, sink),
@@ -305,40 +290,21 @@ impl EngineHandle {
         &self.recorder
     }
 
-    /// Routes a v2 room subscription to the world hub as a match-all v3
-    /// program (no ack — v2 clients don't expect one). Without a hub
-    /// (the engine was started without a [`WorldConfig`]) the
-    /// subscription is refused over the connection with
-    /// [`RejectCode::UnknownSubscription`].
-    pub fn submit_subscribe(
-        &self,
-        sub: wire::Subscribe,
-        sink: Option<ConnSink>,
-    ) -> Result<Submitted, SubmitError> {
-        self.route_subscribe(wire::SubscribeV3::from_v2(sub), sink, false)
-    }
-
-    /// Routes a programmable (wire v3) room subscription to the world
-    /// hub, which answers with a `SubscribeAck` (or a `Reject` carrying
+    /// Routes a programmable room subscription to the world hub, which
+    /// answers with a `SubscribeAck` (or a `Reject` carrying
     /// [`RejectCode::BadProgram`]/[`RejectCode::UnknownSubscription`]).
+    /// Without a hub (the engine was started without a [`WorldConfig`])
+    /// the subscription is refused over the connection with
+    /// [`RejectCode::UnknownSubscription`].
     pub fn submit_subscribe_v3(
         &self,
         sub: wire::SubscribeV3,
         sink: Option<ConnSink>,
     ) -> Result<Submitted, SubmitError> {
-        self.route_subscribe(sub, sink, true)
-    }
-
-    fn route_subscribe(
-        &self,
-        sub: wire::SubscribeV3,
-        sink: Option<ConnSink>,
-        ack: bool,
-    ) -> Result<Submitted, SubmitError> {
         let sink = sink.ok_or(SubmitError::SubscribeNeedsConnection)?;
         match &self.hub {
             Some(hub) => {
-                if hub.send(HubMsg::Subscribe(sub, sink, ack)) {
+                if hub.send(HubMsg::Subscribe(sub, sink)) {
                     Ok(Submitted::Queued)
                 } else {
                     Err(SubmitError::EngineDown)
@@ -427,10 +393,10 @@ impl EngineHandle {
         }
     }
 
-    /// Submits one owned sweep batch (compatibility entry point; the
+    /// Submits one owned sweep batch with no connection attached (the
     /// zero-copy hot path is [`Self::submit_batch_pooled`]).
-    pub fn submit_batch(&self, batch: SweepBatch) -> Result<Submitted, SubmitError> {
-        self.submit_batch_pooled(PooledBatch::from_owned(batch), None)
+    pub fn submit_batch(&self, batch: SweepBatchQ) -> Result<Submitted, SubmitError> {
+        self.submit_batch_pooled(PooledBatch::from_owned_q(batch), None)
     }
 
     /// Submits one decoded sweep batch whose samples live in a pooled
@@ -532,7 +498,7 @@ impl ShardedEngine {
     /// Shared startup: every public constructor lands here — every
     /// session's frame reports are forwarded to its room's
     /// [`witrack_fuse::FusionEngine`] (when a world is configured), and
-    /// connections may `Subscribe` to rooms for fused
+    /// connections may subscribe to rooms for fused
     /// `WorldUpdate`/`Event` streams.
     fn start_inner(
         cfg: EngineConfig,
@@ -837,10 +803,10 @@ impl ShardWorker {
 
     /// Handles one dequeued message, then greedily drains everything
     /// already queued before blocking again. Sweep batches processed in
-    /// one drain run back-to-back while the shard's CZT plans, window
-    /// tables, and pipeline state are cache-hot — at 100+ co-sharded
-    /// sensors the per-dispatch warm-up otherwise dominates — and the
-    /// group size feeds the `dsp/batched_frames` counter.
+    /// one drain run back-to-back while the shard's range-transform
+    /// plans, window tables, and pipeline state are cache-hot — at 100+
+    /// co-sharded sensors the per-dispatch warm-up otherwise dominates —
+    /// and the group size feeds the `dsp/batched_frames` counter.
     fn dispatch(&mut self, first: ShardMsg) {
         let mut grouped = 0u64;
         let mut msg = first;
@@ -992,7 +958,7 @@ impl ShardWorker {
         // The hot loop: feed each sweep interval to the pipeline straight
         // off the pooled flat buffer (antennas are contiguous within an
         // interval, so no per-sweep slice table), collecting reports into
-        // the shard's reused scratch. Quantized batches stay i16 —
+        // the shard's reused scratch. The samples stay i16 —
         // `process_sweeps_flat_q` keeps the profile front half in fixed
         // point and dequantizes late.
         let samples = shape.samples_per_sweep as usize;
@@ -1000,18 +966,11 @@ impl ShardWorker {
         let mut updates = std::mem::take(&mut self.updates_scratch);
         updates.clear();
         for s in 0..shape.n_sweeps as usize {
-            let range = s * interval..(s + 1) * interval;
-            let report = match &b.samples {
-                BatchSamples::F64(buf) => {
-                    session.pipeline.process_sweeps_flat(&buf[range], samples)
-                }
-                BatchSamples::I16(buf, scale) => {
-                    session
-                        .pipeline
-                        .process_sweeps_flat_q(&buf[range], samples, *scale)
-                }
-            };
-            if let Some(report) = report {
+            let sweep = &b.samples[s * interval..(s + 1) * interval];
+            if let Some(report) = session
+                .pipeline
+                .process_sweeps_flat_q(sweep, samples, b.scale)
+            {
                 updates.push(report);
             }
         }

@@ -62,7 +62,7 @@ pub fn hello_for(base: &WiTrackConfig, sensor_id: u32, kind: PipelineKind) -> He
     }
 }
 
-/// [`hello_for`], announcing the quantized (wire v2, i16) sweep wire.
+/// [`hello_for`] with [`Hello::quantized`] set, as current senders send it.
 pub fn hello_quantized_for(base: &WiTrackConfig, sensor_id: u32, kind: PipelineKind) -> Hello {
     Hello {
         quantized: true,

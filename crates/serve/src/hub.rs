@@ -18,7 +18,7 @@
 //! few Kalman updates per track per epoch, orders of magnitude cheaper
 //! than the sweep pipelines feeding it — so shards never block on it.
 //!
-//! Subscriptions are *programmable* (wire v3): each carries a compiled
+//! Subscriptions are *programmable*: each carries a compiled
 //! [`FilterProgram`](crate::program::FilterProgram) the hub evaluates
 //! per event **before** any encoding. Per fused frame the hub (1) runs
 //! every event-subscriber's program over the frame's events — behind two
@@ -92,10 +92,9 @@ impl WorldConfig {
 pub(crate) enum HubMsg {
     /// One sensor's frame reports (already shard-processed).
     Reports(u32, Vec<FrameReport>),
-    /// A connection wants a room's world stream. The bool says whether
-    /// to answer with a `SubscribeAck` — v3 subscribers expect one, the
-    /// deprecated v2 shim's clients don't know the type exists.
-    Subscribe(SubscribeV3, ConnSink, bool),
+    /// A connection wants a room's world stream; the hub answers with a
+    /// `SubscribeAck` or a `Reject`.
+    Subscribe(SubscribeV3, ConnSink),
     /// A connection releases one subscription; the hub answers with its
     /// final `SubscriptionStats`.
     Unsubscribe(wire::Unsubscribe, ConnSink),
@@ -183,7 +182,7 @@ impl Room {
 
 struct Subscriber {
     sink: ConnSink,
-    /// Client-chosen id (0 for v2-shim subscriptions).
+    /// Client-chosen id.
     sub_id: u64,
     world_updates: bool,
     events: bool,
@@ -437,7 +436,7 @@ impl HubWorker {
                     self.deliver(idx, frames);
                 }
             }
-            HubMsg::Subscribe(sub, sink, ack) => self.subscribe(sub, sink, ack),
+            HubMsg::Subscribe(sub, sink) => self.subscribe(sub, sink),
             HubMsg::Unsubscribe(unsub, sink) => self.unsubscribe(unsub, sink),
             HubMsg::ConnClosed(conn_id) => {
                 self.held_replies.retain(|(s, _)| s.conn_id != conn_id);
@@ -482,7 +481,7 @@ impl HubWorker {
         }
     }
 
-    fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink, ack: bool) {
+    fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink) {
         let Some(room) = self.rooms.iter_mut().find(|r| r.room_id == sub.room_id) else {
             self.metrics.batches_rejected.inc();
             self.reply(
@@ -535,14 +534,12 @@ impl HubWorker {
             rate_limited: 0,
         });
         room.rebuild_event_mask();
-        if ack {
-            let reply = Message::SubscribeAck(SubscribeAck {
-                room_id: sub.room_id,
-                sub_id: sub.sub_id,
-                status: 0,
-            });
-            self.reply(&sink, &reply);
-        }
+        let reply = Message::SubscribeAck(SubscribeAck {
+            room_id: sub.room_id,
+            sub_id: sub.sub_id,
+            status: 0,
+        });
+        self.reply(&sink, &reply);
     }
 
     /// Removes one `(connection, sub_id)` subscription and answers with

@@ -7,10 +7,10 @@
 //! makes that real:
 //!
 //! * [`wire`] — the length-prefixed binary protocol sensors speak:
-//!   `Hello` (session open + stream shape), `SweepBatch` (sequence-numbered
-//!   baseband), its wire-v2 quantized form `SweepBatchQ` (i16 steps + one
-//!   f64 scale: 4× fewer sample bytes, fidelity-neutral for ≤16-bit
-//!   front ends), `Teardown`, and the server's `UpdateBatch`/`Reject`.
+//!   `Hello` (session open + stream shape), `SweepBatchQ`
+//!   (sequence-numbered baseband as i16 steps plus one f64 scale,
+//!   fidelity-neutral for ≤16-bit front ends), `Teardown`, and the
+//!   server's `UpdateBatch`/`Reject`.
 //! * [`pool`] — recycled buffers ([`BufPool`]/[`PooledBuf`]) carrying
 //!   decoded samples from socket to shard and encoded updates from shard
 //!   to socket: the steady-state ingest path performs zero heap
@@ -18,7 +18,7 @@
 //! * [`transport`] — how frames move: an in-process bounded-queue pair
 //!   (tests and benches run the full wire path with no sockets) or a
 //!   loopback `TcpStream`. Both decode sweep samples straight into
-//!   pooled buffers (`recv_msg_pooled`).
+//!   pooled buffers (`recv_msg_pooled`), still quantized.
 //! * [`engine`] — the [`ShardedEngine`]: each sensor id is pinned to one
 //!   worker shard owning its [`FramePipeline`](witrack_core::FramePipeline)
 //!   instances, with bounded-queue backpressure, drop/lag metrics, and
@@ -26,7 +26,7 @@
 //! * [`server`] / [`client`] — the connection layer over any transport,
 //!   multiplexing many sensors per connection, and the sensor-side client
 //!   (with a reconnecting variant surviving transport loss).
-//! * [`program`] — programmable subscription filters (wire v3): a
+//! * [`program`] — programmable subscription filters: a
 //!   compiled predicate DSL (kind/zone/track matchers, debounce,
 //!   rate-limit, occupancy-threshold combinators) the world hub
 //!   evaluates *before* encode/fan-out, plus the
@@ -42,7 +42,7 @@
 //! use std::sync::Arc;
 //! use witrack_serve::engine::{EngineConfig, EngineEvent, ShardedEngine};
 //! use witrack_serve::factory::{hello_for, witrack_factory};
-//! use witrack_serve::wire::{Message, PipelineKind, SweepBatch};
+//! use witrack_serve::wire::{Message, PipelineKind, SweepBatchQ};
 //! use witrack_core::WiTrackConfig;
 //! use witrack_fmcw::SweepConfig;
 //!
@@ -64,7 +64,7 @@
 //! handle.submit(Message::Hello(hello_for(&base, 7, PipelineKind::SingleTarget))).unwrap();
 //! // One frame of silence for sensor 7: 5 sweeps × 3 antennas.
 //! let sweeps = vec![vec![vec![0.0; sweep.samples_per_sweep()]; 3]; 5];
-//! handle.submit_batch(SweepBatch::from_sweeps(7, 0, &sweeps)).unwrap();
+//! handle.submit_batch(SweepBatchQ::from_sweeps(7, 0, &sweeps)).unwrap();
 //! let event = events.recv().unwrap();
 //! match event {
 //!     EngineEvent::Updates(u) => {
@@ -115,6 +115,6 @@ pub use transport::{
 };
 pub use wire::{
     EventMsg, Hello, HistoWire, Message, PipelineKind, Reject, RejectCode, StatsQuery, StatsReport,
-    StatsSample, StatsValue, Subscribe, SubscribeAck, SubscribeV3, SubscriptionStats, SweepBatch,
-    SweepBatchQ, SweepShape, Teardown, Unsubscribe, UpdateBatch, WireError, WorldUpdateMsg,
+    StatsSample, StatsValue, SubscribeAck, SubscribeV3, SubscriptionStats, SweepBatch, SweepBatchQ,
+    SweepShape, Teardown, Unsubscribe, UpdateBatch, WireError, WorldUpdateMsg,
 };

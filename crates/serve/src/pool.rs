@@ -1,8 +1,9 @@
 //! Recycled buffers for the ingest and outbox hot paths.
 //!
-//! Every wire sweep batch used to become a freshly allocated `Vec<f64>`
-//! (60 KB at the paper configuration) that died one shard later; every
-//! update batch allocated its encode buffer the same way. A [`BufPool`]
+//! Every wire sweep batch used to become a freshly allocated sample
+//! vector (75 KB of i16 steps per 5-sweep batch at the paper
+//! configuration) that died one shard later; every update batch
+//! allocated its encode buffer the same way. A [`BufPool`]
 //! breaks that churn: [`BufPool::get`] hands out a [`PooledBuf`] guard
 //! wrapping a recycled `Vec<T>`, and dropping the guard — anywhere,
 //! including mid-panic unwind — returns the vector (capacity intact) to
@@ -21,85 +22,48 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A decoded sweep batch's samples, in whichever representation the wire
-/// delivered: dequantized `f64`, or the raw `i16` quantized form with its
-/// dequantization scale. Quantized batches ride the whole socket → queue
-/// → pipeline path in `i16` — one quarter of the f64 memory traffic —
-/// and feed the fixed-point profile front half
-/// (`FramePipeline::process_sweeps_flat_q`) without a dequantization pass.
-#[derive(Debug)]
-pub enum BatchSamples {
-    /// Dequantized samples, sweep-major (see [`crate::wire::SweepBatch`]).
-    F64(PooledBuf<f64>),
-    /// Wire-quantized samples (`sample = q · scale`), same layout.
-    I16(PooledBuf<i16>, f64),
-}
-
-impl BatchSamples {
-    /// Number of samples carried, independent of representation.
-    pub fn len(&self) -> usize {
-        match self {
-            BatchSamples::F64(b) => b.len(),
-            BatchSamples::I16(b, _) => b.len(),
-        }
-    }
-
-    /// `true` when no samples are carried.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// A decoded sweep batch on its way to a shard: the wire header plus the
-/// samples in a pooled buffer. Dropping it anywhere along the socket →
-/// queue → pipeline path returns the buffer to its pool.
+/// i16 steps in a pooled buffer. The samples ride the whole socket →
+/// queue → pipeline path quantized and feed the fixed-point profile front
+/// half (`FramePipeline::process_sweeps_flat_q`) without a dequantization
+/// pass. Dropping the batch anywhere along that path returns the buffer
+/// to its pool.
 #[derive(Debug)]
 pub struct PooledBatch {
     /// Identity and shape from the wire header.
     pub shape: SweepShape,
-    /// The samples, in the representation they arrived in.
-    pub samples: BatchSamples,
+    /// The samples, sweep-major (see [`crate::wire::SweepBatch`]):
+    /// `sample = q · scale`.
+    pub samples: PooledBuf<i16>,
+    /// Dequantization scale: one step in physical units.
+    pub scale: f64,
 }
 
 impl PooledBatch {
-    /// Wraps an owned [`crate::wire::SweepBatch`] in the pooled shape
-    /// (detached buffer: it frees instead of recycling). Compatibility
-    /// path for direct-engine callers holding owned batches.
-    pub fn from_owned(batch: crate::wire::SweepBatch) -> PooledBatch {
-        PooledBatch {
-            shape: batch.shape(),
-            samples: BatchSamples::F64(PooledBuf::detached(batch.data)),
-        }
-    }
-
-    /// Wraps an owned [`crate::wire::SweepBatchQ`], keeping the samples
-    /// quantized (detached buffer; see [`Self::from_owned`]).
+    /// Wraps an owned [`crate::wire::SweepBatchQ`] in the pooled shape
+    /// (detached buffer: it frees instead of recycling), for
+    /// direct-engine callers holding owned batches.
     pub fn from_owned_q(batch: crate::wire::SweepBatchQ) -> PooledBatch {
         PooledBatch {
             shape: batch.shape(),
-            samples: BatchSamples::I16(PooledBuf::detached(batch.data), batch.scale),
+            samples: PooledBuf::detached(batch.data),
+            scale: batch.scale,
         }
     }
 }
 
-/// The ingest-side buffer pools, one per wire sample representation.
-/// Readers decode f64 batches into `f64s` and quantized batches into
-/// `i16s`; both recycle through the same socket → queue → pipeline
-/// lifecycle.
+/// The ingest-side pool readers decode sweep samples into, reached as
+/// `EngineHandle::ingest_pools().i16s`.
 #[derive(Clone, Debug)]
 pub struct SamplePools {
-    /// Recycles dequantized (f64) sample buffers.
-    pub f64s: BufPool<f64>,
     /// Recycles quantized (i16) sample buffers.
     pub i16s: BufPool<i16>,
 }
 
 impl SamplePools {
-    /// Creates both pools, each retaining at most `max_pooled` free
-    /// buffers.
+    /// Creates the pool, retaining at most `max_pooled` free buffers.
     pub fn new(max_pooled: usize) -> SamplePools {
         SamplePools {
-            f64s: BufPool::new(max_pooled),
             i16s: BufPool::new(max_pooled),
         }
     }

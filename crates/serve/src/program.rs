@@ -4,7 +4,7 @@
 //! A [`FilterProgram`] is a flat, postfix op array — event-kind, zone,
 //! track matchers plus `and`/`or`/`not` combinators and three stateful
 //! post-filters (debounce, token-bucket rate limit, sustained-occupancy
-//! threshold). Programs travel inside wire-v3 `Subscribe` frames, are
+//! threshold). Programs travel inside `SubscribeV3` frames, are
 //! validated once at subscription time ([`FilterProgram::compile`]), and
 //! thereafter cost a handful of stack-machine ops per offered event.
 //! Matching subscribers share one pooled encode; non-matchers never see
@@ -249,13 +249,6 @@ impl Op {
 pub struct FilterProgram {
     /// Postfix ops, at most [`MAX_PROGRAM_OPS`]. Empty = match all.
     pub ops: Vec<Op>,
-}
-
-impl FilterProgram {
-    /// The empty program: matches every event.
-    pub fn match_all() -> FilterProgram {
-        FilterProgram::default()
-    }
 }
 
 /// Why a structurally-decodable program failed validation.
@@ -575,7 +568,7 @@ impl CompiledProgram {
 /// Process-local source of unique default subscription ids.
 static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Fluent builder for a wire-v3 subscription: pick a room, narrow the
+/// Fluent builder for a room subscription: pick a room, narrow the
 /// event stream, bolt on rate control, and [`build`](Self::build) the
 /// [`SubscribeV3`](crate::wire::SubscribeV3) to send.
 ///
@@ -608,8 +601,8 @@ pub struct SubscriptionBuilder {
 }
 
 impl SubscriptionBuilder {
-    /// Starts a subscription to `room_id`. Defaults match the old
-    /// `Subscribe::all`: world updates and (all) events on, no rate cap.
+    /// Starts a subscription to `room_id`. Defaults: world updates and
+    /// (all) events on, no rate cap.
     pub fn room(room_id: u32) -> SubscriptionBuilder {
         SubscriptionBuilder {
             room_id,
@@ -742,7 +735,7 @@ impl SubscriptionBuilder {
         FilterProgram { ops }
     }
 
-    /// Builds the wire-v3 subscription message.
+    /// Builds the subscription message.
     pub fn build(&self) -> crate::wire::SubscribeV3 {
         crate::wire::SubscribeV3 {
             room_id: self.room_id,
@@ -783,7 +776,7 @@ mod tests {
 
     #[test]
     fn empty_program_matches_everything() {
-        let p = FilterProgram::match_all().compile().unwrap();
+        let p = FilterProgram::default().compile().unwrap();
         assert_eq!(p.kind_mask(), ALL_KINDS_MASK);
         let mut s = p.new_state();
         assert!(p.eval(&mut s, &ctx(EventKind::Fall, 0.0)).matched);

@@ -64,7 +64,7 @@ impl Server {
     }
 
     /// Shared startup behind every public constructor: a world hub (when
-    /// configured) lets attached connections `Subscribe` to fused
+    /// configured) lets attached connections subscribe to fused
     /// `WorldUpdate`/`Event` streams.
     fn start_inner(
         cfg: EngineConfig,

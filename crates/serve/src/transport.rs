@@ -14,7 +14,7 @@
 //! send half and receive half so a connection can be serviced by one
 //! reader thread and one writer thread without locking.
 
-use crate::pool::{BatchSamples, PooledBatch, PooledBuf, SamplePools};
+use crate::pool::{PooledBatch, PooledBuf, SamplePools};
 use crate::wire::{self, DecodedMsgQ, Message, WireError, HEADER_LEN};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -42,10 +42,8 @@ impl std::ops::Deref for WireFrame {
 
 /// What the pooled receive path yields.
 pub enum RxMsg {
-    /// A sweep batch, its samples decoded into a pooled buffer in the
-    /// representation they arrived in (f64, or i16 + scale for quantized
-    /// wire) — ready for
-    /// [`crate::engine::EngineHandle::submit_batch_pooled`].
+    /// A sweep batch, its i16 steps decoded into a pooled buffer — ready
+    /// for [`crate::engine::EngineHandle::submit_batch_pooled`].
     Batch(PooledBatch),
     /// Any other message, decoded owned.
     Control(Message),
@@ -85,32 +83,21 @@ pub trait TransportRx: Send {
     /// means the peer closed cleanly.
     fn recv_msg(&mut self) -> io::Result<Option<Message>>;
 
-    /// [`Self::recv_msg`], but sweep batches (either wire form) land as
-    /// [`RxMsg::Batch`] with their samples decoded into a buffer from
-    /// `pools` — the zero-allocation ingest path. f64 batches fill a
-    /// buffer from `pools.f64s`; quantized batches **stay in i16**
-    /// (`pools.i16s`) with their scale attached, feeding the pipeline's
-    /// fixed-point front half. The default decodes owned and repacks;
-    /// the in-tree transports override it to decode straight into the
-    /// pooled buffer.
+    /// [`Self::recv_msg`], but sweep batches land as [`RxMsg::Batch`]
+    /// with their i16 steps decoded into a buffer from `pools.i16s` and
+    /// their scale attached — the zero-allocation ingest path feeding the
+    /// pipeline's fixed-point front half. The default decodes owned and
+    /// repacks; the in-tree transports override it to decode straight
+    /// into the pooled buffer.
     fn recv_msg_pooled(&mut self, pools: &SamplePools) -> io::Result<Option<RxMsg>> {
         Ok(self.recv_msg()?.map(|msg| match msg {
-            Message::SweepBatch(b) => {
-                let shape = b.shape();
-                let mut samples = pools.f64s.get(b.data.len());
-                samples.extend_from_slice(&b.data);
-                RxMsg::Batch(PooledBatch {
-                    shape,
-                    samples: BatchSamples::F64(samples),
-                })
-            }
             Message::SweepBatchQ(q) => {
-                let shape = q.shape();
                 let mut samples = pools.i16s.get(q.data.len());
                 samples.extend_from_slice(&q.data);
                 RxMsg::Batch(PooledBatch {
-                    shape,
-                    samples: BatchSamples::I16(samples, q.scale),
+                    shape: q.shape(),
+                    samples,
+                    scale: q.scale,
                 })
             }
             other => RxMsg::Control(other),
@@ -133,24 +120,21 @@ fn wire_to_io(e: WireError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Packs a [`wire::decode_into_q`] result into an [`RxMsg`], dropping
-/// (recycling) whichever pooled buffer the frame didn't fill.
-fn decoded_to_rx(
-    decoded: DecodedMsgQ,
-    samples: PooledBuf<f64>,
-    samples_q: PooledBuf<i16>,
-) -> RxMsg {
-    match decoded {
-        DecodedMsgQ::Sweeps(shape) => RxMsg::Batch(PooledBatch {
-            shape,
-            samples: BatchSamples::F64(samples),
-        }),
+/// Decodes one frame with [`wire::decode_into_q`], a sweep batch's steps
+/// landing in a buffer from `pools` (recycled at once when the frame is
+/// anything else).
+fn decode_pooled(frame: &[u8], pools: &SamplePools) -> Result<(RxMsg, usize), WireError> {
+    let mut samples = pools.i16s.get(0);
+    let (decoded, used) = wire::decode_into_q(frame, &mut Vec::new(), &mut samples)?;
+    let msg = match decoded {
         DecodedMsgQ::SweepsQ(shape, scale) => RxMsg::Batch(PooledBatch {
             shape,
-            samples: BatchSamples::I16(samples_q, scale),
+            samples,
+            scale,
         }),
         DecodedMsgQ::Other(msg) => RxMsg::Control(msg),
-    }
+    };
+    Ok((msg, used))
 }
 
 /// A frame-scoped decode failure: the frame's bytes were corrupt, but the
@@ -270,16 +254,13 @@ impl TransportRx for InProcRx {
         match self.rx.recv() {
             Err(_) => Ok(None),
             Ok(frame) => {
-                let mut samples = pools.f64s.get(0);
-                let mut samples_q = pools.i16s.get(0);
-                let (decoded, used) = wire::decode_into_q(&frame, &mut samples, &mut samples_q)
-                    .map_err(corrupt_frame)?;
+                let (msg, used) = decode_pooled(&frame, pools).map_err(corrupt_frame)?;
                 if used != frame.len() {
                     return Err(corrupt_frame(WireError::BadPayload(
                         "frame carries extra bytes",
                     )));
                 }
-                Ok(Some(decoded_to_rx(decoded, samples, samples_q)))
+                Ok(Some(msg))
             }
         }
     }
@@ -399,11 +380,8 @@ impl TransportRx for TcpRx {
         let Some(frame) = self.fill_one_frame()? else {
             return Ok(None);
         };
-        let mut samples = pools.f64s.get(0);
-        let mut samples_q = pools.i16s.get(0);
-        let (decoded, _) =
-            wire::decode_into_q(frame, &mut samples, &mut samples_q).map_err(corrupt_frame)?;
-        Ok(Some(decoded_to_rx(decoded, samples, samples_q)))
+        let (msg, _) = decode_pooled(frame, pools).map_err(corrupt_frame)?;
+        Ok(Some(msg))
     }
 }
 

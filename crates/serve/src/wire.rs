@@ -6,63 +6,55 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  the bytes "WTRK" (0x4B525457 as a LE u32)
-//! 4       1     version (currently 3; 1 and 2 still decode)
+//! 4       1     version (4; no other version decodes)
 //! 5       1     message type
 //! 6       2     flags (reserved, must be 0)
 //! 8       4     payload length in bytes
 //! 12      ...   payload
 //! ```
 //!
-//! Message types (client → server unless noted):
+//! Message types (client → server unless noted). Types 2 and 7 are
+//! unassigned and decode as [`WireError::UnknownType`].
 //!
 //! | type | name         | payload |
 //! |------|--------------|---------|
-//! | 1    | `Hello`      | `sensor_id u32, kind u8, n_rx u8, flags u16 (bit0: sender will use quantized batches), samples_per_sweep u32, sweeps_per_frame u32` |
-//! | 2    | `SweepBatch` | `sensor_id u32, seq u64, n_sweeps u16, n_rx u16, samples_per_sweep u32, data [n_sweeps × n_rx × samples_per_sweep] f64` |
+//! | 1    | `Hello`      | `sensor_id u32, kind u8, n_rx u8, flags u16 (bit0: quantized, advisory), samples_per_sweep u32, sweeps_per_frame u32` |
 //! | 3    | `Teardown`   | `sensor_id u32` |
 //! | 4    | `UpdateBatch` (server → client) | `sensor_id u32, seq u64, n_updates u16, reserved u16`, then per update `frame_index u64, time_s f64, n_targets u16, reserved u16`, then per target 64 bytes: `id u64 (u64::MAX = anonymous), x y z f64, vx vy vz f64, flags u8 (bit0 held, bit1 has velocity), pad [7]u8` |
 //! | 5    | `Reject` (server → client) | `sensor_id u32, code u16, reserved u16` |
-//! | 6    | `SweepBatchQ` (v2) | `sensor_id u32, seq u64, n_sweeps u16, n_rx u16, samples_per_sweep u32, scale f64, data [n_sweeps × n_rx × samples_per_sweep] i16` |
-//! | 7    | `Subscribe` (v2) | `room_id u32, flags u16 (bit0 world updates, bit1 events), reserved u16` |
-//! | 8    | `WorldUpdate` (v2, server → client) | `room_id u32, seq u64, epoch u64, time_s f64, n_tracks u16, reserved u16`, then per track 88 bytes: `id u64, x y z f64, vx vy vz f64, var_x var_y var_z f64, flags u8 (bit0 coasting), contributors u8, pad u16, primary_sensor u32 (u32::MAX = none)` |
-//! | 9    | `Event` (v2, server → client) | `room_id u32, kind u16, reserved u16, track u64 (u64::MAX = none), zone u32, sensor_a u32, sensor_b u32, reserved u32, time_s f64, x y z f64, aux f64, aux2 f64` |
-//! | 10   | `StatsQuery` (v2) | `flags u32 (reserved, must be 0)` |
-//! | 11   | `StatsReport` (v2, server → client) | `n_samples u32`, then per sample: `subsystem (u8 len + bytes), name (u8 len + bytes), label_kind u8 (0 global, 1 sensor, 2 room, 3 shard), label_id u32, value_kind u8 (1 counter, 2 gauge, 3 histogram)`, then `u64` for counter, `i64` for gauge, or `count u64, sum u64, min u64, max u64, p50 u64, p90 u64, p99 u64` for histogram |
-//! | 12   | `SubscribeV3` (v3) | `room_id u32, sub_id u64, flags u16 (bit0 world updates, bit1 events), reserved u16, max_update_hz f64, n_ops u16`, then per filter op 17 bytes: `code u8, a u32, b u32, f f64` |
-//! | 13   | `SubscribeAck` (v3, server → client) | `room_id u32, status u16 (0 = ok), reserved u16, sub_id u64` |
-//! | 14   | `SubscriptionStats` (v3, server → client) | `room_id u32, reserved u32, sub_id u64, evaluated u64, matched u64, shed u64, rate_limited u64` |
-//! | 15   | `Unsubscribe` (v3) | `room_id u32, sub_id u64` |
+//! | 6    | `SweepBatchQ` | `sensor_id u32, seq u64, n_sweeps u16, n_rx u16, samples_per_sweep u32, scale f64, data [n_sweeps × n_rx × samples_per_sweep] i16` |
+//! | 8    | `WorldUpdate` (server → client) | `room_id u32, seq u64, epoch u64, time_s f64, n_tracks u16, reserved u16`, then per track 88 bytes: `id u64, x y z f64, vx vy vz f64, var_x var_y var_z f64, flags u8 (bit0 coasting), contributors u8, pad u16, primary_sensor u32 (u32::MAX = none)` |
+//! | 9    | `Event` (server → client) | `room_id u32, kind u16, reserved u16, track u64 (u64::MAX = none), zone u32, sensor_a u32, sensor_b u32, reserved u32, time_s f64, x y z f64, aux f64, aux2 f64` |
+//! | 10   | `StatsQuery` | `flags u32 (reserved, must be 0)` |
+//! | 11   | `StatsReport` (server → client) | `n_samples u32`, then per sample: `subsystem (u8 len + bytes), name (u8 len + bytes), label_kind u8 (0 global, 1 sensor, 2 room, 3 shard), label_id u32, value_kind u8 (1 counter, 2 gauge, 3 histogram)`, then `u64` for counter, `i64` for gauge, or `count u64, sum u64, min u64, max u64, p50 u64, p90 u64, p99 u64` for histogram |
+//! | 12   | `SubscribeV3` | `room_id u32, sub_id u64, flags u16 (bit0 world updates, bit1 events), reserved u16, max_update_hz f64, n_ops u16`, then per filter op 17 bytes: `code u8, a u32, b u32, f f64` |
+//! | 13   | `SubscribeAck` (server → client) | `room_id u32, status u16 (0 = ok), reserved u16, sub_id u64` |
+//! | 14   | `SubscriptionStats` (server → client) | `room_id u32, reserved u32, sub_id u64, evaluated u64, matched u64, shed u64, rate_limited u64` |
+//! | 15   | `Unsubscribe` | `room_id u32, sub_id u64` |
 //!
-//! **Version 2** adds [`SweepBatchQ`]: the same batch shape as
-//! `SweepBatch`, but carrying the baseband as `i16` quantization steps
+//! Sweeps travel in one form, [`SweepBatchQ`]: `i16` quantization steps
 //! plus one `f64` scale per batch (`sample = step × scale`). Real FMCW
-//! front ends digitize at ≤ 16 bits, so the i16 wire is fidelity-neutral
-//! while cutting sample bytes 4× (a 5-sweep × 3-antenna × 2500-sample
-//! frame drops from 300,032 to 75,040 bytes at the paper configuration). A sensor announces it will use the quantized wire via
-//! the `Hello` flag bit 0 ([`Hello::quantized`]); servers accept both
-//! batch forms regardless, so v1 senders keep working unchanged.
+//! front ends digitize at ≤ 16 bits, so the i16 wire is fidelity-neutral;
+//! a 5-sweep × 3-antenna × 2500-sample frame is 75,040 bytes at the paper
+//! configuration. [`SweepBatch`] is the in-process f64 batch a sender
+//! quantizes from; it has no wire type of its own.
 //!
-//! **Version 3** makes subscriptions programmable: [`SubscribeV3`]
-//! (type 12) carries a compiled filter program (see
-//! [`crate::program`]) plus per-subscription rate fields, answered with
-//! a [`SubscribeAck`]; [`Unsubscribe`] (type 15) releases one
-//! subscription and is answered with its final [`SubscriptionStats`].
-//! The v2 `Subscribe` (type 7) still decodes and behaves as a match-all
-//! program, so old clients keep working unchanged. This decoder accepts
-//! frame versions 1 through 3; lower-version frames simply cannot carry
-//! the newer types (v1 stops at type 5, v2 at type 11).
-//!
-//! Types 10/11 are the telemetry pull: a client sends `StatsQuery` and
-//! the server answers with one `StatsReport` carrying a point-in-time
-//! snapshot of every registered metric series (see `witrack_obs`) —
-//! counters, gauges, and histogram summaries with p50/p90/p99.
+//! [`SubscribeV3`] carries a compiled filter program (see
+//! [`crate::program`]) plus per-subscription rate fields and is answered
+//! with a [`SubscribeAck`]; [`Unsubscribe`] releases one subscription and
+//! is answered with its final [`SubscriptionStats`]. Types 10/11 are the
+//! telemetry pull: a client sends `StatsQuery` and the server answers with
+//! one `StatsReport` carrying a point-in-time snapshot of every registered
+//! metric series (see `witrack_obs`) — counters, gauges, and histogram
+//! summaries with p50/p90/p99.
 //!
 //! [`decode`] is incremental-read friendly: on a buffer holding only part
 //! of one frame it returns [`WireError::Incomplete`] with the total frame
 //! length needed, so a streaming reader knows exactly how much more to
 //! fetch. All other errors are fatal for the connection. The hot ingest
-//! path uses [`decode_into`] instead, which dequantizes straight into a
-//! caller-provided (typically pooled) sample buffer and never allocates.
+//! path uses [`decode_into_q`] instead, which copies a batch's i16 steps
+//! straight into a caller-provided (typically pooled) buffer and never
+//! allocates.
 
 use witrack_core::{FrameReport, TargetReport};
 use witrack_fuse::{WorldEvent, WorldFrame, WorldTrackId, WorldTrackSnapshot};
@@ -71,10 +63,9 @@ use witrack_geom::Vec3;
 /// Frame magic: the bytes `"WTRK"` on the wire (value `0x4B52_5457` as a
 /// little-endian u32).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"WTRK");
-/// Current protocol version (encoded into every frame this side sends).
-pub const VERSION: u8 = 3;
-/// Oldest protocol version this decoder still accepts.
-pub const MIN_VERSION: u8 = 1;
+/// The protocol version: encoded into every frame this side sends, and
+/// the only version the decoder accepts.
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on payload length (64 MiB): anything larger is a corrupt or
@@ -120,14 +111,15 @@ pub struct Hello {
     pub samples_per_sweep: u32,
     /// Sweeps per processing frame.
     pub sweeps_per_frame: u32,
-    /// The sensor intends to send [`SweepBatchQ`] (quantized i16) batches
-    /// — wire-v2 negotiation, hello-flags bit 0. Advisory: servers accept
-    /// both batch forms either way, and v1 encoders wrote 0 here, so old
-    /// hellos decode as `false`.
+    /// Hello-flags bit 0, "the sensor sends [`SweepBatchQ`] batches".
+    /// Advisory: every sweep batch is quantized, so the server reads
+    /// nothing from it.
     pub quantized: bool,
 }
 
-/// A batch of consecutive sweep intervals from one sensor.
+/// A batch of consecutive sweep intervals from one sensor, in f64: the
+/// in-process form a sender builds and [`SweepBatchQ::quantize`] reads.
+/// It has no wire type; only its quantized form is sent.
 ///
 /// `data` is flat, sweep-major: sweep `s`, antenna `k` occupies
 /// `data[(s * n_rx + k) * samples .. ][..samples]` (see [`Self::sweep_rx`]).
@@ -198,8 +190,8 @@ impl SweepBatch {
     }
 }
 
-/// The identity + shape header shared by both sweep-batch forms — what
-/// the engine needs once the samples live in a separate (pooled) buffer.
+/// The identity + shape header of a sweep batch — what the engine needs
+/// once the samples live in a separate (pooled) buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepShape {
     /// Which sensor the batch belongs to.
@@ -226,7 +218,7 @@ impl SweepShape {
     }
 }
 
-/// Wire v2: a sweep batch quantized to i16 steps with one shared scale.
+/// The wire's sweep batch: i16 steps with one shared scale.
 ///
 /// `sample = data[i] as f64 * scale`. Quantization uses the batch's peak
 /// magnitude, so the worst-case rounding error is `scale / 2` — about
@@ -285,23 +277,15 @@ impl SweepBatchQ {
         SweepBatchQ::quantize(&SweepBatch::from_sweeps(sensor_id, seq, sweeps))
     }
 
-    /// Dequantizes into `out` (cleared first; reuses its capacity).
-    pub fn dequantize_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.data.iter().map(|&q| q as f64 * self.scale));
-    }
-
     /// Dequantizes into a fresh f64 batch.
     pub fn dequantize(&self) -> SweepBatch {
-        let mut data = Vec::new();
-        self.dequantize_into(&mut data);
         SweepBatch {
             sensor_id: self.sensor_id,
             seq: self.seq,
             n_sweeps: self.n_sweeps,
             n_rx: self.n_rx,
             samples_per_sweep: self.samples_per_sweep,
-            data,
+            data: self.data.iter().map(|&q| q as f64 * self.scale).collect(),
         }
     }
 
@@ -339,19 +323,20 @@ pub struct UpdateBatch {
 /// the code says otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectCode {
-    /// A `SweepBatch` arrived for a sensor that never said `Hello` (or was
+    /// A `SweepBatchQ` arrived for a sensor that never said `Hello` (or was
     /// torn down).
     UnknownSensor,
     /// A `Hello` arrived for a sensor id that already has a live session.
     DuplicateSensor,
-    /// The `Hello` or `SweepBatch` shape disagrees with the server's
+    /// The `Hello` or `SweepBatchQ` shape disagrees with the server's
     /// pipeline configuration (antenna count, sweep length).
     BadConfig,
-    /// A `SweepBatch` sequence number was already consumed; the batch was
+    /// A `SweepBatchQ` sequence number was already consumed; the batch was
     /// discarded.
     StaleSequence,
-    /// A `Subscribe` named a room this server does not fuse (or the
-    /// server runs no world hub at all).
+    /// A `SubscribeV3` named a room this server does not fuse (or the
+    /// server runs no world hub at all), or an `Unsubscribe` named no
+    /// subscription of this connection.
     UnknownSubscription,
     /// A frame arrived whose payload failed to decode (mutated bytes,
     /// bad shape). The stream itself stayed framed — the length prefix
@@ -392,31 +377,7 @@ impl RejectCode {
     }
 }
 
-/// Client → server: subscribe this connection to a fused room's world
-/// stream (wire v2). Replaces per-sensor consumption for clients that
-/// want the world model: occupancy, handoffs, falls — not raw tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Subscribe {
-    /// The room to subscribe to.
-    pub room_id: u32,
-    /// Deliver fused [`WorldUpdateMsg`] frames.
-    pub world_updates: bool,
-    /// Deliver [`EventMsg`] frames.
-    pub events: bool,
-}
-
-impl Subscribe {
-    /// A subscription to everything the room publishes.
-    pub fn all(room_id: u32) -> Subscribe {
-        Subscribe {
-            room_id,
-            world_updates: true,
-            events: true,
-        }
-    }
-}
-
-/// Client → server: a programmable room subscription (wire v3). Carries
+/// Client → server: a programmable room subscription. Carries
 /// a [`FilterProgram`](crate::program::FilterProgram) the hub evaluates
 /// per event before encode/fan-out, plus per-subscription rate fields.
 /// Most clients build one with
@@ -439,22 +400,7 @@ pub struct SubscribeV3 {
     pub program: crate::program::FilterProgram,
 }
 
-impl SubscribeV3 {
-    /// Lifts a v2 [`Subscribe`] into its v3 equivalent: sub id 0,
-    /// match-all program, no rate cap — exactly the old semantics.
-    pub fn from_v2(s: Subscribe) -> SubscribeV3 {
-        SubscribeV3 {
-            room_id: s.room_id,
-            sub_id: 0,
-            world_updates: s.world_updates,
-            events: s.events,
-            max_update_hz: 0.0,
-            program: crate::program::FilterProgram::match_all(),
-        }
-    }
-}
-
-/// Server → client: the hub accepted a [`SubscribeV3`] (wire v3). A
+/// Server → client: the hub accepted a [`SubscribeV3`]. A
 /// refused subscription gets a [`Reject`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubscribeAck {
@@ -466,7 +412,7 @@ pub struct SubscribeAck {
     pub status: u16,
 }
 
-/// Server → client: one subscription's filter counters (wire v3) — sent
+/// Server → client: one subscription's filter counters — sent
 /// as the final reply to an [`Unsubscribe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubscriptionStats {
@@ -484,7 +430,7 @@ pub struct SubscriptionStats {
     pub rate_limited: u64,
 }
 
-/// Client → server: release one subscription (wire v3). The hub stops
+/// Client → server: release one subscription. The hub stops
 /// evaluating it immediately and replies with its final
 /// [`SubscriptionStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -495,7 +441,7 @@ pub struct Unsubscribe {
     pub sub_id: u64,
 }
 
-/// Server → client: one fused world epoch for a room (wire v2).
+/// Server → client: one fused world epoch for a room.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldUpdateMsg {
     /// The room the frame belongs to.
@@ -509,7 +455,7 @@ pub struct WorldUpdateMsg {
     pub frame: WorldFrame,
 }
 
-/// Server → client: one fleet event for a room (wire v2).
+/// Server → client: one fleet event for a room.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventMsg {
     /// The room the event belongs to.
@@ -527,7 +473,7 @@ pub struct Reject {
     pub code: RejectCode,
 }
 
-/// Client → server: request one [`StatsReport`] snapshot (wire v2).
+/// Client → server: request one [`StatsReport`] snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsQuery {
     /// Reserved; must be 0.
@@ -599,7 +545,7 @@ pub struct StatsSample {
     pub value: StatsValue,
 }
 
-/// Server → client: a point-in-time metrics snapshot (wire v2),
+/// Server → client: a point-in-time metrics snapshot,
 /// answering a [`StatsQuery`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
@@ -694,35 +640,31 @@ impl StatsReport {
 pub enum Message {
     /// Session open.
     Hello(Hello),
-    /// Sweep data (f64 wire).
-    SweepBatch(SweepBatch),
     /// Session close.
     Teardown(Teardown),
     /// Server → client frame reports.
     UpdateBatch(UpdateBatch),
     /// Server → client refusal.
     Reject(Reject),
-    /// Sweep data (quantized i16 wire, v2).
+    /// Sweep data (i16 steps plus one scale).
     SweepBatchQ(SweepBatchQ),
-    /// Room subscription (v2).
-    Subscribe(Subscribe),
-    /// Server → client fused world frame (v2). The frame's `events` list
+    /// Server → client fused world frame. The frame's `events` list
     /// is **not** carried — events travel as separate [`EventMsg`]
     /// frames — so it decodes empty.
     WorldUpdate(WorldUpdateMsg),
-    /// Server → client fleet event (v2).
+    /// Server → client fleet event.
     Event(EventMsg),
-    /// Metrics-snapshot request (v2).
+    /// Metrics-snapshot request.
     StatsQuery(StatsQuery),
-    /// Server → client metrics snapshot (v2).
+    /// Server → client metrics snapshot.
     StatsReport(StatsReport),
-    /// Programmable room subscription (v3).
+    /// Programmable room subscription.
     SubscribeV3(SubscribeV3),
-    /// Server → client subscription accept (v3).
+    /// Server → client subscription accept.
     SubscribeAck(SubscribeAck),
-    /// Server → client per-subscription filter counters (v3).
+    /// Server → client per-subscription filter counters.
     SubscriptionStats(SubscriptionStats),
-    /// Release one subscription (v3).
+    /// Release one subscription.
     Unsubscribe(Unsubscribe),
 }
 
@@ -730,12 +672,10 @@ impl Message {
     fn msg_type(&self) -> u8 {
         match self {
             Message::Hello(_) => 1,
-            Message::SweepBatch(_) => 2,
             Message::Teardown(_) => 3,
             Message::UpdateBatch(_) => 4,
             Message::Reject(_) => 5,
             Message::SweepBatchQ(_) => 6,
-            Message::Subscribe(_) => 7,
             Message::WorldUpdate(_) => 8,
             Message::Event(_) => 9,
             Message::StatsQuery(_) => 10,
@@ -824,6 +764,13 @@ fn end_frame(out: &mut [u8], header_at: usize) {
     out[header_at + 8..header_at + 12].copy_from_slice(&payload_len.to_le_bytes());
 }
 
+/// Encoded sizes of the repeated records a count field announces: an
+/// `UpdateBatch` update header, one of its targets, and a `WorldUpdate`
+/// track.
+const UPDATE_LEN: usize = 20;
+const TARGET_LEN: usize = 64;
+const TRACK_LEN: usize = 88;
+
 /// Cursor over a payload; every read checks bounds so truncated inner
 /// structure surfaces as `BadPayload`, never a panic.
 struct Reader<'a> {
@@ -867,6 +814,14 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
     }
 
+    /// How many records of `record_len` bytes to reserve for a count read
+    /// off the wire: at most `claimed`, and no more than the unread
+    /// payload can hold. An untrusted count must not size an allocation
+    /// by itself.
+    fn capacity_for(&self, claimed: u16, record_len: usize) -> usize {
+        (claimed as usize).min((self.buf.len() - self.pos) / record_len)
+    }
+
     fn done(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -904,17 +859,6 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             put_u32(out, h.samples_per_sweep);
             put_u32(out, h.sweeps_per_frame);
         }
-        Message::SweepBatch(b) => {
-            put_u32(out, b.sensor_id);
-            put_u64(out, b.seq);
-            put_u16(out, b.n_sweeps);
-            put_u16(out, b.n_rx);
-            put_u32(out, b.samples_per_sweep);
-            out.reserve(b.data.len() * 8);
-            for &v in &b.data {
-                put_f64(out, v);
-            }
-        }
         Message::SweepBatchQ(b) => {
             put_u32(out, b.sensor_id);
             put_u64(out, b.seq);
@@ -928,11 +872,6 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             }
         }
         Message::Teardown(t) => put_u32(out, t.sensor_id),
-        Message::Subscribe(s) => {
-            put_u32(out, s.room_id);
-            put_u16(out, (s.world_updates as u16) | ((s.events as u16) << 1));
-            put_u16(out, 0);
-        }
         Message::StatsQuery(q) => put_u32(out, q.flags),
         Message::SubscribeV3(s) => {
             put_u32(out, s.room_id);
@@ -1218,18 +1157,11 @@ pub fn decode_header(buf: &[u8]) -> Result<(u8, usize), WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = buf[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let msg_type = buf[5];
-    let max_type = if version >= 3 {
-        15
-    } else if version == 2 {
-        11
-    } else {
-        5
-    };
-    if !(1..=max_type).contains(&msg_type) {
+    if !matches!(msg_type, 1 | 3..=6 | 8..=15) {
         return Err(WireError::UnknownType(msg_type));
     }
     let payload_len = u32::from_le_bytes(buf[8..12].try_into().expect("sized"));
@@ -1246,56 +1178,21 @@ fn read_stats_str(r: &mut Reader<'_>) -> Result<String, WireError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload("metric name not UTF-8"))
 }
 
-/// Reads the shape/identity header both sweep-batch forms share.
-fn read_shape(r: &mut Reader<'_>) -> Result<SweepShape, WireError> {
-    Ok(SweepShape {
+/// Reads a `SweepBatchQ` payload: appends its i16 steps to `out` and
+/// returns the shape and scale. Samples are the payload's last field, so
+/// the payload is checked exhausted before anything is appended: on any
+/// error `out` is left as it was.
+fn read_sweeps_q(r: &mut Reader<'_>, out: &mut Vec<i16>) -> Result<(SweepShape, f64), WireError> {
+    let shape = SweepShape {
         sensor_id: r.u32()?,
         seq: r.u64()?,
         n_sweeps: r.u16()?,
         n_rx: r.u16()?,
         samples_per_sweep: r.u32()?,
-    })
-}
-
-/// Appends a `SweepBatch`'s f64 samples to `out` without intermediate
-/// allocation (beyond `out`'s own growth, a no-op for pooled buffers at
-/// steady state).
-fn read_f64_samples(
-    r: &mut Reader<'_>,
-    shape: &SweepShape,
-    out: &mut Vec<f64>,
-) -> Result<(), WireError> {
-    let bytes = r.take(
-        shape
-            .sample_count()
-            .checked_mul(8)
-            .ok_or(WireError::BadPayload("overflow"))?,
-    )?;
-    out.reserve(shape.sample_count());
-    let start = out.len();
-    out.extend(
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("sized"))),
-    );
-    // A NaN/Inf sample would poison every filter downstream; a frame
-    // carrying one is corrupt no matter how well it framed.
-    if !out[start..].iter().all(|v| v.is_finite()) {
-        out.truncate(start);
-        return Err(WireError::BadPayload("non-finite sample"));
-    }
-    Ok(())
-}
-
-/// Appends a `SweepBatchQ`'s samples to `out`, dequantized to f64.
-fn read_i16_samples(
-    r: &mut Reader<'_>,
-    shape: &SweepShape,
-    scale: f64,
-    out: &mut Vec<f64>,
-) -> Result<(), WireError> {
+    };
+    let scale = r.f64()?;
     // i16 steps are always finite, so only the scale can smuggle in a
-    // NaN/Inf (and with it, poison the whole frame).
+    // NaN/Inf (and with it, poison every sample of the frame).
     if !scale.is_finite() {
         return Err(WireError::BadPayload("non-finite sample"));
     }
@@ -1305,67 +1202,38 @@ fn read_i16_samples(
             .checked_mul(2)
             .ok_or(WireError::BadPayload("overflow"))?,
     )?;
-    out.reserve(shape.sample_count());
-    out.extend(
-        bytes
-            .chunks_exact(2)
-            .map(|c| i16::from_le_bytes(c.try_into().expect("sized")) as f64 * scale),
-    );
-    Ok(())
-}
-
-/// Appends a `SweepBatchQ`'s samples to `out` **still quantized** — the
-/// i16 pass-through ingest path (the scale is returned to the caller via
-/// [`DecodedMsgQ::SweepsQ`]).
-fn read_i16_samples_raw(
-    r: &mut Reader<'_>,
-    shape: &SweepShape,
-    out: &mut Vec<i16>,
-) -> Result<(), WireError> {
-    let bytes = r.take(
-        shape
-            .sample_count()
-            .checked_mul(2)
-            .ok_or(WireError::BadPayload("overflow"))?,
-    )?;
+    r.done()?;
     out.reserve(shape.sample_count());
     out.extend(
         bytes
             .chunks_exact(2)
             .map(|c| i16::from_le_bytes(c.try_into().expect("sized"))),
     );
-    Ok(())
-}
-
-/// What [`decode_into`] yielded.
-#[derive(Debug, PartialEq)]
-pub enum DecodedMsg {
-    /// The frame was a sweep batch (either form); its samples — already
-    /// dequantized to f64 — were appended to the caller's buffer.
-    Sweeps(SweepShape),
-    /// Any other message, decoded owned.
-    Other(Message),
+    Ok((shape, scale))
 }
 
 /// What [`decode_into_q`] yielded.
 #[derive(Debug, PartialEq)]
 pub enum DecodedMsgQ {
-    /// An f64 sweep batch; samples appended to the caller's f64 buffer.
-    Sweeps(SweepShape),
-    /// A quantized sweep batch kept **in i16** (samples appended to the
-    /// caller's i16 buffer) with its dequantization scale.
+    /// A sweep batch, its i16 steps appended to the caller's buffer, with
+    /// its dequantization scale.
     SweepsQ(SweepShape, f64),
     /// Any other message, decoded owned.
     Other(Message),
 }
 
-/// [`decode_into`], except quantized batches stay in i16: their samples
-/// are appended to `samples_q` verbatim and the scale rides along in
-/// [`DecodedMsgQ::SweepsQ`]. This is the ingest hot path for i16 wire
-/// sensors — the samples cross the shard queue at a quarter of the f64
-/// memory traffic and feed the pipeline's fixed-point front half without
-/// ever being dequantized in bulk. Both buffers are cleared first; only
-/// the one matching the frame's representation is filled.
+/// [`decode`], except a sweep batch's i16 steps are appended to
+/// `samples_q` (cleared first, capacity reused) instead of a fresh
+/// allocation, and its scale rides along in [`DecodedMsgQ::SweepsQ`].
+/// This is the ingest hot path: with a recycled buffer, decoding a sweep
+/// frame touches the heap zero times at steady state, and the samples
+/// reach the pipeline's fixed-point front half without ever being
+/// dequantized in bulk. Non-sweep messages decode owned, exactly as
+/// [`decode`] would; they, and every error, leave `samples_q` empty.
+///
+/// `samples` is cleared and never filled: the wire has no f64 sample
+/// form. The parameter stays so existing callers, the fleet benchmark
+/// among them, keep their signature.
 pub fn decode_into_q(
     buf: &[u8],
     samples: &mut Vec<f64>,
@@ -1374,64 +1242,14 @@ pub fn decode_into_q(
     samples.clear();
     samples_q.clear();
     let (msg_type, frame_len) = decode_header(buf)?;
+    if msg_type != 6 {
+        return decode(buf).map(|(msg, used)| (DecodedMsgQ::Other(msg), used));
+    }
     if buf.len() < frame_len {
         return Err(WireError::Incomplete { needed: frame_len });
     }
-    match msg_type {
-        2 => {
-            let mut r = Reader::new(&buf[HEADER_LEN..frame_len]);
-            let shape = read_shape(&mut r)?;
-            read_f64_samples(&mut r, &shape, samples)?;
-            r.done()?;
-            Ok((DecodedMsgQ::Sweeps(shape), frame_len))
-        }
-        6 => {
-            let mut r = Reader::new(&buf[HEADER_LEN..frame_len]);
-            let shape = read_shape(&mut r)?;
-            let scale = r.f64()?;
-            // Same rejection as the dequantizing path: a non-finite scale
-            // poisons every downstream sample.
-            if !scale.is_finite() {
-                return Err(WireError::BadPayload("non-finite sample"));
-            }
-            read_i16_samples_raw(&mut r, &shape, samples_q)?;
-            r.done()?;
-            Ok((DecodedMsgQ::SweepsQ(shape, scale), frame_len))
-        }
-        _ => decode(buf).map(|(msg, used)| (DecodedMsgQ::Other(msg), used)),
-    }
-}
-
-/// [`decode`], except sweep-batch samples are written into `samples`
-/// (cleared first, capacity reused) instead of a fresh allocation —
-/// quantized batches dequantize on the way in. This is the ingest hot
-/// path: with a recycled `samples` buffer, decoding a sweep frame touches
-/// the heap zero times at steady state. Non-sweep messages decode owned,
-/// exactly as [`decode`] would, leaving `samples` empty.
-pub fn decode_into(buf: &[u8], samples: &mut Vec<f64>) -> Result<(DecodedMsg, usize), WireError> {
-    samples.clear();
-    let (msg_type, frame_len) = decode_header(buf)?;
-    if buf.len() < frame_len {
-        return Err(WireError::Incomplete { needed: frame_len });
-    }
-    match msg_type {
-        2 => {
-            let mut r = Reader::new(&buf[HEADER_LEN..frame_len]);
-            let shape = read_shape(&mut r)?;
-            read_f64_samples(&mut r, &shape, samples)?;
-            r.done()?;
-            Ok((DecodedMsg::Sweeps(shape), frame_len))
-        }
-        6 => {
-            let mut r = Reader::new(&buf[HEADER_LEN..frame_len]);
-            let shape = read_shape(&mut r)?;
-            let scale = r.f64()?;
-            read_i16_samples(&mut r, &shape, scale, samples)?;
-            r.done()?;
-            Ok((DecodedMsg::Sweeps(shape), frame_len))
-        }
-        _ => decode(buf).map(|(msg, used)| (DecodedMsg::Other(msg), used)),
-    }
+    let (shape, scale) = read_sweeps_q(&mut Reader::new(&buf[HEADER_LEN..frame_len]), samples_q)?;
+    Ok((DecodedMsgQ::SweepsQ(shape, scale), frame_len))
 }
 
 /// Decodes one message from the start of `buf`, returning it and the number
@@ -1459,37 +1277,9 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
                 quantized: flags & 0b1 != 0,
             })
         }
-        2 => {
-            let (shape, mut data) = (read_shape(&mut r)?, Vec::new());
-            read_f64_samples(&mut r, &shape, &mut data)?;
-            Message::SweepBatch(SweepBatch {
-                sensor_id: shape.sensor_id,
-                seq: shape.seq,
-                n_sweeps: shape.n_sweeps,
-                n_rx: shape.n_rx,
-                samples_per_sweep: shape.samples_per_sweep,
-                data,
-            })
-        }
         6 => {
-            let shape = read_shape(&mut r)?;
-            let scale = r.f64()?;
-            // Decoded batches stay quantized, but a non-finite scale
-            // poisons every sample at dequantization — same rejection
-            // as the eager path in `read_i16_samples`.
-            if !scale.is_finite() {
-                return Err(WireError::BadPayload("non-finite sample"));
-            }
-            let count = shape.sample_count();
-            let bytes = r.take(
-                count
-                    .checked_mul(2)
-                    .ok_or(WireError::BadPayload("overflow"))?,
-            )?;
-            let data = bytes
-                .chunks_exact(2)
-                .map(|c| i16::from_le_bytes(c.try_into().expect("sized")))
-                .collect();
+            let mut data = Vec::new();
+            let (shape, scale) = read_sweeps_q(&mut r, &mut data)?;
             Message::SweepBatchQ(SweepBatchQ {
                 sensor_id: shape.sensor_id,
                 seq: shape.seq,
@@ -1508,13 +1298,13 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
             let seq = r.u64()?;
             let n_updates = r.u16()?;
             let _reserved = r.u16()?;
-            let mut updates = Vec::with_capacity(n_updates as usize);
+            let mut updates = Vec::with_capacity(r.capacity_for(n_updates, UPDATE_LEN));
             for _ in 0..n_updates {
                 let frame_index = r.u64()?;
                 let time_s = r.f64()?;
                 let n_targets = r.u16()?;
                 let _reserved = r.u16()?;
-                let mut targets = Vec::with_capacity(n_targets as usize);
+                let mut targets = Vec::with_capacity(r.capacity_for(n_targets, TARGET_LEN));
                 for _ in 0..n_targets {
                     let id = r.u64()?;
                     let position = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
@@ -1526,7 +1316,7 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
                         position,
                         velocity: (flags & 0b10 != 0).then_some(velocity),
                         held: flags & 0b1 != 0,
-                        // The v1 per-sensor update record does not carry
+                        // The per-sensor update record does not carry
                         // uncertainty; world-level tracks do (WorldUpdate).
                         pos_var: None,
                         innovation: None,
@@ -1550,16 +1340,6 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
             let _reserved = r.u16()?;
             Message::Reject(Reject { sensor_id, code })
         }
-        7 => {
-            let room_id = r.u32()?;
-            let flags = r.u16()?;
-            let _reserved = r.u16()?;
-            Message::Subscribe(Subscribe {
-                room_id,
-                world_updates: flags & 0b1 != 0,
-                events: flags & 0b10 != 0,
-            })
-        }
         8 => {
             let room_id = r.u32()?;
             let seq = r.u64()?;
@@ -1567,7 +1347,7 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
             let time_s = r.f64()?;
             let n_tracks = r.u16()?;
             let _reserved = r.u16()?;
-            let mut tracks = Vec::with_capacity(n_tracks as usize);
+            let mut tracks = Vec::with_capacity(r.capacity_for(n_tracks, TRACK_LEN));
             for _ in 0..n_tracks {
                 let id = WorldTrackId(r.u64()?);
                 let mut vecs = [Vec3::ZERO; 3];
@@ -1815,60 +1595,56 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_the_sample_buffer() {
+    fn decode_into_q_reuses_the_sample_buffer() {
         let b = SweepBatch::from_sweeps(3, 1, &[vec![vec![1.0, -2.0], vec![0.5, 4.0]]]);
-        let frame_f = encode(&Message::SweepBatch(b.clone()));
-        let frame_q = encode(&Message::SweepBatchQ(SweepBatchQ::quantize(&b)));
-        let mut samples = Vec::with_capacity(64);
-        let ptr = samples.as_ptr();
-        let (d, used) = decode_into(&frame_f, &mut samples).unwrap();
-        assert_eq!(used, frame_f.len());
-        assert_eq!(d, DecodedMsg::Sweeps(b.shape()));
-        assert_eq!(samples, b.data);
-        assert_eq!(samples.as_ptr(), ptr, "no reallocation");
-        let (d, _) = decode_into(&frame_q, &mut samples).unwrap();
-        assert_eq!(d, DecodedMsg::Sweeps(b.shape()));
-        assert_eq!(samples.as_ptr(), ptr, "no reallocation on the i16 path");
-        let half_step = SweepBatchQ::quantize(&b).scale * 0.5 + 1e-12;
-        for (x, y) in b.data.iter().zip(&samples) {
-            assert!((x - y).abs() <= half_step);
-        }
+        let q = SweepBatchQ::quantize(&b);
+        let frame = encode(&Message::SweepBatchQ(q.clone()));
+        let (mut samples, mut samples_q) = (vec![7.0], Vec::with_capacity(64));
+        let ptr = samples_q.as_ptr();
+        let (d, used) = decode_into_q(&frame, &mut samples, &mut samples_q).unwrap();
+        assert_eq!(used, frame.len());
+        assert_eq!(d, DecodedMsgQ::SweepsQ(q.shape(), q.scale));
+        assert_eq!(samples_q, q.data);
+        assert_eq!(samples_q.as_ptr(), ptr, "no reallocation");
+        assert!(
+            samples.is_empty(),
+            "the f64 buffer is cleared, never filled"
+        );
         // Non-sweep frames pass through owned and leave the buffer empty.
-        let (d, _) = decode_into(
+        let (d, _) = decode_into_q(
             &encode(&Message::Teardown(Teardown { sensor_id: 5 })),
             &mut samples,
+            &mut samples_q,
         )
         .unwrap();
         assert_eq!(
             d,
-            DecodedMsg::Other(Message::Teardown(Teardown { sensor_id: 5 }))
+            DecodedMsgQ::Other(Message::Teardown(Teardown { sensor_id: 5 }))
         );
-        assert!(samples.is_empty());
+        assert!(samples_q.is_empty());
     }
 
     #[test]
-    fn non_finite_samples_are_rejected_at_decode() {
-        // A NaN that framed perfectly is still a corrupt frame: it must
-        // come back BadPayload, not ride into the DSP.
-        let b = SweepBatch::from_sweeps(1, 0, &[vec![vec![1.0, f64::NAN], vec![0.5, 4.0]]]);
-        let frame = encode(&Message::SweepBatch(b));
+    fn non_finite_scale_is_rejected_at_decode() {
+        // A NaN/Inf scale that framed perfectly is still a corrupt frame:
+        // it must come back BadPayload, not ride into the DSP.
+        let finite = SweepBatch::from_sweeps(1, 0, &[vec![vec![1.0, -2.0], vec![0.5, 4.0]]]);
+        let mut q = SweepBatchQ::quantize(&finite);
+        q.scale = f64::INFINITY;
+        let frame = encode(&Message::SweepBatchQ(q));
         assert!(matches!(
             decode(&frame),
             Err(WireError::BadPayload("non-finite sample"))
         ));
-        let mut samples = vec![7.0];
-        assert!(decode_into(&frame, &mut samples).is_err());
-        assert!(samples.is_empty(), "partial decode must not leak samples");
-
-        // Same for an i16 batch whose scale smuggles in the non-finite.
-        let finite = SweepBatch::from_sweeps(1, 0, &[vec![vec![1.0, -2.0], vec![0.5, 4.0]]]);
-        let mut q = SweepBatchQ::quantize(&finite);
-        q.scale = f64::INFINITY;
-        let frame_q = encode(&Message::SweepBatchQ(q));
+        let mut samples_q = vec![7];
         assert!(matches!(
-            decode(&frame_q),
+            decode_into_q(&frame, &mut Vec::new(), &mut samples_q),
             Err(WireError::BadPayload("non-finite sample"))
         ));
+        assert!(
+            samples_q.is_empty(),
+            "a rejected frame must not leak samples"
+        );
     }
 
     #[test]
@@ -1887,13 +1663,14 @@ mod tests {
         assert_eq!(used, frame.len());
         assert_eq!(back, Message::SubscribeV3(sub));
         // Match-all (empty program) survives too.
-        let empty = SubscribeV3::from_v2(Subscribe::all(2));
+        let empty = SubscriptionBuilder::room(2).build();
         let frame = encode(&Message::SubscribeV3(empty.clone()));
-        assert_eq!(decode(&frame).unwrap().0, Message::SubscribeV3(empty));
+        assert_eq!(
+            decode(&frame).unwrap().0,
+            Message::SubscribeV3(empty.clone())
+        );
         // A frame claiming more ops than the budget is refused outright.
-        let mut hostile = encode(&Message::SubscribeV3(SubscribeV3::from_v2(Subscribe::all(
-            2,
-        ))));
+        let mut hostile = encode(&Message::SubscribeV3(empty));
         let n_ops_at = HEADER_LEN + 4 + 8 + 2 + 2 + 8;
         hostile[n_ops_at..n_ops_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(matches!(decode(&hostile), Err(WireError::BadPayload(_))));
@@ -1924,29 +1701,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_still_decode_but_cannot_carry_type_12() {
-        let mut frame = encode(&Message::Subscribe(Subscribe::all(4)));
-        frame[4] = 2; // rewrite as a v2 frame
-        assert!(decode(&frame).is_ok());
-        let mut v3 = encode(&Message::Unsubscribe(Unsubscribe {
-            room_id: 4,
-            sub_id: 1,
-        }));
-        v3[4] = 2;
-        assert_eq!(decode(&v3), Err(WireError::UnknownType(15)));
-    }
-
-    #[test]
-    fn v1_frames_still_decode_but_cannot_carry_type_6() {
+    fn only_version_4_decodes_and_types_2_and_7_are_gone() {
         let mut frame = encode(&Message::Teardown(Teardown { sensor_id: 2 }));
-        frame[4] = 1; // rewrite as a v1 frame
         assert!(decode(&frame).is_ok());
-        let mut q = encode(&Message::SweepBatchQ(SweepBatchQ::from_sweeps(
-            1,
-            0,
-            &[vec![vec![1.0, 2.0]]],
-        )));
-        q[4] = 1;
-        assert_eq!(decode(&q), Err(WireError::UnknownType(6)));
+        frame[4] = 3; // rewrite as a version-3 frame
+        assert_eq!(decode(&frame), Err(WireError::UnsupportedVersion(3)));
+        for retired in [2, 7] {
+            let mut frame = encode(&Message::Teardown(Teardown { sensor_id: 2 }));
+            frame[5] = retired;
+            assert_eq!(decode(&frame), Err(WireError::UnknownType(retired)));
+        }
     }
 }

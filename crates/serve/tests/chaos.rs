@@ -27,8 +27,7 @@ use witrack_serve::transport::{
     TransportTx,
 };
 use witrack_serve::wire::{
-    self, Hello, Message, PipelineKind, RejectCode, Subscribe, SweepBatch, SweepBatchQ, Teardown,
-    HEADER_LEN,
+    self, Hello, Message, PipelineKind, RejectCode, StatsQuery, SweepBatchQ, Teardown, HEADER_LEN,
 };
 use witrack_serve::{
     BackoffConfig, ReconnectingClient, SensorClient, Server, SubscriptionBuilder, TcpServer,
@@ -74,10 +73,16 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
             sweeps_per_frame: 5,
             quantized: false,
         }),
-        Message::SweepBatch(SweepBatch::from_sweeps(42, 7, &sweeps)),
         Message::SweepBatchQ(SweepBatchQ::from_sweeps(42, 8, &sweeps)),
         Message::Teardown(Teardown { sensor_id: 42 }),
-        Message::Subscribe(Subscribe::all(3)),
+        Message::SubscribeV3(
+            SubscriptionBuilder::room(3)
+                .id(5)
+                .zone(2)
+                .rate_limit(2.0, 4)
+                .build(),
+        ),
+        Message::StatsQuery(StatsQuery::default()),
     ];
     msgs.iter().map(wire::encode).collect()
 }
@@ -92,8 +97,8 @@ fn decode_all_ways(buf: &[u8]) {
     if let Ok((_, used)) = wire::decode(buf) {
         assert!(used >= HEADER_LEN && used <= buf.len());
     }
-    let mut samples = Vec::new();
-    if let Ok((_, used)) = wire::decode_into(buf, &mut samples) {
+    let (mut samples, mut samples_q) = (Vec::new(), Vec::new());
+    if let Ok((_, used)) = wire::decode_into_q(buf, &mut samples, &mut samples_q) {
         assert!(used >= HEADER_LEN && used <= buf.len());
     }
 }
@@ -149,11 +154,12 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Server-side hardening over a real socket.
 
-/// A frame with a valid header (type 2 = SweepBatch, correct length) whose
-/// payload cannot decode: 4 bytes where the shape preamble needs 20+.
+/// A frame with a valid header (type 6 = SweepBatchQ, correct length)
+/// whose payload cannot decode: 4 bytes where the shape preamble needs
+/// 20+.
 fn corrupt_sweep_frame() -> Vec<u8> {
     let mut f = wire::encode(&Message::Teardown(Teardown { sensor_id: 0 }));
-    f[5] = 2;
+    f[5] = 6;
     f
 }
 
@@ -193,14 +199,14 @@ fn corrupt_payload_draws_a_reject_and_the_session_survives() {
     .expect("hello");
     // A corrupt frame between two valid batches: the stream must survive
     // it and the batches on either side must still process.
-    tx.send_msg(&Message::SweepBatch(SweepBatch::from_sweeps(
+    tx.send_msg(&Message::SweepBatchQ(SweepBatchQ::from_sweeps(
         1,
         0,
         &silent_sweeps(&base),
     )))
     .expect("batch 0");
     tx.send_frame(corrupt_sweep_frame()).expect("corrupt frame");
-    tx.send_msg(&Message::SweepBatch(SweepBatch::from_sweeps(
+    tx.send_msg(&Message::SweepBatchQ(SweepBatchQ::from_sweeps(
         1,
         1,
         &silent_sweeps(&base),
@@ -245,7 +251,7 @@ fn mid_frame_eof_is_recorded_as_truncated_stream() {
     {
         let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
         // A valid frame, cut off mid-payload — then the peer "crashes".
-        let frame = wire::encode(&Message::SweepBatch(SweepBatch::from_sweeps(
+        let frame = wire::encode(&Message::SweepBatchQ(SweepBatchQ::from_sweeps(
             1,
             0,
             &vec![vec![vec![1.0; 32]; 3]; 2],

@@ -10,7 +10,7 @@ use witrack_serve::engine::{EngineConfig, EngineEvent, OverloadPolicy, ShardedEn
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::server::{Server, TcpServer};
 use witrack_serve::transport::{in_proc_pair, TcpTransport};
-use witrack_serve::wire::{Message, PipelineKind, SweepBatch};
+use witrack_serve::wire::{Message, PipelineKind, SweepBatchQ};
 use witrack_serve::SensorClient;
 
 fn reduced_base() -> WiTrackConfig {
@@ -172,7 +172,7 @@ impl FramePipeline for SlowPipeline {
         3
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps_flat_q(&mut self, _: &[i16], _: usize, _: f64) -> Option<FrameReport> {
         std::thread::sleep(std::time::Duration::from_millis(20));
         let r = FrameReport {
             frame_index: self.frame,
@@ -217,7 +217,7 @@ fn drop_newest_sheds_load_and_counts_it() {
     let mut queued = 0;
     let mut dropped = 0;
     for seq in 0..50u64 {
-        let batch = SweepBatch::from_sweeps(0, seq, &[vec![vec![0.0; 4]; 3]]);
+        let batch = SweepBatchQ::from_sweeps(0, seq, &[vec![vec![0.0; 4]; 3]]);
         match handle.submit_batch(batch).unwrap() {
             Submitted::Queued => queued += 1,
             Submitted::Dropped => dropped += 1,
@@ -259,7 +259,7 @@ fn wrong_sweep_length_batch_is_refused_not_a_panic() {
     // Self-consistent wire batch whose sweeps are 10 samples instead of
     // the configured length: must bounce as BadConfig, not reach the
     // pipeline's panicking length assert and kill the shard.
-    let bad = SweepBatch::from_sweeps(5, 0, &[vec![vec![0.0; 10]; 3]]);
+    let bad = SweepBatchQ::from_sweeps(5, 0, &[vec![vec![0.0; 10]; 3]]);
     handle.submit_batch(bad).unwrap();
     match events.recv().unwrap() {
         EngineEvent::Rejected(r) => {
@@ -270,7 +270,7 @@ fn wrong_sweep_length_batch_is_refused_not_a_panic() {
     }
     // The shard survived: a well-shaped frame still processes.
     handle
-        .submit_batch(SweepBatch::from_sweeps(5, 1, &silent_frame(&base)))
+        .submit_batch(SweepBatchQ::from_sweeps(5, 1, &silent_frame(&base)))
         .unwrap();
     match events.recv().unwrap() {
         EngineEvent::Updates(u) => assert_eq!(u.updates.len(), 1),

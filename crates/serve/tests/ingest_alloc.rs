@@ -70,28 +70,6 @@ impl FramePipeline for NullPipeline {
         self.n_rx
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.sweeps += 1;
-        None
-    }
-
-    fn process_sweeps_flat(&mut self, flat: &[f64], samples: usize) -> Option<FrameReport> {
-        assert_eq!(flat.len(), samples * self.n_rx);
-        self.sweeps += 1;
-        // Stall the first few (warmup) batches so the producer blocks on
-        // the 1-deep shard queue: the channel's sender-side waker
-        // structures are allocated lazily on first block, and that must
-        // happen inside warmup, not mid-measurement.
-        if self.sweeps <= 15 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        None
-    }
-
-    // Consume quantized sweeps in place — the trait's *default* would
-    // dequantize into a fresh `Vec<f64>`, which is exactly the allocation
-    // the i16 pass-through path exists to avoid (real pipelines override
-    // this the same way).
     fn process_sweeps_flat_q(
         &mut self,
         flat: &[i16],
@@ -100,6 +78,10 @@ impl FramePipeline for NullPipeline {
     ) -> Option<FrameReport> {
         assert_eq!(flat.len(), samples * self.n_rx);
         self.sweeps += 1;
+        // Stall the first few (warmup) batches so the producer blocks on
+        // the 1-deep shard queue: the channel's sender-side waker
+        // structures are allocated lazily on first block, and that must
+        // happen inside warmup, not mid-measurement.
         if self.sweeps <= 15 {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }

@@ -1,8 +1,7 @@
-//! Programmable subscriptions (wire v3), end to end: decoder fuzzing
-//! (malformed filter programs must reject, never panic), install-time
-//! `BadProgram` rejects over the wire, `SubscribeAck` plumbing, the
-//! unsubscribe path actually stopping hub work, and the deprecated v2
-//! `Subscribe` shim staying wire-compatible.
+//! Programmable subscriptions, end to end: decoder fuzzing (malformed
+//! filter programs must reject, never panic), install-time `BadProgram`
+//! rejects over the wire, `SubscribeAck` plumbing, and the unsubscribe
+//! path actually stopping hub work.
 //!
 //! The end-to-end tests drive the hub through a stub [`FramePipeline`]
 //! whose "walker" oscillates across a zone boundary — real RF simulation
@@ -17,9 +16,9 @@ use witrack_geom::{RigidTransform, Vec3};
 use witrack_serve::engine::PipelineFactory;
 use witrack_serve::hub::WorldConfig;
 use witrack_serve::program::MAX_PROGRAM_OPS;
-use witrack_serve::transport::{in_proc_pair, TransportTx};
+use witrack_serve::transport::in_proc_pair;
 use witrack_serve::wire::{
-    self, Hello, Message, PipelineKind, RejectCode, Subscribe, SubscribeAck, SubscribeV3,
+    self, Hello, Message, PipelineKind, RejectCode, SubscribeAck, SubscribeV3,
 };
 use witrack_serve::{
     EventKind, FilterProgram, MetricsSnapshot, Op, SensorClient, Server, SubscriptionBuilder,
@@ -177,7 +176,7 @@ impl FramePipeline for WalkerStub {
         1
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps_flat_q(&mut self, _: &[i16], _: usize, _: f64) -> Option<FrameReport> {
         let i = self.frame;
         self.frame += 1;
         // Triangle wave, period 20 frames, 0..1.5 m at 1.5 m/s — slow
@@ -527,39 +526,4 @@ fn selective_filters_match_a_strict_subset() {
         selective.matched,
         firehose.matched
     );
-}
-
-// ---------------------------------------------------------------------------
-// The deprecated v2 shim.
-
-/// An old client speaking wire-v2 `Subscribe` still gets the room
-/// stream — no ack (the type predates acks), same updates and events.
-/// The frame goes over the raw transport: no current client API emits
-/// v2 `Subscribe` anymore, but the server must keep honouring it.
-#[test]
-fn v2_subscribe_shim_still_serves_the_world_stream() {
-    let server = Server::builder(stub_factory()).world(stub_world()).start();
-    let (client_end, server_end) = in_proc_pair(64);
-    server.attach(server_end).expect("attach");
-    let mut client = SensorClient::connect(client_end).expect("connect");
-
-    client
-        .tx()
-        .send_msg(&Message::Subscribe(Subscribe::all(ROOM)))
-        .expect("v2 subscribe");
-    client.hello(stub_hello(0)).expect("hello");
-    stream_frames(&mut client, 0, 60);
-    wait_until("world stream over the v2 shim", || {
-        let s = client.stats();
-        s.world_updates > 0 && s.world_events > 0
-    });
-    let stats = client.close();
-    let m = server.shutdown();
-
-    assert_eq!(stats.rejects, 0);
-    assert_eq!(
-        stats.subscribe_acks, 0,
-        "v2 clients must not receive v3 ack frames"
-    );
-    assert_eq!(m.subscriptions_opened, 1, "the shim installs one sub");
 }

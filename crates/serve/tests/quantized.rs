@@ -1,11 +1,11 @@
 //! The quantized wire must be fidelity-neutral: i16 quantization stays
-//! within its half-step bound on arbitrary signals, and a tracker fed
-//! quantized batches reports the same positions (within 1 mm) as one fed
-//! the f64 wire, on a real FleetSimulator scenario.
+//! within its half-step bound on arbitrary signals, and a served tracker
+//! fed quantized batches is as accurate (within 1 mm) as the in-process
+//! tracker fed the f64 samples, on a real FleetSimulator scenario.
 
 use proptest::prelude::*;
-use witrack_core::{TargetReport, WiTrackConfig};
-use witrack_fmcw::SweepConfig;
+use witrack_core::{FrameReport, TargetReport, WiTrack, WiTrackConfig};
+use witrack_fmcw::{SweepConfig, Sweeps};
 use witrack_serve::engine::{EngineConfig, EngineEvent, OverloadPolicy, ShardedEngine};
 use witrack_serve::factory::{hello_quantized_for, witrack_factory};
 use witrack_serve::wire::{Message, PipelineKind, SweepBatch, SweepBatchQ};
@@ -62,14 +62,9 @@ proptest! {
     }
 }
 
-/// Runs one recorded room through a fresh single-shard engine, returning
-/// every emitted frame's `(index, time, targets)`. `quantize` selects the
-/// wire form.
-fn track_room(
-    base: &WiTrackConfig,
-    room: &[Vec<Vec<f64>>],
-    quantize: bool,
-) -> Vec<(u64, f64, Vec<TargetReport>)> {
+/// Runs one recorded room through a fresh single-shard engine over the
+/// i16 wire, returning every emitted frame's `(index, time, targets)`.
+fn serve_room(base: &WiTrackConfig, room: &[Vec<Vec<f64>>]) -> Vec<(u64, f64, Vec<TargetReport>)> {
     let (engine, events) = ShardedEngine::start(
         EngineConfig {
             num_shards: 1,
@@ -87,13 +82,8 @@ fn track_room(
         )))
         .unwrap();
     for (seq, frame) in room.chunks_exact(base.sweep.sweeps_per_frame).enumerate() {
-        let batch = SweepBatch::from_sweeps(0, seq as u64, frame);
-        let msg = if quantize {
-            Message::SweepBatchQ(SweepBatchQ::quantize(&batch))
-        } else {
-            Message::SweepBatch(batch)
-        };
-        handle.submit(msg).unwrap();
+        let batch = SweepBatchQ::from_sweeps(0, seq as u64, frame);
+        handle.submit(Message::SweepBatchQ(batch)).unwrap();
     }
     engine.shutdown();
     let mut out = Vec::new();
@@ -107,16 +97,33 @@ fn track_room(
     out
 }
 
+/// The in-process reference: the same room pushed as f64 samples straight
+/// into a `WiTrack`, with no wire in between.
+fn track_room_f64(
+    base: &WiTrackConfig,
+    room: &[Vec<Vec<f64>>],
+) -> Vec<(u64, f64, Vec<TargetReport>)> {
+    let mut wt = WiTrack::new(*base).unwrap();
+    room.iter()
+        .filter_map(|sweep| {
+            let refs: Vec<&[f64]> = sweep.iter().map(Vec::as_slice).collect();
+            wt.push(Sweeps::PerRx(&refs)).map(FrameReport::from)
+        })
+        .map(|r| (r.frame_index, r.time_s, r.targets))
+        .collect()
+}
+
 fn median(xs: &[f64]) -> f64 {
     let mut v = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
 }
 
-/// End-to-end equivalence on a FleetSimulator walker: a tracker fed the
-/// quantized wire must be exactly as *accurate* (3D error against ground
-/// truth) as one fed the f64 wire — medians within 1 mm — and the two
-/// trajectories must agree frame by frame to well within a range bin.
+/// End-to-end equivalence on a FleetSimulator walker: a tracker served
+/// over the quantized wire must be exactly as *accurate* (3D error
+/// against ground truth) as the in-process tracker fed f64 samples —
+/// medians within 1 mm — and the two trajectories must agree frame by
+/// frame to well within a range bin.
 ///
 /// The per-frame positions themselves cannot be bit-identical: the
 /// quantization step is set by the batch's peak sample, which the strong
@@ -141,8 +148,8 @@ fn quantized_wire_is_as_accurate_as_f64_within_one_millimeter() {
     // by recording, one kept for ground-truth queries.
     let rooms = FleetSimulator::new(fleet_cfg).record_all();
     let truth_fleet = FleetSimulator::new(fleet_cfg);
-    let f64_out = track_room(&base, &rooms[0], false);
-    let q_out = track_room(&base, &rooms[0], true);
+    let f64_out = track_room_f64(&base, &rooms[0]);
+    let q_out = serve_room(&base, &rooms[0]);
     assert_eq!(f64_out.len(), q_out.len(), "same frame cadence");
 
     let mut errs_f64 = Vec::new();

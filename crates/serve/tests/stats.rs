@@ -109,8 +109,8 @@ fn v1_frames_cannot_carry_stats() {
     assert_eq!(query[4], wire::VERSION, "stats messages encode as current");
     query[4] = 1; // forge a v1 frame claiming type 10
     match wire::decode(&query) {
-        Err(WireError::UnknownType(10)) => {}
-        other => panic!("expected UnknownType(10), got {other:?}"),
+        Err(WireError::UnsupportedVersion(1)) => {}
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
     }
 }
 
@@ -297,7 +297,7 @@ fn flight_recorder_captures_induced_anomalies() {
     // the batches that *induce* the gap and the reject retry until queued.
     let submit_queued = |seq: u64| loop {
         let s = handle
-            .submit_batch(wire::SweepBatch::from_sweeps(5, seq, &frame))
+            .submit_batch(wire::SweepBatchQ::from_sweeps(5, seq, &frame))
             .unwrap();
         if s == Submitted::Queued {
             break;
@@ -313,7 +313,7 @@ fn flight_recorder_captures_induced_anomalies() {
     let mut dropped = false;
     for seq in 4..200u64 {
         if handle
-            .submit_batch(wire::SweepBatch::from_sweeps(5, seq, &frame))
+            .submit_batch(wire::SweepBatchQ::from_sweeps(5, seq, &frame))
             .unwrap()
             == Submitted::Dropped
         {

@@ -10,9 +10,10 @@ use witrack_serve::engine::{EngineConfig, EngineEvent, ShardedEngine};
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::transport::{TcpTransport, Transport, TransportRx, TransportTx};
 use witrack_serve::wire::{
-    self, EventMsg, Hello, Message, PipelineKind, Reject, RejectCode, Subscribe, SweepBatch,
-    Teardown, UpdateBatch, WireError, WorldUpdateMsg, HEADER_LEN, MAGIC,
+    self, EventMsg, Hello, Message, PipelineKind, Reject, RejectCode, SweepBatchQ, Teardown,
+    UpdateBatch, WireError, WorldUpdateMsg, HEADER_LEN, MAGIC,
 };
+use witrack_serve::SubscriptionBuilder;
 
 fn reduced_base() -> WiTrackConfig {
     WiTrackConfig {
@@ -39,7 +40,7 @@ fn sample_messages() -> Vec<Message> {
             sweeps_per_frame: 5,
             quantized: true,
         }),
-        Message::SweepBatch(SweepBatch::from_sweeps(
+        Message::SweepBatchQ(SweepBatchQ::from_sweeps(
             42,
             7,
             &[
@@ -78,11 +79,7 @@ fn sample_messages() -> Vec<Message> {
             sensor_id: 42,
             code: RejectCode::UnknownSensor,
         }),
-        Message::Subscribe(Subscribe {
-            room_id: 3,
-            world_updates: true,
-            events: false,
-        }),
+        Message::SubscribeV3(SubscriptionBuilder::room(3).id(1).no_events().build()),
         Message::WorldUpdate(WorldUpdateMsg {
             room_id: 3,
             seq: 11,
@@ -275,7 +272,7 @@ fn malformed_headers_are_rejected() {
 
 #[test]
 fn truncated_frames_ask_for_more_bytes() {
-    let frame = wire::encode(&Message::SweepBatch(SweepBatch::from_sweeps(
+    let frame = wire::encode(&Message::SweepBatchQ(SweepBatchQ::from_sweeps(
         3,
         0,
         &[vec![vec![1.0, 2.0, 3.0]; 3]],
@@ -319,14 +316,6 @@ fn every_event_kind_round_trips() {
         assert_eq!(used, frame.len());
         assert_eq!(decoded, msg, "event {event:?}");
     }
-}
-
-#[test]
-fn world_messages_are_v2_only() {
-    let sub = Message::Subscribe(Subscribe::all(1));
-    let mut frame = wire::encode(&sub);
-    frame[4] = 1; // rewrite as a v1 frame
-    assert_eq!(wire::decode(&frame), Err(WireError::UnknownType(7)));
 }
 
 #[test]
@@ -376,10 +365,10 @@ fn unknown_event_kind_is_a_bad_payload() {
     );
 }
 
-fn silent_frame_batch(base: &WiTrackConfig, sensor_id: u32, seq: u64) -> SweepBatch {
+fn silent_frame_batch(base: &WiTrackConfig, sensor_id: u32, seq: u64) -> SweepBatchQ {
     let n = base.sweep.samples_per_sweep();
     let sweeps = vec![vec![vec![0.0; n]; 3]; base.sweep.sweeps_per_frame];
-    SweepBatch::from_sweeps(sensor_id, seq, &sweeps)
+    SweepBatchQ::from_sweeps(sensor_id, seq, &sweeps)
 }
 
 #[test]

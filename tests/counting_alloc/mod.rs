@@ -1,6 +1,7 @@
-//! Shared by the per-frame allocation pins: a global allocator that
-//! counts every allocation and reallocation, and the paper-shaped,
-//! wire-quantized sweep generator both pins feed their pipeline.
+//! Shared by the allocation pins: a global allocator that counts every
+//! allocation and reallocation and the bytes they request, and the
+//! paper-shaped, wire-quantized sweep generator the per-frame pins feed
+//! their pipeline.
 //!
 //! The counter sees every thread in the process, so each pin is its own
 //! test binary and must not share a process with other tests.
@@ -14,10 +15,12 @@ use witrack_geom::{AntennaArray, Vec3};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -27,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,6 +41,13 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations made in this process so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Bytes requested in this process so far: each allocation's size plus
+/// each reallocation's new size.
+#[allow(dead_code)] // the per-frame pins count allocations only
+pub fn requested_bytes() -> u64 {
+    REQUESTED.load(Ordering::SeqCst)
 }
 
 /// One sweep interval of unit point reflectors at `points`, quantized the
