@@ -185,8 +185,8 @@ fn run_cell(
     frames: u64,
     encoded: &[Vec<Vec<u8>>],
 ) -> CellResult {
-    let server = Server::start(
-        EngineConfig {
+    let server = Server::builder(witrack_factory(*base))
+        .config(EngineConfig {
             num_shards: shards,
             // Deep enough that the producer rarely blocks mid-burst: on a
             // single-core host every block/wake pair is two context
@@ -196,9 +196,8 @@ fn run_cell(
             // which the cache-blocked frame dispatch turns into locality.
             queue_capacity: 32,
             overload: OverloadPolicy::Block,
-        },
-        witrack_factory(*base),
-    );
+        })
+        .start();
     let (client_end, server_end) = in_proc_pair(128);
     server.attach(server_end).expect("in-proc attach");
     let mut client = SensorClient::connect(client_end).expect("in-proc connect");

@@ -10,26 +10,27 @@
 //! where stale sweeps are worse than missing ones).
 //!
 //! Lifecycle per sensor: [`Hello`] (builds the pipeline via the
-//! [`PipelineFactory`]) → any number of [`SweepBatchQ`]s (sequence-checked;
-//! gaps and reordering are counted and reported) → [`Teardown`]. Every
-//! frame report is emitted as an `UpdateBatch` carrying a per-sensor
-//! output sequence number.
+//! [`PipelineFactory`]) → any number of
+//! [`SweepBatchQ`](wire::SweepBatchQ)s (sequence-checked; gaps and
+//! reordering are counted and reported) → [`Teardown`]. Every frame
+//! report is emitted as an `UpdateBatch` carrying a per-sensor output
+//! sequence number.
 //!
-//! Server→client routing is **per session**: a `Hello` submitted with an
-//! [`UpdateSink`] ties the session to that sink, and the owning shard
-//! sends the session's updates and rejects straight into it (shedding,
-//! never blocking, when the sink is full — one lagging client must not
-//! stall a shard). Sessions without a sink (direct engine users: tests,
-//! benches) get their traffic on the engine-wide [`EngineEvent`] stream
-//! instead.
+//! Server→client traffic is **per connection**: every message is submitted
+//! with the [`ConnSink`] of the connection that carried it (served
+//! connections and in-process callers alike open one with
+//! [`EngineHandle::open_connection`]). A `Hello` ties its session to that
+//! sink, and the owning shard encodes the session's updates and rejects
+//! straight into the connection's bounded outbox — shedding, never
+//! blocking, when it is full: one lagging client must not stall a shard.
 
 use crate::hub::{HubHandle, HubMsg, WorldConfig, WorldHub};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::pool::{BufPool, PooledBatch, PooledBuf, SamplePools};
-use crate::wire::{self, Hello, Message, Reject, RejectCode, SweepBatchQ, Teardown, UpdateBatch};
+use crate::wire::{self, Hello, Message, RejectCode, Teardown};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,9 +86,14 @@ pub type PipelineFactory = dyn Fn(&Hello) -> Result<Box<dyn FramePipeline>, Stri
 /// the bytes to the transport and the buffer recycles.
 pub type UpdateSink = SyncSender<PooledBuf<u8>>;
 
-/// A session's sink plus the connection it belongs to (connection ids
+/// How many server→client frames one connection may have pending before
+/// pushes into its outbox start shedding.
+pub const OUTBOX_CAPACITY: usize = 64;
+
+/// A connection's outbox sender plus the connection's id (connection ids
 /// scope best-effort cleanup teardowns; see
-/// [`EngineHandle::submit_teardown_scoped`]).
+/// [`EngineHandle::submit_teardown_scoped`]). Opened by
+/// [`EngineHandle::open_connection`].
 #[derive(Clone)]
 pub struct ConnSink {
     /// Opaque id of the owning connection.
@@ -96,23 +102,22 @@ pub struct ConnSink {
     pub tx: UpdateSink,
 }
 
-/// What the engine emits on its event stream. Sessions tied to an
-/// [`UpdateSink`] deliver `Updates`/`Rejected` to their sink instead;
-/// `SessionClosed` is always emitted here.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineEvent {
-    /// Frame reports for one sinkless sensor (`seq` is the per-sensor
-    /// output sequence number, starting at 0 after `Hello`).
-    Updates(UpdateBatch),
-    /// A message was refused; the offending sensor id and why.
-    Rejected(Reject),
-    /// A session ended (teardown), with its lifetime frame count.
-    SessionClosed {
-        /// The sensor whose session ended.
-        sensor_id: u32,
-        /// Frame reports emitted over the session's lifetime.
-        frames_emitted: u64,
-    },
+/// Offers one encoded frame to a connection's outbox without blocking.
+/// A full (or closed) outbox sheds the frame: it is counted in
+/// [`MetricsSnapshot::updates_dropped`] and recorded as an
+/// [`AnomalyKind::Shed`] against the connection. The pooled buffer
+/// recycles either way (the writer drops it after sending; a failed push
+/// drops it here).
+pub(crate) fn push_frame(
+    sink: &ConnSink,
+    frame: PooledBuf<u8>,
+    metrics: &EngineMetrics,
+    recorder: &FlightRecorder,
+) {
+    if sink.tx.try_send(frame).is_err() {
+        metrics.updates_dropped.inc();
+        recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
+    }
 }
 
 /// Whether a submitted batch entered a queue.
@@ -133,13 +138,6 @@ pub enum SubmitError {
     /// `UpdateBatch`/`Reject`/`WorldUpdate`/`Event` are server→client
     /// messages; clients cannot submit them.
     ServerOnlyMessage,
-    /// A `SubscribeV3` or `Unsubscribe` was submitted without a
-    /// connection sink — the world stream has nowhere to go.
-    SubscribeNeedsConnection,
-    /// A `StatsQuery` was submitted without a connection sink — the
-    /// report has nowhere to go (direct engine users should call
-    /// [`EngineHandle::stats_samples`] instead).
-    StatsNeedsConnection,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -147,30 +145,28 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::EngineDown => write!(f, "engine has shut down"),
             SubmitError::ServerOnlyMessage => write!(f, "server-only message type"),
-            SubmitError::SubscribeNeedsConnection => {
-                write!(f, "subscribe requires a connection to deliver into")
-            }
-            SubmitError::StatsNeedsConnection => {
-                write!(f, "stats query requires a connection to deliver into")
-            }
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
 
+/// Every message carries the sink of the connection that sent it, so
+/// refusals — including ones no session exists for, like an unknown
+/// sensor id — reach the sender over the wire.
 enum ShardMsg {
-    Hello(Hello, Option<ConnSink>),
-    /// A sweep batch (header + pooled samples), the sink of the
-    /// connection that carried it — so refusals that have no session to
-    /// consult (unknown sensor) can still reach the sender over the wire
-    /// — and its enqueue instant (queue-wait telemetry).
-    Batch(PooledBatch, Option<ConnSink>, Instant),
-    /// Teardown, optionally scoped to sessions owned by one connection
-    /// (best-effort cleanup at connection close must not kill a session
-    /// some other connection owns), plus the carrying connection's sink
-    /// for refusals.
-    Teardown(Teardown, Option<u64>, Option<ConnSink>),
+    Hello(Hello, ConnSink),
+    /// A sweep batch (header + pooled samples), its connection's sink and
+    /// its enqueue instant (queue-wait telemetry).
+    Batch(PooledBatch, ConnSink, Instant),
+    /// Teardown; `scoped` limits it to a session the sink's connection
+    /// owns (best-effort cleanup at connection close must not kill a
+    /// session some other connection owns).
+    Teardown {
+        teardown: Teardown,
+        sink: ConnSink,
+        scoped: bool,
+    },
     /// Shutdown nudge: wakes the shard so it notices the stop flag.
     Wake,
 }
@@ -196,6 +192,9 @@ pub struct EngineHandle {
     /// Per-shard `shard/queue_depth` gauges, indexed like `shards`
     /// (incremented at enqueue, decremented by the owning worker).
     queue_depths: Arc<Vec<Gauge>>,
+    /// Source of this engine's connection ids (see
+    /// [`Self::open_connection`]).
+    next_conn_id: Arc<AtomicU64>,
 }
 
 impl EngineHandle {
@@ -215,31 +214,55 @@ impl EngineHandle {
         &self.frame_pool
     }
 
-    /// Routes one client message to its sensor's shard. `Hello` and
-    /// `Teardown` always block on a full queue; `SweepBatchQ` follows the
-    /// configured [`OverloadPolicy`]. Sessions opened this way have no
-    /// sink: their updates arrive on the engine event stream.
-    pub fn submit(&self, msg: Message) -> Result<Submitted, SubmitError> {
-        self.submit_with_sink(msg, None)
+    /// Opens a connection: a fresh connection id and a bounded outbox of
+    /// [`OUTBOX_CAPACITY`] pre-encoded frames. Submit messages with the
+    /// returned sink; every reply (updates, rejects, acks, reports) for
+    /// them arrives on the receiver, exactly as a socket client would
+    /// read it. Pushes into a full outbox shed, so drain it while
+    /// sending.
+    pub fn open_connection(&self) -> (ConnSink, Receiver<PooledBuf<u8>>) {
+        let (tx, rx) = sync_channel(OUTBOX_CAPACITY);
+        let conn_id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        (ConnSink { conn_id, tx }, rx)
     }
 
-    /// [`Self::submit`], with the carrying connection's sink attached so
-    /// every refusal — including ones no session exists for, like an
-    /// unknown sensor id — reaches the sender over the wire.
-    pub fn submit_with_sink(
-        &self,
-        msg: Message,
-        sink: Option<ConnSink>,
-    ) -> Result<Submitted, SubmitError> {
+    /// Routes one client message, carried by the connection of `sink`.
+    /// `Hello` and `Teardown` always block on a full shard queue;
+    /// `SweepBatchQ` follows the configured [`OverloadPolicy`].
+    ///
+    /// A refused `Hello` sends its `Reject` to `sink` and leaves no
+    /// session state behind. `SubscribeV3`/`Unsubscribe` go to the world
+    /// hub, which answers with a `SubscribeAck`/`SubscriptionStats` (or a
+    /// `Reject` carrying [`RejectCode::BadProgram`]/
+    /// [`RejectCode::UnknownSubscription`]); without a hub (the engine
+    /// was started without a [`WorldConfig`]) they are refused with
+    /// `UnknownSubscription`. A `StatsQuery` is answered at once with a
+    /// `StatsReport` of [`Self::stats_samples`] — no shard round-trip.
+    pub fn submit(&self, msg: Message, sink: &ConnSink) -> Result<Submitted, SubmitError> {
         match msg {
-            Message::Hello(h) => self.submit_hello(h, sink),
-            Message::Teardown(t) => {
-                self.send_control(t.sensor_id, ShardMsg::Teardown(t, None, sink))
-            }
+            Message::Hello(h) => self.send_control(h.sensor_id, ShardMsg::Hello(h, sink.clone())),
+            Message::Teardown(t) => self.send_control(
+                t.sensor_id,
+                ShardMsg::Teardown {
+                    teardown: t,
+                    sink: sink.clone(),
+                    scoped: false,
+                },
+            ),
             Message::SweepBatchQ(q) => self.submit_batch_pooled(PooledBatch::from_owned_q(q), sink),
-            Message::SubscribeV3(s) => self.submit_subscribe_v3(s, sink),
-            Message::Unsubscribe(u) => self.submit_unsubscribe(u, sink),
-            Message::StatsQuery(q) => self.submit_stats_query(q, sink),
+            Message::SubscribeV3(s) => {
+                self.send_to_hub(s.room_id, sink, |k| HubMsg::Subscribe(s, k))
+            }
+            Message::Unsubscribe(u) => {
+                self.send_to_hub(u.room_id, sink, |k| HubMsg::Unsubscribe(u, k))
+            }
+            Message::StatsQuery(_) => {
+                let samples = self.stats_samples();
+                let mut buf = self.frame_pool.get(64 * samples.len().max(1));
+                wire::encode_stats_report_into(&samples, &mut buf);
+                push_frame(sink, buf, &self.metrics, &self.recorder);
+                Ok(Submitted::Queued)
+            }
             Message::UpdateBatch(_)
             | Message::Reject(_)
             | Message::WorldUpdate(_)
@@ -250,23 +273,31 @@ impl EngineHandle {
         }
     }
 
-    /// Answers a [`wire::StatsQuery`] immediately: snapshots every
-    /// registered metric series and encodes one `StatsReport` frame into
-    /// the connection's outbox. No shard round-trip — snapshots are
-    /// reads of relaxed atomics, safe from any thread.
-    pub fn submit_stats_query(
+    /// Hands a subscription message to the world hub, or refuses it over
+    /// the connection when this engine fuses no rooms.
+    fn send_to_hub(
         &self,
-        _query: wire::StatsQuery,
-        sink: Option<ConnSink>,
+        room_id: u32,
+        sink: &ConnSink,
+        msg: impl FnOnce(ConnSink) -> HubMsg,
     ) -> Result<Submitted, SubmitError> {
-        let sink = sink.ok_or(SubmitError::StatsNeedsConnection)?;
-        let samples = self.stats_samples();
-        let mut buf = self.frame_pool.get(64 * samples.len().max(1));
-        wire::encode_stats_report_into(&samples, &mut buf);
-        if sink.tx.try_send(buf).is_err() {
-            self.metrics.updates_dropped.inc();
+        match &self.hub {
+            Some(hub) if hub.send(msg(sink.clone())) => Ok(Submitted::Queued),
+            Some(_) => Err(SubmitError::EngineDown),
+            None => {
+                self.metrics.batches_rejected.inc();
+                self.send_reject(sink, room_id, RejectCode::UnknownSubscription);
+                Ok(Submitted::Queued)
+            }
         }
-        Ok(Submitted::Queued)
+    }
+
+    /// Encodes a `Reject` into the connection's outbox (shedding like any
+    /// other push when it is full).
+    pub(crate) fn send_reject(&self, sink: &ConnSink, id: u32, code: RejectCode) {
+        let mut buf = self.frame_pool.get(32);
+        wire::encode_reject_into(id, code, &mut buf);
+        push_frame(sink, buf, &self.metrics, &self.recorder);
     }
 
     /// A point-in-time snapshot of every metric series visible from this
@@ -290,90 +321,22 @@ impl EngineHandle {
         &self.recorder
     }
 
-    /// Routes a programmable room subscription to the world hub, which
-    /// answers with a `SubscribeAck` (or a `Reject` carrying
-    /// [`RejectCode::BadProgram`]/[`RejectCode::UnknownSubscription`]).
-    /// Without a hub (the engine was started without a [`WorldConfig`])
-    /// the subscription is refused over the connection with
-    /// [`RejectCode::UnknownSubscription`].
-    pub fn submit_subscribe_v3(
-        &self,
-        sub: wire::SubscribeV3,
-        sink: Option<ConnSink>,
-    ) -> Result<Submitted, SubmitError> {
-        let sink = sink.ok_or(SubmitError::SubscribeNeedsConnection)?;
-        match &self.hub {
-            Some(hub) => {
-                if hub.send(HubMsg::Subscribe(sub, sink)) {
-                    Ok(Submitted::Queued)
-                } else {
-                    Err(SubmitError::EngineDown)
-                }
-            }
-            None => {
-                self.metrics.batches_rejected.inc();
-                let mut buf = self.frame_pool.get(32);
-                wire::encode_reject_into(sub.room_id, RejectCode::UnknownSubscription, &mut buf);
-                if sink.tx.try_send(buf).is_err() {
-                    self.metrics.updates_dropped.inc();
-                }
-                Ok(Submitted::Queued)
-            }
-        }
-    }
-
-    /// Releases one room subscription; the hub answers with its final
-    /// `SubscriptionStats` (or `UnknownSubscription` when no such
-    /// subscription exists on this connection).
-    pub fn submit_unsubscribe(
-        &self,
-        unsub: wire::Unsubscribe,
-        sink: Option<ConnSink>,
-    ) -> Result<Submitted, SubmitError> {
-        let sink = sink.ok_or(SubmitError::SubscribeNeedsConnection)?;
-        match &self.hub {
-            Some(hub) => {
-                if hub.send(HubMsg::Unsubscribe(unsub, sink)) {
-                    Ok(Submitted::Queued)
-                } else {
-                    Err(SubmitError::EngineDown)
-                }
-            }
-            None => {
-                self.metrics.batches_rejected.inc();
-                let mut buf = self.frame_pool.get(32);
-                wire::encode_reject_into(unsub.room_id, RejectCode::UnknownSubscription, &mut buf);
-                if sink.tx.try_send(buf).is_err() {
-                    self.metrics.updates_dropped.inc();
-                }
-                Ok(Submitted::Queued)
-            }
-        }
-    }
-
-    /// Opens a session, optionally tying it to a connection's update
-    /// sink. A refused `Hello` sends the `Reject` into the sink (when
-    /// given) and drops the sink again — no session state survives it.
-    pub fn submit_hello(
-        &self,
-        hello: Hello,
-        sink: Option<ConnSink>,
-    ) -> Result<Submitted, SubmitError> {
-        self.send_control(hello.sensor_id, ShardMsg::Hello(hello, sink))
-    }
-
-    /// Best-effort teardown scoped to `conn_id`: closes the session only
-    /// if it is tied to that connection's sink. Used at connection close,
-    /// where tearing down a sensor now owned by another connection would
-    /// be worse than leaking nothing.
+    /// Best-effort teardown scoped to the connection of `sink`: closes
+    /// the session only if that connection owns it, and refuses nothing.
+    /// Used at connection close, where tearing down a sensor now owned by
+    /// another connection would be worse than leaking nothing.
     pub fn submit_teardown_scoped(
         &self,
         sensor_id: u32,
-        conn_id: u64,
+        sink: &ConnSink,
     ) -> Result<Submitted, SubmitError> {
         self.send_control(
             sensor_id,
-            ShardMsg::Teardown(Teardown { sensor_id }, Some(conn_id), None),
+            ShardMsg::Teardown {
+                teardown: Teardown { sensor_id },
+                sink: sink.clone(),
+                scoped: true,
+            },
         )
     }
 
@@ -393,29 +356,21 @@ impl EngineHandle {
         }
     }
 
-    /// Submits one owned sweep batch with no connection attached (the
-    /// zero-copy hot path is [`Self::submit_batch_pooled`]).
-    pub fn submit_batch(&self, batch: SweepBatchQ) -> Result<Submitted, SubmitError> {
-        self.submit_batch_pooled(PooledBatch::from_owned_q(batch), None)
-    }
-
     /// Submits one decoded sweep batch whose samples live in a pooled
     /// buffer — the ingest hot path. The buffer travels to the owning
     /// shard and returns to its pool right after the pipeline consumes
-    /// it (or immediately, if the batch is dropped or refused). `sink`,
-    /// when given, carries the connection for refusals that have no
-    /// session to consult.
+    /// it (or immediately, if the batch is dropped or refused).
     pub fn submit_batch_pooled(
         &self,
         batch: PooledBatch,
-        sink: Option<ConnSink>,
+        sink: &ConnSink,
     ) -> Result<Submitted, SubmitError> {
         let (sensor_id, seq) = (batch.shape.sensor_id, batch.shape.seq);
         let idx = self.shard_idx(sensor_id);
         let shard = &self.shards[idx];
         self.metrics.enqueued();
         self.queue_depths[idx].add(1);
-        let msg = ShardMsg::Batch(batch, sink, Instant::now());
+        let msg = ShardMsg::Batch(batch, sink.clone(), Instant::now());
         let rollback = || {
             self.metrics.enqueue_failed();
             self.queue_depths[idx].add(-1);
@@ -474,16 +429,6 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Starts the shard workers. Returns the engine and the event stream
-    /// (sinkless updates/rejects, session closes) the shards feed. The
-    /// receiver should be drained — the channel is unbounded.
-    pub fn start(
-        cfg: EngineConfig,
-        factory: Arc<PipelineFactory>,
-    ) -> (ShardedEngine, Receiver<EngineEvent>) {
-        Self::start_inner(cfg, factory, None)
-    }
-
     /// A fluent constructor: `ShardedEngine::builder(factory)
     /// .config(cfg).world(world_cfg).start()` — one shape that grows
     /// options without new entry points.
@@ -495,22 +440,48 @@ impl ShardedEngine {
         }
     }
 
-    /// Shared startup: every public constructor lands here — every
-    /// session's frame reports are forwarded to its room's
-    /// [`witrack_fuse::FusionEngine`] (when a world is configured), and
-    /// connections may subscribe to rooms for fused
-    /// `WorldUpdate`/`Event` streams.
-    fn start_inner(
-        cfg: EngineConfig,
-        factory: Arc<PipelineFactory>,
-        world: Option<WorldConfig>,
-    ) -> (ShardedEngine, Receiver<EngineEvent>) {
+    /// A cloneable ingress handle.
+    pub fn handle(&self) -> EngineHandle {
+        self.handle.clone()
+    }
+}
+
+/// Fluent construction for [`ShardedEngine`] — see
+/// [`ShardedEngine::builder`].
+pub struct EngineBuilder {
+    cfg: EngineConfig,
+    factory: Arc<PipelineFactory>,
+    world: Option<WorldConfig>,
+}
+
+impl EngineBuilder {
+    /// Engine shape: shard count, queue depth, overload policy.
+    pub fn config(mut self, cfg: EngineConfig) -> Self {
+        self.cfg = cfg;
+        self
+    }
+
+    /// Attach a world hub fusing the configured rooms: every session's
+    /// frame reports are forwarded to its room's
+    /// [`witrack_fuse::FusionEngine`], and connections may subscribe to
+    /// rooms for fused `WorldUpdate`/`Event` streams.
+    pub fn world(mut self, world: WorldConfig) -> Self {
+        self.world = Some(world);
+        self
+    }
+
+    /// Starts the shard workers (and hub, when a world is configured).
+    pub fn start(self) -> ShardedEngine {
+        let EngineBuilder {
+            cfg,
+            factory,
+            world,
+        } = self;
         let num_shards = cfg.num_shards.max(1);
         let registry = Arc::new(Registry::new());
         let metrics = Arc::new(EngineMetrics::new(Arc::clone(&registry)));
         let recorder = Arc::new(FlightRecorder::new(1024));
         let stop = Arc::new(AtomicBool::new(false));
-        let (events_tx, events_rx) = channel();
         // Sample buffers live from decode until the owning shard finishes
         // a batch, so the steady-state population is bounded by the total
         // queue depth plus one in-decode and one in-pipeline per thread;
@@ -544,7 +515,6 @@ impl ShardedEngine {
             let shard_label = Label::Shard(i as u32);
             let worker = ShardWorker {
                 rx,
-                events: events_tx.clone(),
                 factory: Arc::clone(&factory),
                 metrics: Arc::clone(&metrics),
                 stop: Arc::clone(&stop),
@@ -571,54 +541,17 @@ impl ShardedEngine {
             registry: Arc::clone(&registry),
             recorder: Arc::clone(&recorder),
             queue_depths,
+            next_conn_id: Arc::new(AtomicU64::new(1)),
         };
-        (
-            ShardedEngine {
-                handle,
-                workers,
-                hub,
-                stop,
-                metrics,
-                registry,
-                recorder,
-            },
-            events_rx,
-        )
-    }
-
-    /// A cloneable ingress handle.
-    pub fn handle(&self) -> EngineHandle {
-        self.handle.clone()
-    }
-}
-
-/// Fluent construction for [`ShardedEngine`] — see
-/// [`ShardedEngine::builder`].
-pub struct EngineBuilder {
-    cfg: EngineConfig,
-    factory: Arc<PipelineFactory>,
-    world: Option<WorldConfig>,
-}
-
-impl EngineBuilder {
-    /// Engine shape: shard count, queue depth, overload policy.
-    pub fn config(mut self, cfg: EngineConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Attach a world hub fusing the configured rooms, enabling room
-    /// subscriptions.
-    pub fn world(mut self, world: WorldConfig) -> Self {
-        self.world = Some(world);
-        self
-    }
-
-    /// Starts the shard workers (and hub, when a world is configured).
-    /// Returns the engine and its event stream; the receiver should be
-    /// drained — the channel is unbounded.
-    pub fn start(self) -> (ShardedEngine, Receiver<EngineEvent>) {
-        ShardedEngine::start_inner(self.cfg, self.factory, self.world)
+        ShardedEngine {
+            handle,
+            workers,
+            hub,
+            stop,
+            metrics,
+            registry,
+            recorder,
+        }
     }
 }
 
@@ -668,22 +601,22 @@ struct Session {
     /// disagree are refused before they can reach the pipeline's
     /// stricter (panicking) asserts.
     samples_per_sweep: u32,
-    sink: Option<ConnSink>,
+    /// The connection that opened the session: its updates and
+    /// session-scoped rejects go here.
+    sink: ConnSink,
     next_in_seq: u64,
     out_seq: u64,
-    frames_emitted: u64,
     /// This sensor's `sensor/frames` registry counter.
     frames: Counter,
 }
 
 struct ShardWorker {
     rx: Receiver<ShardMsg>,
-    events: Sender<EngineEvent>,
     factory: Arc<PipelineFactory>,
     metrics: Arc<EngineMetrics>,
     stop: Arc<AtomicBool>,
     sessions: HashMap<u32, Session>,
-    /// Pool the shard encodes outbound (sinkful) frames into.
+    /// Pool the shard encodes outbound frames into.
     frame_pool: BufPool<u8>,
     /// Per-batch report scratch, reused across batches (taken/returned
     /// around each batch so the session borrow stays clean).
@@ -724,63 +657,18 @@ impl ShardWorker {
         // Sessions still open at shutdown close here — the only exit
         // their pipelines have — so `sessions_closed` balances
         // `sessions_opened` even for clients that never sent `Teardown`.
-        for (sensor_id, s) in self.sessions.drain() {
+        for (sensor_id, _) in self.sessions.drain() {
             self.metrics.sessions_closed.inc();
             if let Some(hub) = &self.hub {
                 hub.send(HubMsg::SensorClosed(sensor_id));
             }
-            let _ = self.events.send(EngineEvent::SessionClosed {
-                sensor_id,
-                frames_emitted: s.frames_emitted,
-            });
         }
     }
 
-    fn emit(&self, event: EngineEvent) {
-        // The receiver outlives the shards in every orderly shutdown; a
-        // dropped receiver just means nobody is listening anymore.
-        let _ = self.events.send(event);
-    }
-
-    /// Pushes an encoded frame into a session sink, shedding (and
-    /// counting) when the connection lags. Blocking would stall every
-    /// sensor on the shard, so shed — updates are superseded by the next
-    /// frame, rejects are advisory. The pooled buffer recycles either
-    /// way (the writer drops it after sending; a failed try_send drops
-    /// it here).
-    fn push_to_sink(&self, sink: &ConnSink, frame: PooledBuf<u8>) {
-        if sink.tx.try_send(frame).is_err() {
-            self.metrics.updates_dropped.inc();
-            self.recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
-        }
-    }
-
-    /// Delivers one batch of frame reports: sinkful sessions get the
-    /// frame encoded straight from the report slice into a pooled buffer
-    /// (no owned `UpdateBatch`, no per-event allocation); sinkless
-    /// sessions (direct engine users: tests, benches) get an owned event.
-    fn deliver_updates(
-        &self,
-        sink: Option<&ConnSink>,
-        sensor_id: u32,
-        seq: u64,
-        updates: &[FrameReport],
-    ) {
-        match sink {
-            Some(s) => {
-                let mut frame = self.frame_pool.get(64);
-                wire::encode_update_batch_into(sensor_id, seq, updates, &mut frame);
-                self.push_to_sink(s, frame);
-            }
-            None => self.emit(EngineEvent::Updates(UpdateBatch {
-                sensor_id,
-                seq,
-                updates: updates.to_vec(),
-            })),
-        }
-    }
-
-    fn reject(&self, sink: Option<&ConnSink>, sensor_id: u32, code: RejectCode) {
+    /// Counts a refusal and tells `sink`'s connection. Rejects are
+    /// advisory, so a full outbox sheds them like updates (blocking would
+    /// stall every sensor on the shard).
+    fn reject(&self, sink: &ConnSink, sensor_id: u32, code: RejectCode) {
         self.metrics.batches_rejected.inc();
         if code == RejectCode::UnknownSensor {
             self.metrics.unknown_sensor.inc();
@@ -791,14 +679,9 @@ impl ShardWorker {
             code.to_u16() as u64,
             0,
         );
-        match sink {
-            Some(s) => {
-                let mut frame = self.frame_pool.get(32);
-                wire::encode_reject_into(sensor_id, code, &mut frame);
-                self.push_to_sink(s, frame);
-            }
-            None => self.emit(EngineEvent::Rejected(Reject { sensor_id, code })),
-        }
+        let mut frame = self.frame_pool.get(32);
+        wire::encode_reject_into(sensor_id, code, &mut frame);
+        push_frame(sink, frame, &self.metrics, &self.recorder);
     }
 
     /// Handles one dequeued message, then greedily drains everything
@@ -833,10 +716,14 @@ impl ShardWorker {
                 self.queue_depth.add(-1);
                 self.open_session(h, sink);
             }
-            ShardMsg::Teardown(t, only_if_conn, sink) => {
+            ShardMsg::Teardown {
+                teardown,
+                sink,
+                scoped,
+            } => {
                 self.metrics.dequeued();
                 self.queue_depth.add(-1);
-                self.close_session(t, only_if_conn, sink);
+                self.close_session(teardown, &sink, scoped);
             }
             ShardMsg::Batch(b, sink, enqueued_at) => {
                 self.metrics.dequeued();
@@ -844,7 +731,7 @@ impl ShardWorker {
                 let dequeued_at = Instant::now();
                 self.queue_wait
                     .record(dequeued_at.duration_since(enqueued_at).as_nanos() as u64);
-                self.process_batch(b, sink);
+                self.process_batch(b, &sink);
                 // Dequeue → reports delivered (pipeline + encode + sink
                 // push): the shard's end-to-end service time per batch.
                 self.dequeue_to_report.record_since(dequeued_at);
@@ -852,22 +739,22 @@ impl ShardWorker {
         }
     }
 
-    fn open_session(&mut self, h: Hello, sink: Option<ConnSink>) {
+    fn open_session(&mut self, h: Hello, sink: ConnSink) {
         if self.sessions.contains_key(&h.sensor_id) {
             // The *existing* session's sink must not learn about this —
             // the refusal goes to whoever sent the duplicate.
-            self.reject(sink.as_ref(), h.sensor_id, RejectCode::DuplicateSensor);
+            self.reject(&sink, h.sensor_id, RejectCode::DuplicateSensor);
             return;
         }
         let mut pipeline = match (self.factory)(&h) {
             Ok(p) => p,
             Err(_) => {
-                self.reject(sink.as_ref(), h.sensor_id, RejectCode::BadConfig);
+                self.reject(&sink, h.sensor_id, RejectCode::BadConfig);
                 return;
             }
         };
         if pipeline.num_rx() != h.n_rx as usize {
-            self.reject(sink.as_ref(), h.sensor_id, RejectCode::BadConfig);
+            self.reject(&sink, h.sensor_id, RejectCode::BadConfig);
             return;
         }
         self.metrics.sessions_opened.inc();
@@ -885,48 +772,42 @@ impl ShardWorker {
                 sink,
                 next_in_seq: 0,
                 out_seq: 0,
-                frames_emitted: 0,
                 frames: self.registry.counter("sensor", "frames", label),
             },
         );
     }
 
-    fn close_session(&mut self, t: Teardown, only_if_conn: Option<u64>, carried: Option<ConnSink>) {
-        if let Some(conn_id) = only_if_conn {
+    fn close_session(&mut self, t: Teardown, carried: &ConnSink, scoped: bool) {
+        if scoped {
             // Scoped cleanup: silently skip sessions this connection does
             // not own (including already-closed ones).
             let owned = self
                 .sessions
                 .get(&t.sensor_id)
-                .is_some_and(|s| s.sink.as_ref().is_some_and(|k| k.conn_id == conn_id));
+                .is_some_and(|s| s.sink.conn_id == carried.conn_id);
             if !owned {
                 return;
             }
         }
-        match self.sessions.remove(&t.sensor_id) {
-            Some(s) => {
-                self.metrics.sessions_closed.inc();
-                if let Some(hub) = &self.hub {
-                    // The fusion watermark must stop waiting for this
-                    // sensor (its world tracks coast until reacquired).
-                    hub.send(HubMsg::SensorClosed(t.sensor_id));
-                }
-                self.emit(EngineEvent::SessionClosed {
-                    sensor_id: t.sensor_id,
-                    frames_emitted: s.frames_emitted,
-                });
+        if self.sessions.remove(&t.sensor_id).is_some() {
+            self.metrics.sessions_closed.inc();
+            if let Some(hub) = &self.hub {
+                // The fusion watermark must stop waiting for this sensor
+                // (its world tracks coast until reacquired).
+                hub.send(HubMsg::SensorClosed(t.sensor_id));
             }
-            None => self.reject(carried.as_ref(), t.sensor_id, RejectCode::UnknownSensor),
+        } else {
+            self.reject(carried, t.sensor_id, RejectCode::UnknownSensor);
         }
     }
 
-    fn process_batch(&mut self, b: PooledBatch, carried: Option<ConnSink>) {
+    fn process_batch(&mut self, b: PooledBatch, carried: &ConnSink) {
         let shape = b.shape;
         let Some(session) = self.sessions.get_mut(&shape.sensor_id) else {
             // No session to consult for a sink, but the connection that
             // carried the batch can still be told. (Dropping `b` here
             // returns its buffer to the pool.)
-            self.reject(carried.as_ref(), shape.sensor_id, RejectCode::UnknownSensor);
+            self.reject(carried, shape.sensor_id, RejectCode::UnknownSensor);
             return;
         };
         let n_rx = session.pipeline.num_rx();
@@ -935,7 +816,7 @@ impl ShardWorker {
             && b.samples.len() == shape.sample_count();
         if !shape_ok {
             let sink = session.sink.clone();
-            self.reject(sink.as_ref(), shape.sensor_id, RejectCode::BadConfig);
+            self.reject(&sink, shape.sensor_id, RejectCode::BadConfig);
             return;
         }
         // Sequence accounting: replays/reordering are dropped (processing
@@ -944,7 +825,7 @@ impl ShardWorker {
         if shape.seq < session.next_in_seq {
             self.metrics.seq_out_of_order.inc();
             let sink = session.sink.clone();
-            self.reject(sink.as_ref(), shape.sensor_id, RejectCode::StaleSequence);
+            self.reject(&sink, shape.sensor_id, RejectCode::StaleSequence);
             return;
         }
         if shape.seq > session.next_in_seq {
@@ -979,14 +860,13 @@ impl ShardWorker {
         if !updates.is_empty() {
             self.metrics.frames_emitted.add(updates.len() as u64);
             session.frames.add(updates.len() as u64);
-            session.frames_emitted += updates.len() as u64;
-            let seq = session.out_seq;
+            // The frame is encoded straight from the report slice into a
+            // pooled buffer: no owned `UpdateBatch`, no per-event
+            // allocation.
+            let mut frame = self.frame_pool.get(64);
+            wire::encode_update_batch_into(shape.sensor_id, session.out_seq, &updates, &mut frame);
             session.out_seq += 1;
-            // One sink clone per batch (not per event): the clone is just
-            // a channel-handle refcount bump, and it ends the session
-            // borrow so delivery can run against &self.
-            let sink = session.sink.clone();
-            self.deliver_updates(sink.as_ref(), shape.sensor_id, seq, &updates);
+            push_frame(&session.sink, frame, &self.metrics, &self.recorder);
             if let Some(hub) = &self.hub {
                 // Forward a copy for cross-sensor fusion — only for
                 // sensors some room actually fuses; cloning reports the

@@ -39,10 +39,9 @@
 //! * [`metrics`] — relaxed-atomic counters and their snapshot.
 //!
 //! ```
-//! use std::sync::Arc;
-//! use witrack_serve::engine::{EngineConfig, EngineEvent, ShardedEngine};
+//! use witrack_serve::engine::ShardedEngine;
 //! use witrack_serve::factory::{hello_for, witrack_factory};
-//! use witrack_serve::wire::{Message, PipelineKind, SweepBatchQ};
+//! use witrack_serve::wire::{self, Message, PipelineKind, SweepBatchQ};
 //! use witrack_core::WiTrackConfig;
 //! use witrack_fmcw::SweepConfig;
 //!
@@ -56,18 +55,20 @@
 //!     transmit_power_w: 1e-3,
 //! };
 //! let base = WiTrackConfig { sweep, ..WiTrackConfig::witrack_default() };
-//! let (engine, events) = ShardedEngine::start(
-//!     EngineConfig::default(),
-//!     witrack_factory(base),
-//! );
+//! let engine = ShardedEngine::builder(witrack_factory(base)).start();
 //! let handle = engine.handle();
-//! handle.submit(Message::Hello(hello_for(&base, 7, PipelineKind::SingleTarget))).unwrap();
+//! // An in-process connection: replies arrive as encoded wire frames in
+//! // its outbox, exactly as a socket client would read them.
+//! let (conn, outbox) = handle.open_connection();
+//! let hello = hello_for(&base, 7, PipelineKind::SingleTarget);
+//! handle.submit(Message::Hello(hello), &conn).unwrap();
 //! // One frame of silence for sensor 7: 5 sweeps × 3 antennas.
 //! let sweeps = vec![vec![vec![0.0; sweep.samples_per_sweep()]; 3]; 5];
-//! handle.submit_batch(SweepBatchQ::from_sweeps(7, 0, &sweeps)).unwrap();
-//! let event = events.recv().unwrap();
-//! match event {
-//!     EngineEvent::Updates(u) => {
+//! let batch = SweepBatchQ::from_sweeps(7, 0, &sweeps);
+//! handle.submit(Message::SweepBatchQ(batch), &conn).unwrap();
+//! let frame = outbox.recv().unwrap();
+//! match wire::decode(&frame).unwrap().0 {
+//!     Message::UpdateBatch(u) => {
 //!         assert_eq!(u.sensor_id, 7);
 //!         assert_eq!(u.updates.len(), 1); // one frame report
 //!     }
@@ -93,8 +94,8 @@ pub mod wire;
 
 pub use client::{BackoffConfig, ClientStats, ReconnectingClient, SensorClient};
 pub use engine::{
-    ConnSink, EngineBuilder, EngineConfig, EngineEvent, EngineHandle, OverloadPolicy,
-    PipelineFactory, ShardedEngine, SubmitError, Submitted, UpdateSink,
+    ConnSink, EngineBuilder, EngineConfig, EngineHandle, OverloadPolicy, PipelineFactory,
+    ShardedEngine, SubmitError, Submitted, UpdateSink,
 };
 pub use factory::{hello_for, hello_quantized_for, witrack_factory};
 pub use fault::{

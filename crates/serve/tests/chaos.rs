@@ -18,7 +18,6 @@ use witrack_fmcw::SweepConfig;
 use witrack_fuse::{FuseConfig, Registration};
 use witrack_geom::{RigidTransform, Vec3};
 use witrack_obs::AnomalyKind;
-use witrack_serve::engine::EngineConfig;
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::hub::WorldConfig;
 use witrack_serve::pool::PooledBuf;
@@ -29,9 +28,7 @@ use witrack_serve::transport::{
 use witrack_serve::wire::{
     self, Hello, Message, PipelineKind, RejectCode, StatsQuery, SweepBatchQ, Teardown, HEADER_LEN,
 };
-use witrack_serve::{
-    BackoffConfig, ReconnectingClient, SensorClient, Server, SubscriptionBuilder, TcpServer,
-};
+use witrack_serve::{BackoffConfig, ReconnectingClient, SensorClient, Server, SubscriptionBuilder};
 
 fn reduced_base() -> WiTrackConfig {
     WiTrackConfig {
@@ -181,12 +178,9 @@ fn wait_for_anomaly(server_dump: impl Fn() -> Vec<witrack_obs::Anomaly>, kind: A
 #[test]
 fn corrupt_payload_draws_a_reject_and_the_session_survives() {
     let base = reduced_base();
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        EngineConfig::default(),
-        witrack_factory(base),
-    )
-    .expect("bind");
+    let server = Server::builder(witrack_factory(base))
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let (mut tx, mut rx) = TcpTransport::connect(server.local_addr())
         .expect("connect")
         .split()
@@ -239,14 +233,55 @@ fn corrupt_payload_draws_a_reject_and_the_session_survives() {
 }
 
 #[test]
+fn shed_corrupt_frame_rejects_are_counted() {
+    const SENT: u64 = 100;
+    let server = Server::builder(witrack_factory(reduced_base())).start();
+    let (client_end, server_end) = in_proc_pair(1);
+    let reader = server.attach(server_end).expect("attach");
+    let (mut tx, mut rx) = client_end.split().expect("split");
+    // The client does not read while it sends garbage: the writer blocks
+    // on the 1-deep transport queue, the 64-deep outbox fills behind it,
+    // and every further `CorruptFrame` reject must shed.
+    for _ in 0..SENT {
+        tx.send_frame(corrupt_sweep_frame()).expect("corrupt frame");
+    }
+    wait_for_anomaly(|| server.recorder().dump(), AnomalyKind::Shed);
+    drop(tx);
+    let mut delivered = 0u64;
+    while let Some(msg) = rx.recv_msg().expect("server hung up hard") {
+        match msg {
+            Message::Reject(r) => assert_eq!(r.code, RejectCode::CorruptFrame),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        delivered += 1;
+    }
+    reader.join().expect("connection reader");
+    let dump = server.recorder().dump();
+    let conn = dump
+        .iter()
+        .find(|a| a.kind == AnomalyKind::Corrupt)
+        .expect("corrupt frames recorded")
+        .a;
+    assert!(
+        dump.iter()
+            .any(|a| a.kind == AnomalyKind::Shed && a.a == conn),
+        "shed reject recorded against its connection"
+    );
+    let m = server.shutdown();
+    assert!(m.updates_dropped > 0, "a full outbox shed rejects: {m:?}");
+    assert_eq!(
+        delivered + m.updates_dropped,
+        SENT,
+        "every reject was delivered or counted as shed"
+    );
+}
+
+#[test]
 fn mid_frame_eof_is_recorded_as_truncated_stream() {
     let base = reduced_base();
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        EngineConfig::default(),
-        witrack_factory(base),
-    )
-    .expect("bind");
+    let server = Server::builder(witrack_factory(base))
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let recorder = Arc::clone(server.recorder());
     {
         let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -314,10 +349,7 @@ impl TransportTx for FlakyTx {
 #[test]
 fn reconnecting_client_survives_a_dying_transport() {
     let base = reduced_base();
-    let server = Arc::new(Server::start(
-        EngineConfig::default(),
-        witrack_factory(base),
-    ));
+    let server = Arc::new(Server::builder(witrack_factory(base)).start());
     let recorder = Arc::clone(server.recorder());
 
     // First connection dies after 3 frames (hello + 2 batches); every

@@ -6,11 +6,11 @@ use std::sync::Arc;
 use witrack_core::{FramePipeline, FrameReport, WiTrackConfig};
 use witrack_fmcw::SweepConfig;
 use witrack_geom::Vec3;
-use witrack_serve::engine::{EngineConfig, EngineEvent, OverloadPolicy, ShardedEngine, Submitted};
+use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine, Submitted};
 use witrack_serve::factory::{hello_for, witrack_factory};
-use witrack_serve::server::{Server, TcpServer};
+use witrack_serve::server::Server;
 use witrack_serve::transport::{in_proc_pair, TcpTransport};
-use witrack_serve::wire::{Message, PipelineKind, SweepBatchQ};
+use witrack_serve::wire::{self, Message, PipelineKind, RejectCode, SweepBatchQ};
 use witrack_serve::SensorClient;
 
 fn reduced_base() -> WiTrackConfig {
@@ -31,6 +31,11 @@ fn reduced_base() -> WiTrackConfig {
 fn silent_frame(base: &WiTrackConfig) -> Vec<Vec<Vec<f64>>> {
     let n = base.sweep.samples_per_sweep();
     vec![vec![vec![0.0; n]; 3]; base.sweep.sweeps_per_frame]
+}
+
+/// Decodes one reply frame from an in-process connection's outbox.
+fn decode(frame: &[u8]) -> Message {
+    wire::decode(frame).expect("reply decodes").0
 }
 
 /// Dechirped sweeps for a reflector at `p`, one frame's worth.
@@ -62,7 +67,7 @@ fn frame_for(
 #[test]
 fn two_sensors_multiplex_one_in_process_connection() {
     let base = reduced_base();
-    let server = Server::start(EngineConfig::default(), witrack_factory(base));
+    let server = Server::builder(witrack_factory(base)).start();
     let (client_end, server_end) = in_proc_pair(64);
     server.attach(server_end).unwrap();
     let mut client = SensorClient::connect(client_end).unwrap();
@@ -91,17 +96,15 @@ fn two_sensors_multiplex_one_in_process_connection() {
     assert_eq!(m.sessions_closed, 2);
     assert_eq!(m.frames_emitted, 12);
     assert_eq!(m.batches_dropped, 0);
+    assert_eq!(m.updates_dropped, 0);
 }
 
 #[test]
 fn a_walker_is_tracked_over_tcp_loopback() {
     let base = reduced_base();
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        EngineConfig::default(),
-        witrack_factory(base),
-    )
-    .unwrap();
+    let server = Server::builder(witrack_factory(base))
+        .bind("127.0.0.1:0")
+        .unwrap();
     let array =
         witrack_geom::TArray::symmetric(base.array_origin, base.antenna_separation).antenna_array();
 
@@ -160,6 +163,7 @@ fn a_walker_is_tracked_over_tcp_loopback() {
     let m = server.shutdown();
     assert_eq!(m.frames_emitted, 60);
     assert_eq!(m.unknown_sensor, 0);
+    assert_eq!(m.updates_dropped, 0);
 }
 
 /// A pipeline that burns time: forces queue buildup deterministically.
@@ -195,22 +199,27 @@ fn drop_newest_sheds_load_and_counts_it() {
         queue_capacity: 2,
         overload: OverloadPolicy::DropNewest,
     };
-    let (engine, events) = ShardedEngine::start(
-        cfg,
-        Arc::new(|_h: &_| Ok(Box::new(SlowPipeline { frame: 0 }) as _)),
-    );
+    let engine = ShardedEngine::builder(Arc::new(|_h: &_| {
+        Ok(Box::new(SlowPipeline { frame: 0 }) as _)
+    }))
+    .config(cfg)
+    .start();
     let handle = engine.handle();
+    let (conn, outbox) = handle.open_connection();
     // The hello's stream shape must match the tiny 4-sample batches the
     // flood sends (batches that disagree with the hello are refused).
     handle
-        .submit(Message::Hello(witrack_serve::Hello {
-            sensor_id: 0,
-            kind: PipelineKind::SingleTarget,
-            n_rx: 3,
-            samples_per_sweep: 4,
-            sweeps_per_frame: 1,
-            quantized: false,
-        }))
+        .submit(
+            Message::Hello(witrack_serve::Hello {
+                sensor_id: 0,
+                kind: PipelineKind::SingleTarget,
+                n_rx: 3,
+                samples_per_sweep: 4,
+                sweeps_per_frame: 1,
+                quantized: false,
+            }),
+            &conn,
+        )
         .unwrap();
     // Flood: a 20 ms/sweep pipeline with a depth-2 queue cannot keep up
     // with 50 instantaneous one-sweep batches, so some must drop.
@@ -218,7 +227,7 @@ fn drop_newest_sheds_load_and_counts_it() {
     let mut dropped = 0;
     for seq in 0..50u64 {
         let batch = SweepBatchQ::from_sweeps(0, seq, &[vec![vec![0.0; 4]; 3]]);
-        match handle.submit_batch(batch).unwrap() {
+        match handle.submit(Message::SweepBatchQ(batch), &conn).unwrap() {
             Submitted::Queued => queued += 1,
             Submitted::Dropped => dropped += 1,
         }
@@ -232,12 +241,14 @@ fn drop_newest_sheds_load_and_counts_it() {
         queued as i64 + 1,
         "hello + queued batches"
     );
-    // The engine still emitted one report per batch it accepted.
-    let emitted = events
+    // The engine still emitted one report per batch it accepted, and
+    // every one fit the outbox (at most 50 replies for 64 slots).
+    let emitted = outbox
         .try_iter()
-        .filter(|e| matches!(e, EngineEvent::Updates(_)))
+        .filter(|f| matches!(decode(f), Message::UpdateBatch(_)))
         .count();
     assert_eq!(emitted as u64, queued);
+    assert_eq!(m.updates_dropped, 0);
     assert!(
         m.max_inflight >= 2,
         "queue reached its bound, lag was observed"
@@ -247,44 +258,40 @@ fn drop_newest_sheds_load_and_counts_it() {
 #[test]
 fn wrong_sweep_length_batch_is_refused_not_a_panic() {
     let base = reduced_base();
-    let (engine, events) = ShardedEngine::start(EngineConfig::default(), witrack_factory(base));
+    let engine = ShardedEngine::builder(witrack_factory(base)).start();
     let handle = engine.handle();
-    handle
-        .submit(Message::Hello(hello_for(
-            &base,
-            5,
-            PipelineKind::SingleTarget,
-        )))
-        .unwrap();
+    let (conn, outbox) = handle.open_connection();
+    let hello = hello_for(&base, 5, PipelineKind::SingleTarget);
+    handle.submit(Message::Hello(hello), &conn).unwrap();
     // Self-consistent wire batch whose sweeps are 10 samples instead of
     // the configured length: must bounce as BadConfig, not reach the
     // pipeline's panicking length assert and kill the shard.
     let bad = SweepBatchQ::from_sweeps(5, 0, &[vec![vec![0.0; 10]; 3]]);
-    handle.submit_batch(bad).unwrap();
-    match events.recv().unwrap() {
-        EngineEvent::Rejected(r) => {
+    handle.submit(Message::SweepBatchQ(bad), &conn).unwrap();
+    match decode(&outbox.recv().unwrap()) {
+        Message::Reject(r) => {
             assert_eq!(r.sensor_id, 5);
-            assert_eq!(r.code, witrack_serve::RejectCode::BadConfig);
+            assert_eq!(r.code, RejectCode::BadConfig);
         }
         other => panic!("expected reject, got {other:?}"),
     }
     // The shard survived: a well-shaped frame still processes.
-    handle
-        .submit_batch(SweepBatchQ::from_sweeps(5, 1, &silent_frame(&base)))
-        .unwrap();
-    match events.recv().unwrap() {
-        EngineEvent::Updates(u) => assert_eq!(u.updates.len(), 1),
+    let good = SweepBatchQ::from_sweeps(5, 1, &silent_frame(&base));
+    handle.submit(Message::SweepBatchQ(good), &conn).unwrap();
+    match decode(&outbox.recv().unwrap()) {
+        Message::UpdateBatch(u) => assert_eq!(u.updates.len(), 1),
         other => panic!("expected updates, got {other:?}"),
     }
     let m = engine.shutdown();
     assert_eq!(m.batches_rejected, 1);
     assert_eq!(m.frames_emitted, 1);
+    assert_eq!(m.updates_dropped, 0);
 }
 
 #[test]
 fn refused_hello_reaches_the_client_and_leaves_no_state() {
     let base = reduced_base();
-    let server = Server::start(EngineConfig::default(), witrack_factory(base));
+    let server = Server::builder(witrack_factory(base)).start();
     let (client_end, server_end) = in_proc_pair(64);
     server.attach(server_end).unwrap();
     let mut client = SensorClient::connect(client_end).unwrap();
@@ -306,12 +313,13 @@ fn refused_hello_reaches_the_client_and_leaves_no_state() {
     let m = server.shutdown();
     assert_eq!(m.sessions_opened, 1);
     assert_eq!(m.sessions_closed, 1, "EOF cleanup closed the real session");
+    assert_eq!(m.updates_dropped, 0);
 }
 
 #[test]
 fn unknown_sensor_batches_are_rejected_over_the_wire() {
     let base = reduced_base();
-    let server = Server::start(EngineConfig::default(), witrack_factory(base));
+    let server = Server::builder(witrack_factory(base)).start();
     let (client_end, server_end) = in_proc_pair(64);
     server.attach(server_end).unwrap();
     let mut client = SensorClient::connect(client_end).unwrap();
@@ -326,4 +334,81 @@ fn unknown_sensor_batches_are_rejected_over_the_wire() {
     let m = server.shutdown();
     assert_eq!(m.unknown_sensor, 3);
     assert_eq!(m.sessions_opened, 0);
+    assert_eq!(m.updates_dropped, 0);
+}
+
+#[test]
+fn connection_close_tears_down_only_the_sessions_it_owns() {
+    let base = reduced_base();
+    let server = Server::builder(witrack_factory(base)).start();
+    let attach = || {
+        let (client_end, server_end) = in_proc_pair(64);
+        let reader = server.attach(server_end).unwrap();
+        let rejects = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&rejects);
+        let client = SensorClient::connect_with(
+            client_end,
+            Some(Box::new(move |msg: &Message| {
+                if let Message::Reject(r) = msg {
+                    sink.lock().unwrap().push(*r);
+                }
+            })),
+        )
+        .unwrap();
+        (client, reader, rejects)
+    };
+    let frame = silent_frame(&base);
+    let wait_for_frames = |client: &SensorClient<_>, n: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while client.stats().frames < n {
+            assert!(std::time::Instant::now() < deadline, "updates stopped");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+
+    // Connection A owns sensor 3.
+    let (mut a, a_reader, a_rejects) = attach();
+    a.hello(hello_for(&base, 3, PipelineKind::SingleTarget))
+        .unwrap();
+    a.send_sweeps(3, 0, &frame).unwrap();
+    wait_for_frames(&a, 1);
+
+    // Connection B claims sensor 3 too: only B hears the refusal.
+    let (mut b, b_reader, b_rejects) = attach();
+    b.hello(hello_for(&base, 3, PipelineKind::SingleTarget))
+        .unwrap();
+    let b_stats = b.close();
+    b_reader.join().unwrap();
+    assert_eq!(b_stats.rejects, 1);
+    assert_eq!(
+        b_rejects.lock().unwrap()[0].code,
+        RejectCode::DuplicateSensor
+    );
+    assert_eq!(b_rejects.lock().unwrap()[0].sensor_id, 3);
+
+    // B's close queued a scoped teardown for sensor 3 ahead of A's next
+    // batches on the same shard; A's session must outlive it.
+    for seq in 1..4 {
+        a.send_sweeps(3, seq, &frame).unwrap();
+    }
+    wait_for_frames(&a, 4);
+    assert_eq!(server.metrics().sessions_closed, 0, "B's close spared A");
+
+    let a_stats = a.close();
+    assert_eq!(a_stats.frames, 4);
+    assert_eq!(a_stats.rejects, 0, "A never heard of B's duplicate");
+    assert!(a_rejects.lock().unwrap().is_empty());
+    a_reader.join().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.metrics().sessions_closed < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "A's close never ended its session"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let m = server.shutdown();
+    assert_eq!(m.sessions_opened, 1);
+    assert_eq!(m.sessions_closed, 1);
+    assert_eq!(m.updates_dropped, 0);
 }

@@ -104,30 +104,31 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
     // queue_capacity 1 makes the producer block on a busy shard from the
     // first frames, so the channel's lazily-allocated sender-side waker
     // structures come into existence during warmup, not measurement.
-    let (engine, _events) = ShardedEngine::start(
-        EngineConfig {
-            num_shards: 1,
-            queue_capacity: 1,
-            overload: OverloadPolicy::Block,
-        },
-        Arc::new(|h: &Hello| {
-            Ok(Box::new(NullPipeline {
-                n_rx: h.n_rx as usize,
-                sweeps: 0,
-            }) as Box<dyn FramePipeline>)
-        }),
-    );
+    let engine = ShardedEngine::builder(Arc::new(|h: &Hello| {
+        Ok(Box::new(NullPipeline {
+            n_rx: h.n_rx as usize,
+            sweeps: 0,
+        }) as Box<dyn FramePipeline>)
+    }))
+    .config(EngineConfig {
+        num_shards: 1,
+        queue_capacity: 1,
+        overload: OverloadPolicy::Block,
+    })
+    .start();
     let handle = engine.handle();
-    handle
-        .submit(Message::Hello(Hello {
-            sensor_id: 0,
-            kind: PipelineKind::SingleTarget,
-            n_rx: N_RX as u8,
-            samples_per_sweep: SAMPLES,
-            sweeps_per_frame: SWEEPS as u32,
-            quantized: true,
-        }))
-        .unwrap();
+    // Every message travels with its connection's sink, as on a served
+    // connection.
+    let (conn, _outbox) = handle.open_connection();
+    let hello = Hello {
+        sensor_id: 0,
+        kind: PipelineKind::SingleTarget,
+        n_rx: N_RX as u8,
+        samples_per_sweep: SAMPLES,
+        sweeps_per_frame: SWEEPS as u32,
+        quantized: true,
+    };
+    handle.submit(Message::Hello(hello), &conn).unwrap();
 
     // Pre-encode every frame (paper-shaped quantized batches) before the
     // measurement so the producer side moves owned buffers instead of
@@ -173,7 +174,7 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
         client_tx.send_frame(frame).unwrap();
         let msg = server_rx.recv_msg_pooled(&pool).unwrap().expect("frame");
         match msg {
-            RxMsg::Batch(b) => handle.submit_batch_pooled(b, None).map(|_| ()).unwrap(),
+            RxMsg::Batch(b) => handle.submit_batch_pooled(b, &conn).map(|_| ()).unwrap(),
             RxMsg::Control(_) => panic!("only sweep batches were sent"),
         }
     }

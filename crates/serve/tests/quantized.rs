@@ -6,9 +6,10 @@
 use proptest::prelude::*;
 use witrack_core::{FrameReport, TargetReport, WiTrack, WiTrackConfig};
 use witrack_fmcw::{SweepConfig, Sweeps};
-use witrack_serve::engine::{EngineConfig, EngineEvent, OverloadPolicy, ShardedEngine};
+use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine};
 use witrack_serve::factory::{hello_quantized_for, witrack_factory};
-use witrack_serve::wire::{Message, PipelineKind, SweepBatch, SweepBatchQ};
+use witrack_serve::pool::PooledBuf;
+use witrack_serve::wire::{self, Message, PipelineKind, SweepBatch, SweepBatchQ};
 use witrack_sim::{FleetConfig, FleetSimulator, SimConfig};
 
 /// Mid-resolution sweep (0.44 m bins): fine enough that the solver's
@@ -55,45 +56,46 @@ proptest! {
             );
         }
         // And the wire frame itself round-trips exactly.
-        let frame = witrack_serve::wire::encode(&Message::SweepBatchQ(q.clone()));
-        let (decoded, used) = witrack_serve::wire::decode(&frame).unwrap();
+        let frame = wire::encode(&Message::SweepBatchQ(q.clone()));
+        let (decoded, used) = wire::decode(&frame).unwrap();
         prop_assert_eq!(used, frame.len());
         prop_assert_eq!(decoded, Message::SweepBatchQ(q));
     }
 }
 
 /// Runs one recorded room through a fresh single-shard engine over the
-/// i16 wire, returning every emitted frame's `(index, time, targets)`.
+/// i16 wire, returning every emitted frame's `(index, time, targets)`
+/// as decoded from the connection's outbox.
 fn serve_room(base: &WiTrackConfig, room: &[Vec<Vec<f64>>]) -> Vec<(u64, f64, Vec<TargetReport>)> {
-    let (engine, events) = ShardedEngine::start(
-        EngineConfig {
+    let engine = ShardedEngine::builder(witrack_factory(*base))
+        .config(EngineConfig {
             num_shards: 1,
             queue_capacity: 8,
             overload: OverloadPolicy::Block,
-        },
-        witrack_factory(*base),
-    );
+        })
+        .start();
     let handle = engine.handle();
-    handle
-        .submit(Message::Hello(hello_quantized_for(
-            base,
-            0,
-            PipelineKind::SingleTarget,
-        )))
-        .unwrap();
+    let (conn, outbox) = handle.open_connection();
+    let hello = hello_quantized_for(base, 0, PipelineKind::SingleTarget);
+    handle.submit(Message::Hello(hello), &conn).unwrap();
+    let mut out = Vec::new();
+    let mut collect = |frame: PooledBuf<u8>| {
+        let Message::UpdateBatch(u) = wire::decode(&frame).unwrap().0 else {
+            panic!("only updates expected");
+        };
+        for r in u.updates {
+            out.push((r.frame_index, r.time_s, r.targets));
+        }
+    };
+    // More frames than the outbox holds: drain it while sending.
     for (seq, frame) in room.chunks_exact(base.sweep.sweeps_per_frame).enumerate() {
         let batch = SweepBatchQ::from_sweeps(0, seq as u64, frame);
-        handle.submit(Message::SweepBatchQ(batch)).unwrap();
+        handle.submit(Message::SweepBatchQ(batch), &conn).unwrap();
+        outbox.try_iter().for_each(&mut collect);
     }
-    engine.shutdown();
-    let mut out = Vec::new();
-    for event in events {
-        if let EngineEvent::Updates(u) = event {
-            for r in u.updates {
-                out.push((r.frame_index, r.time_s, r.targets));
-            }
-        }
-    }
+    let m = engine.shutdown();
+    outbox.try_iter().for_each(collect);
+    assert_eq!(m.updates_dropped, 0, "every update reached the outbox");
     out
 }
 

@@ -8,7 +8,7 @@ use witrack_fmcw::SweepConfig;
 use witrack_obs::{AnomalyKind, Label};
 use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine, Submitted};
 use witrack_serve::factory::{hello_for, witrack_factory};
-use witrack_serve::server::TcpServer;
+use witrack_serve::server::Server;
 use witrack_serve::transport::TcpTransport;
 use witrack_serve::wire::{
     self, HistoWire, Message, PipelineKind, StatsQuery, StatsReport, StatsSample, StatsValue,
@@ -121,15 +121,13 @@ fn v1_frames_cannot_carry_stats() {
 #[test]
 fn tcp_stats_pull_reflects_pushed_frames() {
     let base = reduced_base();
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        EngineConfig {
+    let server = Server::builder(witrack_factory(base))
+        .config(EngineConfig {
             num_shards: 2,
             ..EngineConfig::default()
-        },
-        witrack_factory(base),
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
     let mut client = SensorClient::connect(TcpTransport::new(
         std::net::TcpStream::connect(addr).unwrap(),
@@ -210,12 +208,9 @@ fn tcp_stats_pull_reflects_pushed_frames() {
 #[test]
 fn sessions_balance_without_teardown() {
     let base = reduced_base();
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        EngineConfig::default(),
-        witrack_factory(base),
-    )
-    .unwrap();
+    let server = Server::builder(witrack_factory(base))
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     // Connection 1: hello + drop the connection without teardown
@@ -248,22 +243,17 @@ fn sessions_balance_without_teardown() {
 #[test]
 fn shutdown_closes_abandoned_sessions() {
     let base = reduced_base();
-    let (engine, _events) = ShardedEngine::start(
-        EngineConfig {
+    let engine = ShardedEngine::builder(witrack_factory(base))
+        .config(EngineConfig {
             num_shards: 2,
             ..EngineConfig::default()
-        },
-        witrack_factory(base),
-    );
+        })
+        .start();
     let handle = engine.handle();
+    let (conn, _outbox) = handle.open_connection();
     for sensor in [1u32, 2, 3] {
-        handle
-            .submit(Message::Hello(hello_for(
-                &base,
-                sensor,
-                PipelineKind::SingleTarget,
-            )))
-            .unwrap();
+        let hello = hello_for(&base, sensor, PipelineKind::SingleTarget);
+        handle.submit(Message::Hello(hello), &conn).unwrap();
     }
     let m = engine.shutdown();
     assert_eq!(m.sessions_opened, 3);
@@ -275,30 +265,27 @@ fn shutdown_closes_abandoned_sessions() {
 #[test]
 fn flight_recorder_captures_induced_anomalies() {
     let base = reduced_base();
-    let (engine, events) = ShardedEngine::start(
-        EngineConfig {
+    let engine = ShardedEngine::builder(witrack_factory(base))
+        .config(EngineConfig {
             num_shards: 1,
             queue_capacity: 1,
             overload: OverloadPolicy::DropNewest,
-        },
-        witrack_factory(base),
-    );
+        })
+        .start();
     let handle = engine.handle();
-    handle
-        .submit(Message::Hello(hello_for(
-            &base,
-            5,
-            PipelineKind::SingleTarget,
-        )))
-        .unwrap();
+    let (conn, _outbox) = handle.open_connection();
+    let hello = hello_for(&base, 5, PipelineKind::SingleTarget);
+    handle.submit(Message::Hello(hello), &conn).unwrap();
     let frame = silent_frame(&base);
+    let submit = |seq: u64| {
+        let batch = wire::SweepBatchQ::from_sweeps(5, seq, &frame);
+        handle.submit(Message::SweepBatchQ(batch), &conn).unwrap()
+    };
 
     // A depth-1 DropNewest queue sheds whenever the worker is behind, so
     // the batches that *induce* the gap and the reject retry until queued.
     let submit_queued = |seq: u64| loop {
-        let s = handle
-            .submit_batch(wire::SweepBatchQ::from_sweeps(5, seq, &frame))
-            .unwrap();
+        let s = submit(seq);
         if s == Submitted::Queued {
             break;
         }
@@ -312,17 +299,12 @@ fn flight_recorder_captures_induced_anomalies() {
     // Flood a depth-1 queue until a drop is recorded.
     let mut dropped = false;
     for seq in 4..200u64 {
-        if handle
-            .submit_batch(wire::SweepBatchQ::from_sweeps(5, seq, &frame))
-            .unwrap()
-            == Submitted::Dropped
-        {
+        if submit(seq) == Submitted::Dropped {
             dropped = true;
             break;
         }
     }
     assert!(dropped, "a depth-1 queue under flood must drop");
-    drop(events);
     let recorder = Arc::clone(engine.recorder());
     engine.shutdown();
 

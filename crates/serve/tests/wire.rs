@@ -6,7 +6,7 @@ use witrack_core::{FrameReport, TargetReport, WiTrackConfig};
 use witrack_fmcw::SweepConfig;
 use witrack_fuse::{WorldEvent, WorldFrame, WorldTrackId, WorldTrackSnapshot};
 use witrack_geom::Vec3;
-use witrack_serve::engine::{EngineConfig, EngineEvent, ShardedEngine};
+use witrack_serve::engine::ShardedEngine;
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::transport::{TcpTransport, Transport, TransportRx, TransportTx};
 use witrack_serve::wire::{
@@ -374,14 +374,14 @@ fn silent_frame_batch(base: &WiTrackConfig, sensor_id: u32, seq: u64) -> SweepBa
 #[test]
 fn unknown_sensor_id_is_rejected_with_a_notice() {
     let base = reduced_base();
-    let (engine, events) = ShardedEngine::start(EngineConfig::default(), witrack_factory(base));
+    let engine = ShardedEngine::builder(witrack_factory(base)).start();
     let handle = engine.handle();
+    let (conn, outbox) = handle.open_connection();
     // No Hello for sensor 9: its batch must bounce.
-    handle
-        .submit_batch(silent_frame_batch(&base, 9, 0))
-        .unwrap();
-    match events.recv().unwrap() {
-        EngineEvent::Rejected(r) => {
+    let batch = silent_frame_batch(&base, 9, 0);
+    handle.submit(Message::SweepBatchQ(batch), &conn).unwrap();
+    match wire::decode(&outbox.recv().unwrap()).unwrap().0 {
+        Message::Reject(r) => {
             assert_eq!(r.sensor_id, 9);
             assert_eq!(r.code, RejectCode::UnknownSensor);
         }
@@ -390,40 +390,32 @@ fn unknown_sensor_id_is_rejected_with_a_notice() {
     let m = engine.shutdown();
     assert_eq!(m.unknown_sensor, 1);
     assert_eq!(m.frames_emitted, 0);
+    assert_eq!(m.updates_dropped, 0);
 }
 
 #[test]
 fn out_of_order_and_gapped_sequences_are_accounted() {
     let base = reduced_base();
-    let (engine, events) = ShardedEngine::start(EngineConfig::default(), witrack_factory(base));
+    let engine = ShardedEngine::builder(witrack_factory(base)).start();
     let handle = engine.handle();
-    handle
-        .submit(Message::Hello(hello_for(
-            &base,
-            4,
-            PipelineKind::SingleTarget,
-        )))
-        .unwrap();
+    let (conn, outbox) = handle.open_connection();
+    let hello = hello_for(&base, 4, PipelineKind::SingleTarget);
+    handle.submit(Message::Hello(hello), &conn).unwrap();
     // seq 0 processes; a replayed seq 0 is stale; seq 3 implies a gap of 2.
-    handle
-        .submit_batch(silent_frame_batch(&base, 4, 0))
-        .unwrap();
-    handle
-        .submit_batch(silent_frame_batch(&base, 4, 0))
-        .unwrap();
-    handle
-        .submit_batch(silent_frame_batch(&base, 4, 3))
-        .unwrap();
+    for seq in [0, 0, 3] {
+        let batch = silent_frame_batch(&base, 4, seq);
+        handle.submit(Message::SweepBatchQ(batch), &conn).unwrap();
+    }
     let mut stale_rejects = 0;
     let mut frames = 0;
     for _ in 0..3 {
-        match events.recv().unwrap() {
-            EngineEvent::Rejected(r) => {
+        match wire::decode(&outbox.recv().unwrap()).unwrap().0 {
+            Message::Reject(r) => {
                 assert_eq!(r.code, RejectCode::StaleSequence);
                 stale_rejects += 1;
             }
-            EngineEvent::Updates(u) => frames += u.updates.len(),
-            other => panic!("unexpected event {other:?}"),
+            Message::UpdateBatch(u) => frames += u.updates.len(),
+            other => panic!("unexpected reply {other:?}"),
         }
     }
     assert_eq!(stale_rejects, 1, "the replayed batch bounced");
@@ -431,4 +423,5 @@ fn out_of_order_and_gapped_sequences_are_accounted() {
     let m = engine.shutdown();
     assert_eq!(m.seq_out_of_order, 1);
     assert_eq!(m.seq_gaps, 2);
+    assert_eq!(m.updates_dropped, 0);
 }

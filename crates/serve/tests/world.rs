@@ -215,7 +215,7 @@ fn unknown_subscriptions_are_rejected_over_the_wire() {
     );
 
     // A server with no world hub at all refuses every subscription.
-    let server = Server::start(EngineConfig::default(), witrack_factory(base));
+    let server = Server::builder(witrack_factory(base)).start();
     let (client_end, server_end) = in_proc_pair(8);
     server.attach(server_end).expect("attach");
     let mut client = SensorClient::connect(client_end).expect("connect");
