@@ -48,18 +48,28 @@ impl Default for FallConfig {
     }
 }
 
+/// Half-width, in samples, of the centered moving average over `n`
+/// samples spanning `span` seconds; `None` when the track is too short or
+/// too degenerate to smooth (it is then used raw).
+#[inline]
+fn smoothing_half(n: usize, span: f64, window_s: f64) -> Option<usize> {
+    if n < 3 || window_s <= 0.0 || span <= 0.0 {
+        return None;
+    }
+    let dt = span / (n - 1) as f64;
+    Some(((window_s / dt / 2.0).round() as usize).max(1))
+}
+
 /// Centered moving average over a time window (prefix-sum based).
 fn smoothed(track: &[(f64, f64)], window_s: f64) -> Vec<(f64, f64)> {
     let n = track.len();
-    if n < 3 || window_s <= 0.0 {
+    let half = match track {
+        [first, .., last] => smoothing_half(n, last.0 - first.0, window_s),
+        _ => None,
+    };
+    let Some(half) = half else {
         return track.to_vec();
-    }
-    let span = track[n - 1].0 - track[0].0;
-    if span <= 0.0 {
-        return track.to_vec();
-    }
-    let dt = span / (n - 1) as f64;
-    let half = ((window_s / dt / 2.0).round() as usize).max(1);
+    };
     let mut prefix = Vec::with_capacity(n + 1);
     prefix.push(0.0);
     for &(_, z) in track {
@@ -178,6 +188,12 @@ pub fn classify_elevation_track(raw_track: &[(f64, f64)], cfg: &FallConfig) -> V
     }
 }
 
+/// How far the newest smoothed elevation must clear a decision threshold
+/// before [`FallDetector::push`] trusts its direct sum over the full
+/// prefix-sum pass (m). Widened for windows whose magnitudes make the
+/// two sums' rounding differ by more.
+const EARLY_OUT_MARGIN_M: f64 = 1e-9;
+
 /// Online fall detector over a sliding elevation window.
 #[derive(Debug, Clone)]
 pub struct FallDetector {
@@ -185,6 +201,10 @@ pub struct FallDetector {
     window: VecDeque<(f64, f64)>,
     /// Suppresses duplicate events for the same drop.
     latched: bool,
+    /// Largest `|z|` pushed since the last reset (infinite once a
+    /// non-finite sample arrived): bounds the rounding gap between the
+    /// early-out's direct sum and the full pass's prefix sums.
+    max_abs_z: f64,
 }
 
 impl FallDetector {
@@ -194,6 +214,7 @@ impl FallDetector {
             cfg,
             window: VecDeque::new(),
             latched: false,
+            max_abs_z: 0.0,
         }
     }
 
@@ -203,7 +224,24 @@ impl FallDetector {
     /// All decisions run on the *smoothed* window: raw tracked elevation
     /// jitters by ±0.1–0.2 m, which would inflate the window maximum, fake
     /// near-ground dips, and collapse measured transition times.
+    ///
+    /// Most pushes are decided by the newest smoothed sample alone — a
+    /// person standing well above the ground, or a latched one not yet
+    /// back up — so that sample is computed first, over its few raw
+    /// neighbours. Only when it sits within a rounding margin of the
+    /// threshold, or past it, does the full window pass run; every
+    /// decision is the one the full pass would make.
     pub fn push(&mut self, time_s: f64, z_raw: f64) -> Option<FallEvent> {
+        self.admit(time_s, z_raw);
+        if self.decided_by_newest_sample() {
+            return None;
+        }
+        self.full_pass(time_s)
+    }
+
+    /// Appends one sample and evicts those older than the window.
+    #[inline]
+    fn admit(&mut self, time_s: f64, z_raw: f64) {
         self.window.push_back((time_s, z_raw));
         while let Some(&(t0, _)) = self.window.front() {
             if time_s - t0 > self.cfg.window_s {
@@ -212,6 +250,48 @@ impl FallDetector {
                 break;
             }
         }
+        self.max_abs_z = if z_raw.is_finite() {
+            self.max_abs_z.max(z_raw.abs())
+        } else {
+            f64::INFINITY
+        };
+    }
+
+    /// The early-out: settles the push (and re-arms a latched detector)
+    /// when the newest smoothed sample clears the deciding threshold —
+    /// `ground_z` while armed, `ground_z + 0.2` while latched — by more
+    /// than the rounding margin. `false` leaves the push to the full pass.
+    #[inline]
+    fn decided_by_newest_sample(&mut self) -> bool {
+        let n = self.window.len();
+        let (Some(&(t0, _)), Some(&(t1, z1))) = (self.window.front(), self.window.back()) else {
+            return false;
+        };
+        // The smoothed window's last sample: the mean of raw samples
+        // `lo..n`, exactly as `smoothed` bounds it.
+        let z = match smoothing_half(n, t1 - t0, self.cfg.smoothing_s) {
+            None => z1,
+            Some(half) => {
+                let lo = (n - 1).saturating_sub(half);
+                self.window.range(lo..).map(|&(_, z)| z).sum::<f64>() / (n - lo) as f64
+            }
+        };
+        // Both sums round; their gap is below 2·n²·ε·max|z|.
+        let margin = EARLY_OUT_MARGIN_M.max(2.0 * (n * n) as f64 * f64::EPSILON * self.max_abs_z);
+        if self.latched {
+            let rearm = self.cfg.ground_z + 0.2;
+            if z > rearm + margin {
+                self.latched = false;
+                return true;
+            }
+            z < rearm - margin
+        } else {
+            z > self.cfg.ground_z + margin
+        }
+    }
+
+    /// The §6.2 decision over the whole smoothed window.
+    fn full_pass(&mut self, time_s: f64) -> Option<FallEvent> {
         let raw: Vec<(f64, f64)> = self.window.iter().copied().collect();
         let samples = smoothed(&raw, self.cfg.smoothing_s);
         let z = samples.last().expect("window non-empty").1;
@@ -263,6 +343,7 @@ impl FallDetector {
     pub fn reset(&mut self) {
         self.window.clear();
         self.latched = false;
+        self.max_abs_z = 0.0;
     }
 }
 
@@ -389,6 +470,114 @@ mod tests {
         }
         assert_eq!(events.len(), 1, "events: {events:?}");
         assert!(events[0].time_s > 20.0);
+    }
+
+    /// The reference: every push through the full window pass, never
+    /// the early-out.
+    fn push_full(det: &mut FallDetector, time_s: f64, z_raw: f64) -> Option<FallEvent> {
+        det.admit(time_s, z_raw);
+        det.full_pass(time_s)
+    }
+
+    /// xorshift64*: a tiny seeded source for the randomized tracks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_f64(&mut self) -> f64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.next_f64()
+        }
+    }
+
+    /// Feeds `track` to an early-out detector and a full-pass reference,
+    /// asserting the same event and latch state after every push.
+    fn assert_early_out_matches_full_pass(cfg: FallConfig, track: &[(f64, f64)], what: &str) {
+        let mut fast = FallDetector::new(cfg);
+        let mut reference = FallDetector::new(cfg);
+        for (i, &(t, z)) in track.iter().enumerate() {
+            let got = fast.push(t, z);
+            let want = push_full(&mut reference, t, z);
+            assert_eq!(got, want, "{what}: push {i} at t={t} z={z}");
+            assert_eq!(
+                fast.latched, reference.latched,
+                "{what}: latch after push {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn early_out_matches_the_full_pass_push_by_push() {
+        let cfg = FallConfig::default();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for case in 0..16 {
+            // Random walks, some wandering down to the floor.
+            let mut z = rng.range(0.3, 1.4);
+            let walk: Vec<(f64, f64)> = (0..900)
+                .map(|i| {
+                    z = (z + rng.range(-0.06, 0.06)).clamp(-0.1, 1.8);
+                    (i as f64 * 0.0125, z)
+                })
+                .collect();
+            assert_early_out_matches_full_pass(cfg, &walk, &format!("walk {case}"));
+
+            // Real falls and slow sits, each followed by standing up and
+            // another drop, so the latch arms, fires and re-arms.
+            let fast_drop = rng.range(0.2, 0.8);
+            let slow_drop = rng.range(1.2, 3.0);
+            let hi = rng.range(0.8, 1.4);
+            let lo = rng.range(0.0, 0.3);
+            for (dur, kind) in [(fast_drop, "fall"), (slow_drop, "sit")] {
+                let mut track = drop_track(hi, lo, 3.0, dur, 9.0);
+                let up = drop_track(lo, hi, 0.0, 1.0, 6.0);
+                track.extend(up.iter().map(|&(t, z)| (t + 9.0, z)));
+                let again = drop_track(hi, lo, 2.0, dur, 8.0);
+                track.extend(again.iter().map(|&(t, z)| (t + 15.0, z)));
+                let noisy: Vec<(f64, f64)> = track
+                    .iter()
+                    .map(|&(t, z)| (t, z + rng.range(-0.05, 0.05)))
+                    .collect();
+                assert_early_out_matches_full_pass(cfg, &noisy, &format!("{kind} {case}"));
+            }
+
+            // Irregular frame times: jittered, repeated and gapped.
+            let mut t = 0.0;
+            let irregular: Vec<(f64, f64)> = (0..700)
+                .map(|i| {
+                    t += match i % 50 {
+                        0 => 0.0,
+                        25 => rng.range(0.2, 0.5),
+                        _ => rng.range(0.002, 0.04),
+                    };
+                    let z = if (200..260).contains(&i) {
+                        hi - (hi - lo) * (i - 200) as f64 / 60.0
+                    } else if i >= 260 {
+                        lo
+                    } else {
+                        hi
+                    };
+                    (t, z + rng.range(-0.03, 0.03))
+                })
+                .collect();
+            assert_early_out_matches_full_pass(cfg, &irregular, &format!("irregular {case}"));
+        }
+
+        // Elevations parked within 1e-9 m of both thresholds: the armed
+        // one (`ground_z`) and, after a fall latches, the re-arm one.
+        for k in -25..=25 {
+            let offset = k as f64 * 1e-10;
+            let armed: Vec<(f64, f64)> = drop_track(1.0, cfg.ground_z + offset, 2.0, 0.4, 6.0);
+            assert_early_out_matches_full_pass(cfg, &armed, &format!("armed park {k}"));
+            let mut latched = drop_track(1.0, 0.1, 2.0, 0.4, 6.0);
+            let rearm = cfg.ground_z + 0.2 + offset;
+            latched.extend((0..400).map(|i| (6.0 + i as f64 * 0.0125, rearm)));
+            assert_early_out_matches_full_pass(cfg, &latched, &format!("latched park {k}"));
+        }
     }
 
     #[test]

@@ -59,6 +59,50 @@ struct Obs {
     held: bool,
 }
 
+/// One track's association results within the epoch being fused.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrackEpoch {
+    /// Some observation was merged (the state already advanced to now).
+    updated: bool,
+    /// Some merged observation was a measurement, not a held prediction.
+    fresh: bool,
+    /// Sensors whose observations were merged.
+    contributors: u8,
+    /// Best contributor: fresh beats held, then lower total variance
+    /// (`(held, variance, sensor)` — lexicographic).
+    best: Option<(bool, f64, u32)>,
+    /// The incumbent anchor's contribution (`(variance, held)`), when it
+    /// contributed — drives handoff hysteresis.
+    incumbent: Option<(f64, bool)>,
+}
+
+/// Working storage for closing an epoch, owned by the engine and reused,
+/// so an epoch allocates nothing beyond the frame it returns.
+#[derive(Default)]
+struct EpochScratch {
+    /// `(sensor, observation index)` pairs, sorted: the epoch's
+    /// observations grouped per sensor in sensor order.
+    by_sensor: Vec<(u32, usize)>,
+    /// Per observation: merged into a track or a new cluster.
+    claimed: Vec<bool>,
+    /// Per pre-existing track, indexed like `FusionEngine::tracks`.
+    per_track: Vec<TrackEpoch>,
+    established: Vec<usize>,
+    tentative: Vec<usize>,
+    /// One sensor's still-unclaimed observations in one association pass.
+    available: Vec<usize>,
+    /// Positions of the tracks seeded this epoch.
+    born: Vec<Vec3>,
+    /// Sensors already in the initiation cluster being grown.
+    cluster_sensors: Vec<u32>,
+    /// Emptied observation buckets, recycled into `pending`.
+    spare_buckets: Vec<Vec<Obs>>,
+}
+
+/// Spare observation buckets kept for reuse (a room rarely has more than
+/// a couple of epochs pending).
+const SPARE_BUCKETS: usize = 8;
+
 struct WorldTrack {
     id: WorldTrackId,
     phase: Phase,
@@ -85,6 +129,9 @@ struct WorldTrack {
     falls: FallDetector,
     zone: Option<u32>,
     primary: Option<u32>,
+    /// Sensors merged into the track in the newest fused epoch (0 in the
+    /// epoch it was born).
+    contributors: u8,
 }
 
 impl WorldTrack {
@@ -104,6 +151,7 @@ impl WorldTrack {
             falls: FallDetector::new(cfg.fall),
             zone: None,
             primary: Some(seed.sensor),
+            contributors: 0,
         };
         t.absorb(seed, 0.0);
         t
@@ -318,6 +366,7 @@ pub struct FusionEngine {
     /// Handoff latency histogram (ns a challenger waited before taking
     /// the anchor), when the owner attached one.
     handoff_latency: Option<std::sync::Arc<witrack_obs::Histo>>,
+    scratch: EpochScratch,
 }
 
 /// EWMA coefficient of each sensor's clock offset from the epoch grid.
@@ -346,6 +395,7 @@ impl FusionEngine {
             solver: AssignmentSolver::new(),
             stats: FusionStats::default(),
             handoff_latency: None,
+            scratch: EpochScratch::default(),
         }
     }
 
@@ -448,7 +498,11 @@ impl FusionEngine {
             Some(last) if epoch <= last => last + 1,
             _ => epoch,
         };
-        let bucket = self.pending.entry(epoch).or_default();
+        let spare = &mut self.scratch.spare_buckets;
+        let bucket = self
+            .pending
+            .entry(epoch)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         for t in &report.targets {
             let p = t.position;
             let var_ok = t
@@ -580,7 +634,20 @@ impl FusionEngine {
     /// Closes one epoch: associate → merge → initiate → lifecycle →
     /// events → snapshot.
     fn fuse_epoch(&mut self, epoch: u64) -> WorldFrame {
-        let observations = self.pending.remove(&epoch).unwrap_or_default();
+        let mut observations = self.pending.remove(&epoch).unwrap_or_default();
+        // Taken for the epoch so its buffers borrow apart from `self`.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let EpochScratch {
+            by_sensor,
+            claimed,
+            per_track,
+            established,
+            tentative,
+            available,
+            born,
+            cluster_sensors,
+            spare_buckets,
+        } = &mut scratch;
         let period = self.cfg.frame_period_s;
         let epochs_since = self
             .last_fused_epoch
@@ -594,38 +661,31 @@ impl FusionEngine {
         // --- Association: per sensor, established tracks before
         // tentative ones (a tentative ghost must never outbid a confirmed
         // track for its own observations).
-        let mut by_sensor: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, o) in observations.iter().enumerate() {
-            by_sensor.entry(o.sensor).or_default().push(i);
-        }
+        by_sensor.clear();
+        by_sensor.extend(observations.iter().enumerate().map(|(i, o)| (o.sensor, i)));
+        by_sensor.sort_unstable();
         let n_tracks = self.tracks.len();
-        let mut claimed = vec![false; observations.len()];
-        let mut updated = vec![false; n_tracks];
-        let mut fresh = vec![false; n_tracks];
-        let mut contributors = vec![0u8; n_tracks];
-        // Best contributor per track: fresh beats held, then lower total
-        // variance (`(held, variance, sensor)` — lexicographic).
-        let mut best_contrib: Vec<Option<(bool, f64, u32)>> = vec![None; n_tracks];
-        // The incumbent anchor's contribution this epoch (`(variance,
-        // held)`), when it contributed — drives handoff hysteresis.
-        let mut incumbent_contrib: Vec<Option<(f64, bool)>> = vec![None; n_tracks];
+        claimed.clear();
+        claimed.resize(observations.len(), false);
+        per_track.clear();
+        per_track.resize(n_tracks, TrackEpoch::default());
 
-        let established: Vec<usize> = (0..n_tracks)
-            .filter(|&i| self.tracks[i].is_established())
-            .collect();
-        let tentative: Vec<usize> = (0..n_tracks)
-            .filter(|&i| !self.tracks[i].is_established())
-            .collect();
-        for pass in [&established, &tentative] {
+        established.clear();
+        established.extend((0..n_tracks).filter(|&i| self.tracks[i].is_established()));
+        tentative.clear();
+        tentative.extend((0..n_tracks).filter(|&i| !self.tracks[i].is_established()));
+        for pass in [&*established, &*tentative] {
             if pass.is_empty() {
                 continue;
             }
-            for obs_of_sensor in by_sensor.values() {
-                let available: Vec<usize> = obs_of_sensor
-                    .iter()
-                    .copied()
-                    .filter(|&i| !claimed[i])
-                    .collect();
+            for obs_of_sensor in by_sensor.chunk_by(|a, b| a.0 == b.0) {
+                available.clear();
+                available.extend(
+                    obs_of_sensor
+                        .iter()
+                        .map(|&(_, i)| i)
+                        .filter(|&i| !claimed[i]),
+                );
                 if available.is_empty() {
                     continue;
                 }
@@ -633,7 +693,7 @@ impl FusionEngine {
                 for (pi, &ti) in pass.iter().enumerate() {
                     let track = &self.tracks[ti];
                     // Tracks already advanced this epoch predict from now.
-                    let pred_dt = if updated[ti] { 0.0 } else { dt };
+                    let pred_dt = if per_track[ti].updated { 0.0 } else { dt };
                     let pred = track.position() + track.velocity() * pred_dt;
                     let var = track.position_variance();
                     for (ci, &oi) in available.iter().enumerate() {
@@ -648,19 +708,22 @@ impl FusionEngine {
                     let Some(ci) = *ci else { continue };
                     let (ti, oi) = (pass[pi], available[ci]);
                     let obs = &observations[oi];
-                    let step = if updated[ti] { 0.0 } else { dt };
+                    let te = &mut per_track[ti];
+                    let step = if te.updated { 0.0 } else { dt };
                     self.tracks[ti].absorb(obs, step);
                     claimed[oi] = true;
-                    updated[ti] = true;
-                    fresh[ti] |= !obs.held;
-                    contributors[ti] = contributors[ti].saturating_add(1);
+                    te.updated = true;
+                    te.fresh |= !obs.held;
+                    te.contributors = te.contributors.saturating_add(1);
                     let total_var = obs.var.x + obs.var.y + obs.var.z;
-                    if best_contrib[ti].is_none_or(|(held, v, _)| (obs.held, total_var) < (held, v))
+                    if te
+                        .best
+                        .is_none_or(|(held, v, _)| (obs.held, total_var) < (held, v))
                     {
-                        best_contrib[ti] = Some((obs.held, total_var, obs.sensor));
+                        te.best = Some((obs.held, total_var, obs.sensor));
                     }
                     if self.tracks[ti].primary == Some(obs.sensor) {
-                        incumbent_contrib[ti] = Some((total_var, obs.held));
+                        te.incumbent = Some((total_var, obs.held));
                     }
                 }
             }
@@ -689,7 +752,7 @@ impl FusionEngine {
         // sensors (two sensors discovering the same person must become
         // ONE world track), then seed tentative tracks away from live
         // ones.
-        let mut born: Vec<Vec3> = Vec::new();
+        born.clear();
         for i in 0..observations.len() {
             if claimed[i] || observations[i].held {
                 if !claimed[i] {
@@ -706,7 +769,8 @@ impl FusionEngine {
                 anchor.position.y * weight.y,
                 anchor.position.z * weight.z,
             );
-            let mut cluster_sensors = vec![anchor.sensor];
+            cluster_sensors.clear();
+            cluster_sensors.push(anchor.sensor);
             let mut min_var = anchor.var;
             for (j, other) in observations.iter().enumerate() {
                 if claimed[j]
@@ -766,17 +830,17 @@ impl FusionEngine {
         // --- Lifecycle, merges-into-events, zones, occupancy.
         let mut events: Vec<WorldEvent> = Vec::new();
         for (ti, track) in self.tracks.iter_mut().enumerate() {
-            let newly_born = ti >= n_tracks;
-            if newly_born {
+            let Some(&te) = per_track.get(ti) else {
                 continue; // seeded this epoch; lifecycle starts next one
-            }
+            };
+            track.contributors = te.contributors;
             track.age_epochs += epochs_since;
             let expected = expected_of(track.position());
-            if contributors[ti] >= 2 {
+            if te.contributors >= 2 {
                 track.corroborated_ever = true;
             }
-            if updated[ti] {
-                if fresh[ti] {
+            if te.updated {
+                if te.fresh {
                     track.hits += 1;
                     track.consecutive_miss_epochs = 0;
                     // Confirmation requires corroboration where ≥ 2 live
@@ -785,7 +849,7 @@ impl FusionEngine {
                     // until a second sensor agrees — or the rule below
                     // expires it as a ghost.
                     let corroboration_ok =
-                        !corroboration_on || contributors[ti] >= 2 || expected < 2;
+                        !corroboration_on || te.contributors >= 2 || expected < 2;
                     match track.phase {
                         Phase::Tentative
                             if track.hits >= self.cfg.confirm_hits && corroboration_ok =>
@@ -848,7 +912,7 @@ impl FusionEngine {
             // corroborate; registered ghosts land in different world
             // positions per sensor and never do.
             if corroboration_on && track.phase != Phase::Dead {
-                if expected >= 2 && contributors[ti] < 2 {
+                if expected >= 2 && te.contributors < 2 {
                     track.uncorroborated_epochs += epochs_since;
                     if track.uncorroborated_epochs > self.cfg.max_uncorroborated_epochs as u64 {
                         if track.is_established() && track.corroborated_ever {
@@ -879,14 +943,14 @@ impl FusionEngine {
             // fresh, or is clearly outclassed on variance; two sensors
             // seeing a track about equally well must not flap the anchor
             // every epoch.
-            if let Some((best_held, best_var, sensor)) = best_contrib[ti] {
+            if let Some((best_held, best_var, sensor)) = te.best {
                 match track.primary {
                     Some(prev) if prev != sensor => {
                         let mut switch = false;
                         // Epochs the challenger waited for the anchor
                         // (this epoch included) — the handoff latency.
                         let mut waited_epochs = epochs_since;
-                        match incumbent_contrib[ti] {
+                        match te.incumbent {
                             // The incumbent contributed nothing at all:
                             // it is gone; replace it immediately.
                             None => switch = true,
@@ -962,15 +1026,6 @@ impl FusionEngine {
                 track.zone = now_zone;
             }
         }
-        // Contributor counts are indexed by pre-initiation position; pin
-        // them to ids before the retain below shifts indices.
-        let contrib_by_id: BTreeMap<WorldTrackId, u8> = self
-            .tracks
-            .iter()
-            .take(n_tracks)
-            .enumerate()
-            .map(|(i, t)| (t.id, contributors[i]))
-            .collect();
         self.tracks.retain(|t| t.phase != Phase::Dead);
 
         // Occupancy per zone (visible established tracks), change-triggered.
@@ -1008,11 +1063,16 @@ impl FusionEngine {
                 velocity: t.velocity(),
                 pos_var: t.position_variance(),
                 coasting: t.phase == Phase::Coasting,
-                contributors: contrib_by_id.get(&t.id).copied().unwrap_or(0),
+                contributors: t.contributors,
                 primary_sensor: t.primary,
             })
             .collect();
 
+        if spare_buckets.len() < SPARE_BUCKETS {
+            observations.clear();
+            spare_buckets.push(observations);
+        }
+        self.scratch = scratch;
         WorldFrame {
             epoch,
             time_s,

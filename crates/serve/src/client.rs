@@ -92,9 +92,9 @@ impl<T: Transport> SensorClient<T> {
             let counters = Arc::clone(&counters);
             let last_stats = Arc::clone(&last_stats);
             let last_sub_stats = Arc::clone(&last_sub_stats);
-            std::thread::spawn(move || {
-                drain_main(rx, counters, last_stats, last_sub_stats, handler)
-            })
+            std::thread::Builder::new()
+                .name("client-rx".into())
+                .spawn(move || drain_main(rx, counters, last_stats, last_sub_stats, handler))?
         };
         Ok(SensorClient {
             tx: Some(tx),

@@ -23,6 +23,15 @@
 //! sink, and the owning shard encodes the session's updates and rejects
 //! straight into the connection's bounded outbox — shedding, never
 //! blocking, when it is full: one lagging client must not stall a shard.
+//!
+//! With a [`WorldConfig`], a fused sensor's shard also does the sensor's
+//! fusion: it locks the sensor's room, pushes each new report into the
+//! room's fusion engine and delivers every epoch that closes, and only
+//! then pushes the reports' `UpdateBatch` — so a fused location leaves
+//! together with its sensor's update. Shards serving sensors of the same
+//! room take turns on that room's lock; session close (and the shard's
+//! exit drain) removes the sensor from its room the same way. The hub
+//! thread keeps only the control plane (see [`crate::hub`]).
 
 use crate::hub::{HubHandle, HubMsg, WorldConfig, WorldHub};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
@@ -529,7 +538,12 @@ impl EngineBuilder {
                 dequeue_to_report: registry.histo("shard", "dequeue_to_report_ns", shard_label),
                 batched_frames: registry.counter("dsp", "batched_frames", shard_label),
             };
-            workers.push(std::thread::spawn(move || worker.run()));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("shard-{i}"))
+                    .spawn(move || worker.run())
+                    .expect("spawn a shard worker"),
+            );
         }
         let handle = EngineHandle {
             shards,
@@ -586,8 +600,9 @@ impl ShardedEngine {
         for w in self.workers {
             w.join().expect("shard worker panicked");
         }
-        // The shards are gone, so everything they forwarded is already in
-        // the hub's inbox; it drains that, sees the stop flag, and exits.
+        // The shards are gone, and with them every fusion; the hub thread
+        // drains the control messages already in its inbox, sees the
+        // stop flag, and exits.
         if let Some(hub) = self.hub {
             hub.join();
         }
@@ -621,8 +636,8 @@ struct ShardWorker {
     /// Per-batch report scratch, reused across batches (taken/returned
     /// around each batch so the session borrow stays clean).
     updates_scratch: Vec<FrameReport>,
-    /// The world hub, when this engine fuses rooms: every emitted report
-    /// batch is forwarded there for cross-sensor fusion.
+    /// The world hub, when this engine fuses rooms: the shard fuses every
+    /// emitted report batch into its sensor's room itself.
     hub: Option<HubHandle>,
     /// The engine registry (per-sensor series register at session open).
     registry: Arc<Registry>,
@@ -660,7 +675,7 @@ impl ShardWorker {
         for (sensor_id, _) in self.sessions.drain() {
             self.metrics.sessions_closed.inc();
             if let Some(hub) = &self.hub {
-                hub.send(HubMsg::SensorClosed(sensor_id));
+                hub.remove_sensor(sensor_id);
             }
         }
     }
@@ -794,7 +809,7 @@ impl ShardWorker {
             if let Some(hub) = &self.hub {
                 // The fusion watermark must stop waiting for this sensor
                 // (its world tracks coast until reacquired).
-                hub.send(HubMsg::SensorClosed(t.sensor_id));
+                hub.remove_sensor(t.sensor_id);
             }
         } else {
             self.reject(carried, t.sensor_id, RejectCode::UnknownSensor);
@@ -860,6 +875,12 @@ impl ShardWorker {
         if !updates.is_empty() {
             self.metrics.frames_emitted.add(updates.len() as u64);
             session.frames.add(updates.len() as u64);
+            // Fuse first: the epochs these reports close leave for their
+            // subscribers ahead of the reports' own update, so a fused
+            // location trails its sensor's by no thread hop.
+            if let Some(hub) = &self.hub {
+                hub.fuse_reports(shape.sensor_id, &updates);
+            }
             // The frame is encoded straight from the report slice into a
             // pooled buffer: no owned `UpdateBatch`, no per-event
             // allocation.
@@ -867,14 +888,6 @@ impl ShardWorker {
             wire::encode_update_batch_into(shape.sensor_id, session.out_seq, &updates, &mut frame);
             session.out_seq += 1;
             push_frame(&session.sink, frame, &self.metrics, &self.recorder);
-            if let Some(hub) = &self.hub {
-                // Forward a copy for cross-sensor fusion — only for
-                // sensors some room actually fuses; cloning reports the
-                // hub would immediately drop wastes the hot path.
-                if hub.wants(shape.sensor_id) {
-                    hub.send(HubMsg::Reports(shape.sensor_id, updates.clone()));
-                }
-            }
         }
         updates.clear();
         self.updates_scratch = updates;

@@ -1,12 +1,21 @@
 //! The world hub: per-room cross-sensor fusion behind the wire protocol.
 //!
-//! Shards forward every sensor's [`FrameReport`]s here; the hub routes
-//! them to the owning room's [`FusionEngine`]
-//! (sensor→room comes from the [`WorldConfig`]'s registrations), and
-//! broadcasts each fused [`WorldFrame`] — as `WorldUpdate` wire frames —
-//! plus its fleet events — as `Event` wire frames — to every connection
-//! subscribed to that room. Clients therefore subscribe to *rooms*, not
-//! raw sensors: occupancy, handoffs, and falls arrive pre-fused.
+//! Each fused room (sensor→room comes from the [`WorldConfig`]'s
+//! registrations, fixed at start) lives behind its own lock and owns its
+//! [`FusionEngine`], its subscribers and its encode scratch. Reports do
+//! not travel to a hub thread: the shard that made a sensor's
+//! [`FrameReport`]s locks the sensor's room, fuses them, and broadcasts
+//! each closed [`WorldFrame`] — as `WorldUpdate` wire frames — plus its
+//! fleet events — as `Event` wire frames — to every connection
+//! subscribed to that room, all before it pushes the reports' own
+//! `UpdateBatch`. Clients therefore subscribe to *rooms*, not raw
+//! sensors: occupancy, handoffs, and falls arrive pre-fused.
+//!
+//! The hub thread is the control plane: subscribe, unsubscribe,
+//! connection close, the liveness tick and held-reply retries arrive on
+//! its channel or its timer, and it takes a room's lock to apply them.
+//! Lock order is always room → held replies; nothing takes a room lock
+//! while holding the held-reply lock.
 //!
 //! Delivery mirrors the per-sensor update path: frames are encoded into
 //! pooled buffers and `try_send`-shed to lagging subscribers (counted in
@@ -14,21 +23,22 @@
 //! on its first failed send. Control replies (acks, rejects, final
 //! `SubscriptionStats`) are never shed: one that meets a full outbox is
 //! held and retried, and its connection takes no world traffic until
-//! the reply is through. The hub's inbox is unbounded — fusion is a
-//! few Kalman updates per track per epoch, orders of magnitude cheaper
-//! than the sweep pipelines feeding it — so shards never block on it.
+//! the reply is through. Replies about a room's subscriptions are sent
+//! under that room's lock, so an ack precedes the subscription's first
+//! world frame and final stats follow its last.
 //!
 //! Subscriptions are *programmable*: each carries a compiled
-//! [`FilterProgram`](crate::program::FilterProgram) the hub evaluates
-//! per event **before** any encoding. Per fused frame the hub (1) runs
-//! every event-subscriber's program over the frame's events — behind two
-//! kind-mask pre-screens: a per-room coarse index (the OR of every
-//! subscriber program's possible kinds) skips whole events nobody could
-//! match, and each program's own mask skips its evaluation — then (2)
-//! encodes the world update and *only the events somebody matched*, each
-//! exactly once into the reused scratch, and (3) copies the matched
-//! windows into per-subscriber pooled buffers. Non-matching subscribers
-//! therefore cost a few predicate ops, not an encode + send.
+//! [`FilterProgram`](crate::program::FilterProgram) the room evaluates
+//! per event **before** any encoding. Per fused frame the room (1) rate-
+//! gates its world subscribers and, only when the frame has events that
+//! pass a per-room coarse kind index (the OR of every event subscriber
+//! program's possible kinds), runs each event subscriber's program over
+//! them — behind the program's own kind mask; then (2) encodes the world
+//! update and *only the events somebody matched*, each exactly once into
+//! the reused scratch, and (3) copies the matched windows into pooled
+//! buffers for just the subscribers that got something. Both passes walk
+//! index lists of the subscribers that want world updates or events, so
+//! closing an epoch costs O(interested subscribers), not O(all).
 //!
 //! [`MetricsSnapshot::updates_dropped`]: crate::metrics::MetricsSnapshot::updates_dropped
 
@@ -37,10 +47,10 @@ use crate::metrics::EngineMetrics;
 use crate::pool::{BufPool, PooledBuf};
 use crate::program::{CompiledProgram, EventCtx, ProgramState};
 use crate::wire::{self, Message, RejectCode, SubscribeAck, SubscribeV3, SubscriptionStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use witrack_core::FrameReport;
@@ -89,18 +99,14 @@ impl WorldConfig {
     }
 }
 
+/// Control-plane requests for the hub thread.
 pub(crate) enum HubMsg {
-    /// One sensor's frame reports (already shard-processed).
-    Reports(u32, Vec<FrameReport>),
     /// A connection wants a room's world stream; the hub answers with a
     /// `SubscribeAck` or a `Reject`.
     Subscribe(SubscribeV3, ConnSink),
     /// A connection releases one subscription; the hub answers with its
     /// final `SubscriptionStats`.
     Unsubscribe(wire::Unsubscribe, ConnSink),
-    /// A sensor's session closed; stop waiting for it at fusion
-    /// watermarks.
-    SensorClosed(u32),
     /// A connection hung up: drop its subscriptions *now*. Holding them
     /// until a failed send would also hold the connection's outbox
     /// sender — and the connection writer only exits when every sender
@@ -108,15 +114,12 @@ pub(crate) enum HubMsg {
     ConnClosed(u64),
 }
 
-/// Cloneable ingress to the hub thread.
+/// Cloneable access to the hub: the control channel for connections,
+/// and the shared rooms shards fuse into.
 #[derive(Clone)]
 pub(crate) struct HubHandle {
     tx: Sender<HubMsg>,
-    /// Sensors belonging to some fused room (static for the hub's
-    /// lifetime). Shards consult this before cloning report batches:
-    /// a sensor outside every room would have its clone dropped at the
-    /// hub's routing lookup, so the clone is never made.
-    fused_sensors: Arc<HashSet<u32>>,
+    state: Arc<HubState>,
 }
 
 impl HubHandle {
@@ -125,9 +128,26 @@ impl HubHandle {
         self.tx.send(msg).is_ok()
     }
 
-    /// Whether the hub fuses this sensor (worth forwarding its reports).
-    pub(crate) fn wants(&self, sensor_id: u32) -> bool {
-        self.fused_sensors.contains(&sensor_id)
+    /// Fuses one sensor's frame reports on the calling thread and
+    /// delivers every epoch they close. Sensors outside every room still
+    /// stream their per-sensor updates; they just don't fuse.
+    pub(crate) fn fuse_reports(&self, sensor_id: u32, reports: &[FrameReport]) {
+        if let Some(mut room) = self.state.room_of(sensor_id) {
+            for report in reports {
+                let frames = room.engine.push_report(sensor_id, report);
+                room.deliver(frames, &self.state);
+            }
+        }
+    }
+
+    /// A sensor's session closed: its room stops waiting for it at
+    /// fusion watermarks (its world tracks coast until reacquired), and
+    /// whatever epochs that unblocks are delivered.
+    pub(crate) fn remove_sensor(&self, sensor_id: u32) {
+        if let Some(mut room) = self.state.room_of(sensor_id) {
+            let frames = room.engine.remove_sensor(sensor_id);
+            room.deliver(frames, &self.state);
+        }
     }
 }
 
@@ -136,10 +156,33 @@ pub(crate) struct WorldHub {
     thread: JoinHandle<()>,
 }
 
+/// Everything shards and the hub thread share.
+struct HubState {
+    rooms: Vec<Mutex<Room>>,
+    /// Each room's id, indexed like `rooms` (readable without its lock).
+    room_ids: Vec<u32>,
+    /// sensor id → index into `rooms`; fixed at start.
+    sensor_rooms: HashMap<u32, usize>,
+    /// Control replies that met a full outbox, oldest first, retried on
+    /// every hub wake-up (at least every [`REPLY_RETRY`]) until their
+    /// connection takes them or closes. Taken after a room's lock, never
+    /// before one.
+    held: Mutex<Vec<(ConnSink, PooledBuf<u8>)>>,
+    frame_pool: BufPool<u8>,
+    metrics: Arc<EngineMetrics>,
+    recorder: Arc<FlightRecorder>,
+}
+
 struct Room {
     room_id: u32,
     engine: FusionEngine,
     subscribers: Vec<Subscriber>,
+    /// Indices into `subscribers` of those taking world updates, in
+    /// subscriber order. Rebuilt with `event_kind_mask`.
+    world_subs: Vec<u32>,
+    /// Indices into `subscribers` of those taking events, in subscriber
+    /// order. Rebuilt with `event_kind_mask`.
+    event_subs: Vec<u32>,
     out_seq: u64,
     /// Live world tracks after the room's newest fused epoch.
     tracks: Gauge,
@@ -167,16 +210,270 @@ struct Room {
     /// Per-event filter-evaluation latency (ns, averaged over one
     /// frame's events).
     event_eval_ns: Arc<Histo>,
+    scratch: DeliverScratch,
+}
+
+/// A room's reused per-frame delivery buffers.
+#[derive(Default)]
+struct DeliverScratch {
+    /// Each fused frame (and its matched events) is serialized once
+    /// here, then memcpy'd into per-subscriber pooled buffers.
+    encoded: Vec<u8>,
+    /// Events surviving the coarse kind index, paired with their
+    /// frame-event index.
+    ctxs: Vec<(u32, EventCtx)>,
+    /// `event index → (start, end)` window into `encoded`, `(0, 0)` for
+    /// events nobody matched (and therefore never encoded).
+    ranges: Vec<(u32, u32)>,
+    /// World subscribers whose rate gate passed this frame.
+    world_to: Vec<u32>,
+    /// Event subscribers that matched some event this frame.
+    events_to: Vec<u32>,
+    /// `world_to ∪ events_to`, in subscriber order.
+    recipients: Vec<u32>,
+    /// Recipients whose connection is gone, in subscriber order.
+    gone: Vec<u32>,
+    /// Connections with a held reply when this frame went out.
+    held_conns: Vec<u64>,
 }
 
 impl Room {
-    /// Recomputes the coarse kind index from the live subscriber set.
-    fn rebuild_event_mask(&mut self) {
-        self.event_kind_mask = self
-            .subscribers
-            .iter()
-            .filter(|s| s.events)
-            .fold(0, |m, s| m | s.program.kind_mask());
+    /// Recomputes the world/event index lists and the coarse kind index
+    /// from the live subscriber set.
+    fn rebuild_index(&mut self) {
+        self.world_subs.clear();
+        self.event_subs.clear();
+        self.event_kind_mask = 0;
+        for (i, s) in self.subscribers.iter().enumerate() {
+            if s.world_updates {
+                self.world_subs.push(i as u32);
+            }
+            if s.events {
+                self.event_subs.push(i as u32);
+                self.event_kind_mask |= s.program.kind_mask();
+            }
+        }
+    }
+
+    /// Broadcasts fused frames (and their events) to the room's
+    /// subscribers, shedding to lagging connections and pruning dead
+    /// ones.
+    fn deliver(&mut self, frames: Vec<WorldFrame>, hub: &HubState) {
+        // Ghost suppressions happen inside fusion; surface the delta as
+        // a room counter and quarantine records.
+        let ghosts = self.engine.stats().ghosts_suppressed;
+        if ghosts > self.last_ghosts {
+            let new = ghosts - self.last_ghosts;
+            self.ghosts_quarantined.add(new);
+            hub.recorder.record(
+                AnomalyKind::GhostQuarantine,
+                self.room_id as u64,
+                new,
+                ghosts,
+            );
+            self.last_ghosts = ghosts;
+        }
+        for frame in frames {
+            hub.metrics.world_frames.inc();
+            hub.metrics.world_events.add(frame.events.len() as u64);
+            self.tracks.set(frame.tracks.len() as i64);
+            self.epoch_lag
+                .set(self.engine.watermark_lag_epochs() as i64);
+            self.events.add(frame.events.len() as u64);
+            for event in &frame.events {
+                if let WorldEvent::Handoff {
+                    from_sensor,
+                    to_sensor,
+                    ..
+                } = event
+                {
+                    self.handoffs.inc();
+                    hub.recorder.record(
+                        AnomalyKind::Handoff,
+                        *from_sensor as u64,
+                        *to_sensor as u64,
+                        frame.epoch,
+                    );
+                }
+            }
+            let seq = self.out_seq;
+            self.out_seq += 1;
+            if !self.subscribers.is_empty() {
+                self.deliver_frame(&frame, seq, hub);
+            }
+        }
+    }
+
+    /// Evaluates, encodes once and fans out one fused frame. Each frame
+    /// and event is serialized exactly once (into the reused scratch) and
+    /// copied byte-for-byte into per-subscriber pooled buffers.
+    fn deliver_frame(&mut self, frame: &WorldFrame, seq: u64, hub: &HubState) {
+        let metrics = &*hub.metrics;
+        let Room {
+            room_id,
+            subscribers,
+            world_subs,
+            event_subs,
+            event_kind_mask,
+            event_eval_ns,
+            scratch,
+            ..
+        } = self;
+        let DeliverScratch {
+            encoded,
+            ctxs,
+            ranges,
+            world_to,
+            events_to,
+            recipients,
+            gone,
+            held_conns,
+        } = scratch;
+
+        // --- Phase 1: decide, before anything is encoded. -------------
+        // World updates pass through a per-subscription rate gate on the
+        // fused frame's event time (deterministic under replay, unlike a
+        // wall clock).
+        world_to.clear();
+        for &si in world_subs.iter() {
+            let sub = &mut subscribers[si as usize];
+            let due = sub.min_update_interval_s <= 0.0
+                || sub
+                    .last_update_s
+                    .is_none_or(|last| frame.time_s - last >= sub.min_update_interval_s);
+            if due {
+                sub.send_world = true;
+                sub.last_update_s = Some(frame.time_s);
+                world_to.push(si);
+            }
+        }
+        // Extract each event's matchable facts once, skipping whole
+        // events outside the room's coarse kind index (no subscriber
+        // program could match them); programs run only when some event
+        // survives it.
+        ctxs.clear();
+        if *event_kind_mask != 0 {
+            for (ei, event) in frame.events.iter().enumerate() {
+                let ctx = EventCtx::from_event(event);
+                if *event_kind_mask & ctx.kind_bit() != 0 {
+                    ctxs.push((ei as u32, ctx));
+                }
+            }
+        }
+        events_to.clear();
+        if !ctxs.is_empty() {
+            let eval_start = Instant::now();
+            for &si in event_subs.iter() {
+                let sub = &mut subscribers[si as usize];
+                for (ei, ctx) in ctxs.iter() {
+                    sub.evaluated += 1;
+                    // The per-subscription mask is the second pre-screen:
+                    // the gap between per-sub `evaluated` and the global
+                    // `events_evaluated` counter is evaluations the index
+                    // saved.
+                    if sub.program.kind_mask() & ctx.kind_bit() == 0 {
+                        continue;
+                    }
+                    metrics.events_evaluated.inc();
+                    let verdict = sub.program.eval(&mut sub.state, ctx);
+                    if verdict.rate_limited {
+                        sub.rate_limited += 1;
+                        metrics.events_rate_limited.inc();
+                    }
+                    if verdict.matched {
+                        sub.matched += 1;
+                        metrics.events_matched.inc();
+                        sub.hits.push(*ei);
+                    }
+                }
+                if !sub.hits.is_empty() {
+                    events_to.push(si);
+                }
+            }
+            let per_event = eval_start.elapsed().as_nanos() as u64 / ctxs.len() as u64;
+            event_eval_ns.record(per_event);
+        }
+        if world_to.is_empty() && events_to.is_empty() {
+            return; // nobody wants anything from this frame
+        }
+
+        // --- Phase 2: encode once — and only what somebody wants. -----
+        encoded.clear();
+        let world_len = if world_to.is_empty() {
+            0
+        } else {
+            wire::encode_world_update_into(*room_id, seq, frame, encoded);
+            encoded.len()
+        };
+        ranges.clear();
+        ranges.resize(frame.events.len(), (0, 0));
+        for &si in events_to.iter() {
+            for &ei in &subscribers[si as usize].hits {
+                let slot = &mut ranges[ei as usize];
+                if slot.0 == slot.1 {
+                    let start = encoded.len();
+                    wire::encode_event_into(*room_id, &frame.events[ei as usize], encoded);
+                    *slot = (start as u32, encoded.len() as u32);
+                }
+            }
+        }
+
+        // --- Phase 3: deliver to just the recipients, in subscriber
+        // order, shedding and pruning as before. A connection with a held
+        // reply yields its free outbox slots to that reply: its world
+        // traffic sheds until the reply is through.
+        recipients.clear();
+        recipients.extend_from_slice(world_to);
+        recipients.extend_from_slice(events_to);
+        recipients.sort_unstable();
+        recipients.dedup();
+        held_conns.clear();
+        held_conns.extend(hub.held().iter().map(|(s, _)| s.conn_id));
+        gone.clear();
+        for &si in recipients.iter() {
+            let sub = &mut subscribers[si as usize];
+            let yields = held_conns.contains(&sub.sink.conn_id);
+            let out = |buf| push(&sub.sink, buf, yields, metrics, &hub.recorder);
+            let mut alive = true;
+            if sub.send_world {
+                let mut buf = hub.frame_pool.get(world_len);
+                buf.extend_from_slice(&encoded[..world_len]);
+                metrics.world_bytes.add(world_len as u64);
+                alive &= out(buf) != Pushed::Gone;
+            }
+            if alive {
+                for &ei in &sub.hits {
+                    let (start, end) = ranges[ei as usize];
+                    let bytes = &encoded[start as usize..end as usize];
+                    let mut buf = hub.frame_pool.get(bytes.len());
+                    buf.extend_from_slice(bytes);
+                    metrics.world_bytes.add(bytes.len() as u64);
+                    match out(buf) {
+                        Pushed::Sent => {}
+                        Pushed::Shed => sub.shed += 1,
+                        Pushed::Gone => {
+                            alive = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            sub.send_world = false;
+            sub.hits.clear();
+            if !alive {
+                gone.push(si);
+            }
+        }
+        if !gone.is_empty() {
+            metrics.subscriptions_closed.add(gone.len() as u64);
+            let mut i = 0u32;
+            subscribers.retain(|_| {
+                let keep = gone.binary_search(&i).is_err();
+                i += 1;
+                keep
+            });
+            self.rebuild_index();
+        }
     }
 }
 
@@ -194,10 +491,10 @@ struct Subscriber {
     min_update_interval_s: f64,
     last_update_s: Option<f64>,
     /// Scratch: indices (into the current frame's events) this
-    /// subscription matched. Cleared per frame, capacity reused.
+    /// subscription matched. Empty between frames, capacity reused.
     hits: Vec<u32>,
     /// Whether the current frame's world update goes to this subscriber
-    /// (decided in the evaluation pre-pass).
+    /// (decided in the rate-gate pass; `false` between frames).
     send_world: bool,
     /// Per-subscription filter counters, reported via
     /// `SubscriptionStats` at unsubscribe time.
@@ -220,48 +517,17 @@ impl Subscriber {
     }
 }
 
-struct HubWorker {
-    rx: Receiver<HubMsg>,
-    rooms: Vec<Room>,
-    /// sensor id → index into `rooms`.
-    sensor_rooms: HashMap<u32, usize>,
-    frame_pool: BufPool<u8>,
-    metrics: Arc<EngineMetrics>,
-    recorder: Arc<FlightRecorder>,
-    stop: Arc<AtomicBool>,
-    /// Reused encode buffer: each fused frame (and its events) is
-    /// serialized once here, then memcpy'd into per-subscriber pooled
-    /// buffers.
-    update_scratch: Vec<u8>,
-    /// Reused per-frame event contexts (events surviving the room's
-    /// coarse kind index, paired with their frame-event index).
-    ctx_scratch: Vec<(u32, EventCtx)>,
-    /// Reused per-frame encoded byte ranges: `event index → (start, end)`
-    /// window into `update_scratch`, `(0, 0)` for events nobody matched
-    /// (and therefore never encoded).
-    range_scratch: Vec<(u32, u32)>,
-    /// Hub start; liveness silence is measured on this clock.
-    epoch: Instant,
-    /// Last liveness sweep (sweeps run at most every [`LIVENESS_TICK`]).
-    last_tick: Instant,
-    /// Control replies that met a full outbox, oldest first, retried on
-    /// every hub wake-up (at least every [`REPLY_RETRY`]) until their
-    /// connection takes them or closes.
-    held_replies: Vec<(ConnSink, PooledBuf<u8>)>,
-}
-
-impl WorldHub {
-    pub(crate) fn start(
+impl HubState {
+    fn new(
         cfg: WorldConfig,
         frame_pool: BufPool<u8>,
         metrics: Arc<EngineMetrics>,
         recorder: Arc<FlightRecorder>,
-        stop: Arc<AtomicBool>,
-    ) -> (WorldHub, HubHandle) {
-        let (tx, rx) = channel();
+    ) -> HubState {
         let registry = Arc::clone(metrics.registry());
         let mut sensor_rooms = HashMap::new();
-        let rooms: Vec<Room> = cfg
+        let mut room_ids = Vec::with_capacity(cfg.rooms.len());
+        let rooms = cfg
             .rooms
             .into_iter()
             .enumerate()
@@ -270,6 +536,7 @@ impl WorldHub {
                     let prev = sensor_rooms.insert(sensor, idx);
                     assert!(prev.is_none(), "sensor {sensor} registered to two rooms");
                 }
+                room_ids.push(spec.room_id);
                 let label = Label::Room(spec.room_id);
                 let mut liveness = HashMap::new();
                 let mut reconnects = HashMap::new();
@@ -287,10 +554,12 @@ impl WorldHub {
                 // worse anchor, in ns of epoch time) land in the room's
                 // handoff-latency histogram.
                 engine.attach_handoff_histo(registry.histo("room", "handoff_latency_ns", label));
-                Room {
+                Mutex::new(Room {
                     room_id: spec.room_id,
                     engine,
                     subscribers: Vec::new(),
+                    world_subs: Vec::new(),
+                    event_subs: Vec::new(),
                     out_seq: 0,
                     tracks: registry.gauge("room", "tracks", label),
                     epoch_lag: registry.gauge("room", "epoch_lag", label),
@@ -302,77 +571,45 @@ impl WorldHub {
                     reconnects,
                     event_kind_mask: 0,
                     event_eval_ns: registry.histo("room", "event_eval_ns", label),
-                }
+                    scratch: DeliverScratch::default(),
+                })
             })
             .collect();
-        let fused_sensors = Arc::new(sensor_rooms.keys().copied().collect());
-        let now = Instant::now();
-        let worker = HubWorker {
-            rx,
+        HubState {
             rooms,
+            room_ids,
             sensor_rooms,
+            held: Mutex::new(Vec::new()),
             frame_pool,
             metrics,
             recorder,
-            stop,
-            update_scratch: Vec::new(),
-            ctx_scratch: Vec::new(),
-            range_scratch: Vec::new(),
-            epoch: now,
-            last_tick: now,
-            held_replies: Vec::new(),
-        };
-        let thread = std::thread::spawn(move || worker.run());
-        (WorldHub { thread }, HubHandle { tx, fused_sensors })
-    }
-
-    /// Joins the hub thread (engine shutdown, after the shards).
-    pub(crate) fn join(self) {
-        self.thread.join().expect("world hub panicked");
-    }
-}
-
-impl HubWorker {
-    fn run(mut self) {
-        loop {
-            let wait = if self.held_replies.is_empty() {
-                LIVENESS_TICK
-            } else {
-                self.retry_held_replies();
-                REPLY_RETRY
-            };
-            match self.rx.recv_timeout(wait) {
-                Ok(msg) => {
-                    self.handle(msg);
-                    // Busy rooms rarely idle long enough to hit the
-                    // Timeout arm, so the sweep must also ride the
-                    // message path (cadence-gated below).
-                    self.maybe_tick();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    // Inbox empty: the only time shutdown may interrupt.
-                    if self.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    self.maybe_tick();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
         }
     }
 
-    /// Sweeps every room for silent sensors (at most once per
-    /// [`LIVENESS_TICK`]): advances each [`FusionEngine`]'s liveness
-    /// state machine, surfaces the transitions as anomalies and
-    /// per-sensor series, and delivers any epochs the sweep unblocked.
-    fn maybe_tick(&mut self) {
-        if self.last_tick.elapsed() < LIVENESS_TICK {
-            return;
-        }
-        self.last_tick = Instant::now();
-        let now_s = self.epoch.elapsed().as_secs_f64();
+    fn room(&self, idx: usize) -> MutexGuard<'_, Room> {
+        self.rooms[idx]
+            .lock()
+            .expect("room lock poisoned: a fusion or delivery panicked")
+    }
+
+    /// The locked room fusing `sensor_id`, if any room does.
+    fn room_of(&self, sensor_id: u32) -> Option<MutexGuard<'_, Room>> {
+        self.sensor_rooms.get(&sensor_id).map(|&idx| self.room(idx))
+    }
+
+    fn held(&self) -> MutexGuard<'_, Vec<(ConnSink, PooledBuf<u8>)>> {
+        self.held
+            .lock()
+            .expect("held-reply lock poisoned: a reply retry panicked")
+    }
+
+    /// Sweeps every room for silent sensors: advances each
+    /// [`FusionEngine`]'s liveness state machine, surfaces the
+    /// transitions as anomalies and per-sensor series, and delivers any
+    /// epochs the sweep unblocked.
+    fn tick(&self, now_s: f64) {
         for idx in 0..self.rooms.len() {
-            let room = &mut self.rooms[idx];
+            let mut room = self.room(idx);
             let frames = room.engine.tick(now_s);
             let transitions = room.engine.take_liveness_transitions();
             for t in &transitions {
@@ -380,75 +617,22 @@ impl HubWorker {
                     g.set(t.to.as_gauge());
                 }
                 let silence_ns = (t.silence_s.max(0.0) * 1e9) as u64;
-                match t.to {
-                    SensorLiveness::Suspect => {
-                        // A stalled-but-not-yet-dead feed.
-                        self.recorder.record(
-                            AnomalyKind::Stall,
-                            t.sensor_id as u64,
-                            room.room_id as u64,
-                            silence_ns,
-                        );
-                    }
-                    SensorLiveness::Dead => {
-                        self.recorder.record(
-                            AnomalyKind::SensorDead,
-                            t.sensor_id as u64,
-                            room.room_id as u64,
-                            silence_ns,
-                        );
-                    }
+                let kind = match t.to {
+                    // A stalled-but-not-yet-dead feed.
+                    SensorLiveness::Suspect => AnomalyKind::Stall,
+                    SensorLiveness::Dead => AnomalyKind::SensorDead,
                     SensorLiveness::Live => {
                         if let Some(c) = room.reconnects.get(&t.sensor_id) {
                             c.inc();
                         }
-                        self.recorder.record(
-                            AnomalyKind::SensorRecovered,
-                            t.sensor_id as u64,
-                            room.room_id as u64,
-                            silence_ns,
-                        );
+                        AnomalyKind::SensorRecovered
                     }
-                }
+                };
+                self.recorder
+                    .record(kind, t.sensor_id as u64, room.room_id as u64, silence_ns);
             }
             if !frames.is_empty() {
-                self.deliver(idx, frames);
-            }
-        }
-    }
-
-    fn handle(&mut self, msg: HubMsg) {
-        match msg {
-            HubMsg::Reports(sensor_id, reports) => {
-                let Some(&idx) = self.sensor_rooms.get(&sensor_id) else {
-                    // Sensors outside every room still stream their
-                    // per-sensor updates; they just don't fuse.
-                    return;
-                };
-                for report in &reports {
-                    let frames = self.rooms[idx].engine.push_report(sensor_id, report);
-                    self.deliver(idx, frames);
-                }
-            }
-            HubMsg::SensorClosed(sensor_id) => {
-                if let Some(&idx) = self.sensor_rooms.get(&sensor_id) {
-                    let frames = self.rooms[idx].engine.remove_sensor(sensor_id);
-                    self.deliver(idx, frames);
-                }
-            }
-            HubMsg::Subscribe(sub, sink) => self.subscribe(sub, sink),
-            HubMsg::Unsubscribe(unsub, sink) => self.unsubscribe(unsub, sink),
-            HubMsg::ConnClosed(conn_id) => {
-                self.held_replies.retain(|(s, _)| s.conn_id != conn_id);
-                for room in &mut self.rooms {
-                    let before = room.subscribers.len();
-                    room.subscribers.retain(|s| s.sink.conn_id != conn_id);
-                    let closed = before - room.subscribers.len();
-                    if closed > 0 {
-                        self.metrics.subscriptions_closed.add(closed as u64);
-                        room.rebuild_event_mask();
-                    }
-                }
+                room.deliver(frames, self);
             }
         }
     }
@@ -456,33 +640,25 @@ impl HubWorker {
     /// Sends a reply frame (ack, stats, reject) back to a subscriber's
     /// connection. A full outbox holds the reply for a retry instead of
     /// shedding it, behind any reply the connection already waits on.
-    fn reply(&mut self, sink: &ConnSink, msg: &Message) {
+    /// Callers may hold a room lock (room → held).
+    fn reply(&self, sink: &ConnSink, msg: &Message) {
         let mut buf = self.frame_pool.get(64);
         wire::encode_into(msg, &mut buf);
-        self.held_replies.push((sink.clone(), buf));
-        self.retry_held_replies();
+        let mut held = self.held();
+        held.push((sink.clone(), buf));
+        retry(&mut held);
     }
 
-    /// Offers every held reply to its outbox again, in order. A
-    /// connection whose oldest reply still meets a full outbox keeps the
-    /// rest of its replies held behind it.
-    fn retry_held_replies(&mut self) {
-        let mut blocked: Vec<u64> = Vec::new();
-        for (sink, buf) in std::mem::take(&mut self.held_replies) {
-            if blocked.contains(&sink.conn_id) {
-                self.held_replies.push((sink, buf));
-                continue;
-            }
-            // A disconnected outbox means the connection is closing.
-            if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
-                blocked.push(sink.conn_id);
-                self.held_replies.push((sink, buf));
-            }
-        }
+    /// Offers every held reply to its outbox again; `true` while some
+    /// are still held.
+    fn retry_held_replies(&self) -> bool {
+        let mut held = self.held();
+        retry(&mut held);
+        !held.is_empty()
     }
 
-    fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink) {
-        let Some(room) = self.rooms.iter_mut().find(|r| r.room_id == sub.room_id) else {
+    fn subscribe(&self, sub: SubscribeV3, sink: ConnSink) {
+        let Some(idx) = self.room_ids.iter().position(|&id| id == sub.room_id) else {
             self.metrics.batches_rejected.inc();
             self.reply(
                 &sink,
@@ -496,23 +672,20 @@ impl HubWorker {
         // Validate the program once at install time: a stack-invalid or
         // oversized program is the client's bug, reported as BadProgram;
         // the connection (and its other subscriptions) survive.
-        let program = match sub.program.compile() {
-            Ok(p) => p,
-            Err(_) => {
-                self.metrics.batches_rejected.inc();
-                let room_id = sub.room_id;
-                self.reply(
-                    &sink,
-                    &Message::Reject(wire::Reject {
-                        sensor_id: room_id,
-                        code: RejectCode::BadProgram,
-                    }),
-                );
-                return;
-            }
+        let Ok(program) = sub.program.compile() else {
+            self.metrics.batches_rejected.inc();
+            self.reply(
+                &sink,
+                &Message::Reject(wire::Reject {
+                    sensor_id: sub.room_id,
+                    code: RejectCode::BadProgram,
+                }),
+            );
+            return;
         };
         self.metrics.subscriptions_opened.inc();
         let state = program.new_state();
+        let mut room = self.room(idx);
         room.subscribers.push(Subscriber {
             sink: sink.clone(),
             sub_id: sub.sub_id,
@@ -533,7 +706,9 @@ impl HubWorker {
             shed: 0,
             rate_limited: 0,
         });
-        room.rebuild_event_mask();
+        room.rebuild_index();
+        // Still under the room lock: no world frame can reach the new
+        // subscriber ahead of its ack.
         let reply = Message::SubscribeAck(SubscribeAck {
             room_id: sub.room_id,
             sub_id: sub.sub_id,
@@ -545,219 +720,163 @@ impl HubWorker {
     /// Removes one `(connection, sub_id)` subscription and answers with
     /// its final counters. Unknown subscriptions get
     /// `UnknownSubscription` — same as subscribing to an unknown room.
-    fn unsubscribe(&mut self, unsub: wire::Unsubscribe, sink: ConnSink) {
-        let found = self
-            .rooms
-            .iter_mut()
-            .find(|r| r.room_id == unsub.room_id)
-            .and_then(|room| {
-                let at = room
-                    .subscribers
-                    .iter()
-                    .position(|s| s.sink.conn_id == sink.conn_id && s.sub_id == unsub.sub_id)?;
+    fn unsubscribe(&self, unsub: wire::Unsubscribe, sink: ConnSink) {
+        if let Some(idx) = self.room_ids.iter().position(|&id| id == unsub.room_id) {
+            let mut room = self.room(idx);
+            let at = room
+                .subscribers
+                .iter()
+                .position(|s| s.sink.conn_id == sink.conn_id && s.sub_id == unsub.sub_id);
+            if let Some(at) = at {
                 let sub = room.subscribers.swap_remove(at);
-                room.rebuild_event_mask();
-                Some(sub.stats(room.room_id))
-            });
-        match found {
-            Some(stats) => {
+                room.rebuild_index();
                 self.metrics.subscriptions_closed.inc();
-                self.reply(&sink, &Message::SubscriptionStats(stats));
+                // Under the room lock: the subscription's last frame is
+                // already out, so its final counters are final.
+                self.reply(&sink, &Message::SubscriptionStats(sub.stats(room.room_id)));
+                return;
             }
-            None => {
-                self.metrics.batches_rejected.inc();
-                self.reply(
-                    &sink,
-                    &Message::Reject(wire::Reject {
-                        sensor_id: unsub.room_id,
-                        code: RejectCode::UnknownSubscription,
-                    }),
-                );
-            }
+        }
+        self.metrics.batches_rejected.inc();
+        self.reply(
+            &sink,
+            &Message::Reject(wire::Reject {
+                sensor_id: unsub.room_id,
+                code: RejectCode::UnknownSubscription,
+            }),
+        );
+    }
+
+    /// Drops every subscription and held reply (hub thread exit). The
+    /// rooms outlive the thread in every engine handle, but with no
+    /// thread left to prune them their outbox senders would keep each
+    /// connection's writer — which exits only once every sender is
+    /// gone — waiting forever.
+    fn release_connections(&self) {
+        self.held().clear();
+        for idx in 0..self.rooms.len() {
+            let mut room = self.room(idx);
+            room.subscribers.clear();
+            room.rebuild_index();
         }
     }
 
-    /// Broadcasts fused frames (and their events) to a room's
-    /// subscribers, shedding to lagging connections and pruning dead
-    /// ones. Each frame and event is serialized exactly once (into the
-    /// reused scratch) and copied byte-for-byte into per-subscriber
-    /// pooled buffers.
-    fn deliver(&mut self, room_idx: usize, frames: Vec<WorldFrame>) {
-        let room = &mut self.rooms[room_idx];
-        // Ghost suppressions happen inside fusion; surface the delta as
-        // a room counter and quarantine records.
-        let ghosts = room.engine.stats().ghosts_suppressed;
-        if ghosts > room.last_ghosts {
-            let new = ghosts - room.last_ghosts;
-            room.ghosts_quarantined.add(new);
-            self.recorder.record(
-                AnomalyKind::GhostQuarantine,
-                room.room_id as u64,
-                new,
-                ghosts,
-            );
-            room.last_ghosts = ghosts;
+    /// Drops every held reply and subscription of a closed connection.
+    fn conn_closed(&self, conn_id: u64) {
+        self.held().retain(|(s, _)| s.conn_id != conn_id);
+        for idx in 0..self.rooms.len() {
+            let mut room = self.room(idx);
+            let before = room.subscribers.len();
+            room.subscribers.retain(|s| s.sink.conn_id != conn_id);
+            let closed = before - room.subscribers.len();
+            if closed > 0 {
+                self.metrics.subscriptions_closed.add(closed as u64);
+                room.rebuild_index();
+            }
         }
-        for frame in frames {
-            self.metrics.world_frames.inc();
-            self.metrics.world_events.add(frame.events.len() as u64);
-            room.tracks.set(frame.tracks.len() as i64);
-            room.epoch_lag
-                .set(room.engine.watermark_lag_epochs() as i64);
-            room.events.add(frame.events.len() as u64);
-            for event in &frame.events {
-                if let WorldEvent::Handoff {
-                    from_sensor,
-                    to_sensor,
-                    ..
-                } = event
-                {
-                    room.handoffs.inc();
-                    self.recorder.record(
-                        AnomalyKind::Handoff,
-                        *from_sensor as u64,
-                        *to_sensor as u64,
-                        frame.epoch,
-                    );
-                }
-            }
-            let seq = room.out_seq;
-            room.out_seq += 1;
-            if room.subscribers.is_empty() {
-                continue; // sequence still advances; nothing to encode
-            }
+    }
+}
 
-            // --- Phase 1: evaluate, before anything is encoded. -------
-            // Extract each event's matchable facts once, skipping whole
-            // events outside the room's coarse kind index (no subscriber
-            // program could match them).
-            let ctxs = &mut self.ctx_scratch;
-            ctxs.clear();
-            for (ei, event) in frame.events.iter().enumerate() {
-                let ctx = EventCtx::from_event(event);
-                if room.event_kind_mask & ctx.kind_bit() != 0 {
-                    ctxs.push((ei as u32, ctx));
-                }
-            }
-            let metrics = &self.metrics;
-            let mut any_world = false;
-            let mut any_hit = false;
-            let eval_start = Instant::now();
-            for sub in &mut room.subscribers {
-                // World updates pass through a per-subscription rate
-                // gate on the fused frame's event time (deterministic
-                // under replay, unlike a wall clock).
-                sub.send_world = sub.world_updates
-                    && (sub.min_update_interval_s <= 0.0
-                        || sub
-                            .last_update_s
-                            .is_none_or(|last| frame.time_s - last >= sub.min_update_interval_s));
-                if sub.send_world {
-                    sub.last_update_s = Some(frame.time_s);
-                    any_world = true;
-                }
-                sub.hits.clear();
-                if !sub.events {
-                    continue;
-                }
-                for (ei, ctx) in ctxs.iter() {
-                    sub.evaluated += 1;
-                    // The per-subscription mask is the second pre-screen:
-                    // the gap between per-sub `evaluated` and the global
-                    // `events_evaluated` counter is evaluations the index
-                    // saved.
-                    if sub.program.kind_mask() & ctx.kind_bit() == 0 {
-                        continue;
-                    }
-                    metrics.events_evaluated.inc();
-                    let verdict = sub.program.eval(&mut sub.state, ctx);
-                    if verdict.rate_limited {
-                        sub.rate_limited += 1;
-                        metrics.events_rate_limited.inc();
-                    }
-                    if verdict.matched {
-                        sub.matched += 1;
-                        metrics.events_matched.inc();
-                        sub.hits.push(*ei);
-                        any_hit = true;
-                    }
-                }
-            }
-            if !ctxs.is_empty() {
-                let per_event = eval_start.elapsed().as_nanos() as u64 / ctxs.len() as u64;
-                room.event_eval_ns.record(per_event);
-            }
-            if !any_world && !any_hit {
-                continue; // nobody wants anything from this frame
-            }
+/// Offers every held reply to its outbox again, in order. A connection
+/// whose oldest reply still meets a full outbox keeps the rest of its
+/// replies held behind it.
+fn retry(held: &mut Vec<(ConnSink, PooledBuf<u8>)>) {
+    let mut blocked: Vec<u64> = Vec::new();
+    for (sink, buf) in std::mem::take(held) {
+        if blocked.contains(&sink.conn_id) {
+            held.push((sink, buf));
+            continue;
+        }
+        // A disconnected outbox means the connection is closing.
+        if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
+            blocked.push(sink.conn_id);
+            held.push((sink, buf));
+        }
+    }
+}
 
-            // --- Phase 2: encode once — and only what somebody wants. -
-            let scratch = &mut self.update_scratch;
-            scratch.clear();
-            let world_len = if any_world {
-                wire::encode_world_update_into(room.room_id, seq, &frame, scratch);
-                scratch.len()
+/// The hub thread's state: the control channel and the liveness clock.
+struct HubWorker {
+    rx: Receiver<HubMsg>,
+    state: Arc<HubState>,
+    stop: Arc<AtomicBool>,
+    /// Hub start; liveness silence is measured on this clock.
+    epoch: Instant,
+    /// Last liveness sweep (sweeps run every [`LIVENESS_TICK`]).
+    last_tick: Instant,
+}
+
+impl WorldHub {
+    pub(crate) fn start(
+        cfg: WorldConfig,
+        frame_pool: BufPool<u8>,
+        metrics: Arc<EngineMetrics>,
+        recorder: Arc<FlightRecorder>,
+        stop: Arc<AtomicBool>,
+    ) -> (WorldHub, HubHandle) {
+        let (tx, rx) = channel();
+        let state = Arc::new(HubState::new(cfg, frame_pool, metrics, recorder));
+        let now = Instant::now();
+        let worker = HubWorker {
+            rx,
+            state: Arc::clone(&state),
+            stop,
+            epoch: now,
+            last_tick: now,
+        };
+        let thread = std::thread::Builder::new()
+            .name("hub".into())
+            .spawn(move || worker.run())
+            .expect("spawn the hub thread");
+        (WorldHub { thread }, HubHandle { tx, state })
+    }
+
+    /// Joins the hub thread (engine shutdown, after the shards).
+    pub(crate) fn join(self) {
+        self.thread.join().expect("world hub panicked");
+    }
+}
+
+impl HubWorker {
+    fn run(mut self) {
+        loop {
+            let wait = if self.state.retry_held_replies() {
+                REPLY_RETRY
             } else {
-                0
+                LIVENESS_TICK.saturating_sub(self.last_tick.elapsed())
             };
-            let ranges = &mut self.range_scratch;
-            ranges.clear();
-            ranges.resize(frame.events.len(), (0, 0));
-            for sub in &room.subscribers {
-                for &ei in &sub.hits {
-                    let slot = &mut ranges[ei as usize];
-                    if slot.0 == slot.1 {
-                        let start = scratch.len();
-                        wire::encode_event_into(room.room_id, &frame.events[ei as usize], scratch);
-                        *slot = (start as u32, scratch.len() as u32);
+            match self.rx.recv_timeout(wait) {
+                Ok(msg) => {
+                    match msg {
+                        HubMsg::Subscribe(sub, sink) => self.state.subscribe(sub, sink),
+                        HubMsg::Unsubscribe(unsub, sink) => self.state.unsubscribe(unsub, sink),
+                        HubMsg::ConnClosed(conn_id) => self.state.conn_closed(conn_id),
                     }
+                    // A steady stream of control messages must not
+                    // starve the sweep (cadence-gated below).
+                    self.maybe_tick();
                 }
-            }
-
-            // --- Phase 3: deliver, shedding and pruning as before. ----
-            // A connection with a held reply yields its free outbox slots
-            // to that reply: its world traffic sheds until it is through.
-            let pool = &self.frame_pool;
-            let recorder = &self.recorder;
-            let held = &self.held_replies;
-            let mut pruned = 0u64;
-            room.subscribers.retain_mut(|sub| {
-                let mut alive = true;
-                let yields = held.iter().any(|(s, _)| s.conn_id == sub.sink.conn_id);
-                let out = |buf| push(&sub.sink, buf, yields, metrics, recorder);
-                if sub.send_world {
-                    let mut buf = pool.get(world_len);
-                    buf.extend_from_slice(&scratch[..world_len]);
-                    metrics.world_bytes.add(world_len as u64);
-                    alive &= out(buf) != Pushed::Gone;
-                }
-                if alive {
-                    for &ei in &sub.hits {
-                        let (start, end) = ranges[ei as usize];
-                        let bytes = &scratch[start as usize..end as usize];
-                        let mut buf = pool.get(bytes.len());
-                        buf.extend_from_slice(bytes);
-                        metrics.world_bytes.add(bytes.len() as u64);
-                        match out(buf) {
-                            Pushed::Sent => {}
-                            Pushed::Shed => sub.shed += 1,
-                            Pushed::Gone => {
-                                alive = false;
-                                break;
-                            }
-                        }
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    // Inbox empty: the only time shutdown may interrupt.
+                    if self.stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    self.maybe_tick();
                 }
-                if !alive {
-                    pruned += 1;
-                }
-                alive
-            });
-            if pruned > 0 {
-                metrics.subscriptions_closed.add(pruned);
-                room.rebuild_event_mask();
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
+        self.state.release_connections();
+    }
+
+    /// Runs the liveness sweep when [`LIVENESS_TICK`] has passed since
+    /// the last one.
+    fn maybe_tick(&mut self) {
+        if self.last_tick.elapsed() < LIVENESS_TICK {
+            return;
+        }
+        self.last_tick = Instant::now();
+        self.state.tick(self.epoch.elapsed().as_secs_f64());
     }
 }
 
@@ -791,4 +910,150 @@ fn push(
     metrics.updates_dropped.inc();
     recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
     Pushed::Shed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::{EventKind, SubscriptionBuilder};
+    use std::sync::mpsc::sync_channel;
+    use witrack_fuse::WorldTrackId;
+    use witrack_geom::RigidTransform;
+    use witrack_obs::Registry;
+
+    const ROOM: u32 = 3;
+
+    fn hub_state() -> HubState {
+        let registration = Registration::new().with_sensor(0, RigidTransform::IDENTITY);
+        HubState::new(
+            WorldConfig::single_room(ROOM, FuseConfig::default(), registration),
+            BufPool::new(64),
+            Arc::new(EngineMetrics::new(Arc::new(Registry::new()))),
+            Arc::new(FlightRecorder::new(64)),
+        )
+    }
+
+    fn connection(conn_id: u64) -> (ConnSink, Receiver<PooledBuf<u8>>) {
+        let (tx, rx) = sync_channel(64);
+        (ConnSink { conn_id, tx }, rx)
+    }
+
+    /// The index lists and coarse mask equal a full scan of the
+    /// subscriber set, and no per-frame scratch outlives its frame.
+    fn assert_index_matches_scan(state: &HubState, after: &str) {
+        let room = state.room(0);
+        let scan = |want: fn(&Subscriber) -> bool| -> Vec<u32> {
+            (0..room.subscribers.len() as u32)
+                .filter(|&i| want(&room.subscribers[i as usize]))
+                .collect()
+        };
+        assert_eq!(
+            room.world_subs,
+            scan(|s| s.world_updates),
+            "world list after {after}"
+        );
+        assert_eq!(
+            room.event_subs,
+            scan(|s| s.events),
+            "event list after {after}"
+        );
+        let mask = room
+            .subscribers
+            .iter()
+            .filter(|s| s.events)
+            .fold(0, |m, s| m | s.program.kind_mask());
+        assert_eq!(room.event_kind_mask, mask, "kind mask after {after}");
+        assert!(
+            room.subscribers
+                .iter()
+                .all(|s| s.hits.is_empty() && !s.send_world),
+            "per-frame scratch left set after {after}"
+        );
+    }
+
+    fn frame_with_an_event(epoch: u64) -> WorldFrame {
+        let time_s = epoch as f64 * 0.0125;
+        WorldFrame {
+            epoch,
+            time_s,
+            tracks: Vec::new(),
+            events: vec![WorldEvent::ZoneEntered {
+                track: WorldTrackId(1),
+                zone: 2,
+                time_s,
+            }],
+        }
+    }
+
+    #[test]
+    fn index_lists_equal_a_full_scan_through_every_membership_change() {
+        let state = hub_state();
+        let conns: Vec<_> = (1..=4).map(connection).collect();
+        let shapes = [
+            SubscriptionBuilder::room(ROOM),
+            SubscriptionBuilder::room(ROOM).no_events(),
+            SubscriptionBuilder::room(ROOM).world_updates(false),
+            SubscriptionBuilder::room(ROOM)
+                .world_updates(false)
+                .events(EventKind::Fall),
+            SubscriptionBuilder::room(ROOM)
+                .world_updates(false)
+                .no_events(),
+        ];
+        let mut sub_id = 0;
+        for (sink, _) in &conns {
+            for shape in &shapes {
+                sub_id += 1;
+                state.subscribe(shape.clone().id(sub_id).build(), sink.clone());
+                assert_index_matches_scan(&state, &format!("subscribe {sub_id}"));
+            }
+        }
+
+        // Delivery leaves the lists (and the scratch) as they were.
+        state.room(0).deliver(vec![frame_with_an_event(1)], &state);
+        assert_index_matches_scan(&state, "delivery");
+
+        // Unsubscribe swaps the last subscriber into the hole.
+        let unsub = |sub_id| wire::Unsubscribe {
+            room_id: ROOM,
+            sub_id,
+        };
+        state.unsubscribe(unsub(2), conns[0].0.clone());
+        assert_index_matches_scan(&state, "unsubscribe 2");
+        state.unsubscribe(unsub(8), conns[1].0.clone());
+        assert_index_matches_scan(&state, "unsubscribe 8");
+
+        state.conn_closed(conns[2].0.conn_id);
+        assert_index_matches_scan(&state, "connection close");
+        assert!(state
+            .room(0)
+            .subscribers
+            .iter()
+            .all(|s| s.sink.conn_id != conns[2].0.conn_id));
+
+        // Connection 4 vanishes without a close: its subscribers that get
+        // something are pruned on their first failed send; those offered
+        // nothing (no world updates, no matching event) stay.
+        let mut conns = conns;
+        let (dead, dead_rx) = conns.pop().expect("four connections");
+        drop(dead_rx);
+        let before = state.room(0).subscribers.len();
+        let closed_before = state.metrics.snapshot().subscriptions_closed;
+        state.room(0).deliver(vec![frame_with_an_event(2)], &state);
+        assert_index_matches_scan(&state, "prune");
+        let room = state.room(0);
+        let mut left: Vec<u64> = room
+            .subscribers
+            .iter()
+            .filter(|s| s.sink.conn_id == dead.conn_id)
+            .map(|s| s.sub_id)
+            .collect();
+        left.sort_unstable();
+        assert_eq!(left, vec![19, 20], "falls only, and neither stream");
+        assert_eq!(room.subscribers.len(), before - 3);
+        assert_eq!(
+            state.metrics.snapshot().subscriptions_closed,
+            closed_before + 3
+        );
+    }
 }

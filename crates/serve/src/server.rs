@@ -52,7 +52,9 @@ impl Server {
     pub fn attach<T: Transport + 'static>(&self, transport: T) -> io::Result<JoinHandle<()>> {
         let (tx, rx) = transport.split()?;
         let handle = self.engine.handle();
-        Ok(std::thread::spawn(move || connection_main(tx, rx, handle)))
+        std::thread::Builder::new()
+            .name("conn-rx".into())
+            .spawn(move || connection_main(tx, rx, handle))
     }
 
     /// A cloneable ingress handle to the engine (bypasses transports; used
@@ -121,19 +123,21 @@ impl ServerBuilder {
         let accept_thread = {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            let _ = server.attach(crate::transport::TcpTransport::new(s));
+            std::thread::Builder::new()
+                .name("accept".into())
+                .spawn(move || {
+                    for stream in listener.incoming() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
                         }
-                        Err(_) => break,
+                        match stream {
+                            Ok(s) => {
+                                let _ = server.attach(crate::transport::TcpTransport::new(s));
+                            }
+                            Err(_) => break,
+                        }
                     }
-                }
-            })
+                })?
         };
         Ok(TcpServer {
             server,
@@ -151,7 +155,10 @@ where
 {
     let (sink, outbox_rx) = handle.open_connection();
     let conn_id = sink.conn_id;
-    let writer = std::thread::spawn(move || writer_main(tx, outbox_rx));
+    let writer = std::thread::Builder::new()
+        .name("conn-tx".into())
+        .spawn(move || writer_main(tx, outbox_rx))
+        .expect("spawn a connection writer");
     // Sweep samples decode straight into the engine's recycled i16
     // buffers: at steady state the reader allocates nothing per message.
     let ingest_pools = handle.ingest_pools().clone();

@@ -228,6 +228,147 @@ fn unknown_subscriptions_are_rejected_over_the_wire() {
 }
 
 #[test]
+fn a_subscriber_connection_closes_after_server_shutdown() {
+    // Rooms outlive the hub thread inside every engine handle; the
+    // connection's reader holds one, and its writer exits only once the
+    // room's subscriber has let go of the outbox. Shutting down first
+    // must still let the connection close.
+    let base = mid_base();
+    let (registration, _) = hallway_registration();
+    let server = Server::builder(witrack_factory(base))
+        .world(WorldConfig::single_room(
+            ROOM,
+            FuseConfig::default(),
+            registration,
+        ))
+        .start();
+    let (client_end, server_end) = in_proc_pair(8);
+    server.attach(server_end).expect("attach");
+    let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+    let mut client = SensorClient::connect_with(
+        client_end,
+        Some(Box::new(move |msg: &Message| {
+            if let Message::SubscribeAck(_) = msg {
+                let _ = ack_tx.send(());
+            }
+        })),
+    )
+    .expect("connect");
+    client
+        .subscribe_with(SubscriptionBuilder::room(ROOM).build())
+        .expect("subscribe");
+    ack_rx.recv().expect("subscription installed");
+    server.shutdown();
+    assert_eq!(client.close().subscribe_acks, 1);
+}
+
+#[test]
+fn each_fused_epoch_leaves_before_the_update_that_closed_it() {
+    // One sensor, one room: every report closes exactly one epoch. The
+    // connection feeding the sensor also subscribes to the room, so its
+    // outbox carries both streams in the order the server pushed them —
+    // and a fused location must not trail the update it came from.
+    let base = mid_base();
+    let registration = Registration::new().with_sensor(0, RigidTransform::IDENTITY);
+    let fuse = room_fuse_config(&base, FallConfig::default());
+    let server = Server::builder(witrack_factory(base))
+        .world(WorldConfig::single_room(ROOM, fuse, registration))
+        .start();
+    let (client_end, server_end) = in_proc_pair(64);
+    server.attach(server_end).expect("attach");
+
+    enum Seen {
+        Ack,
+        World,
+        Update { reports: usize },
+    }
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+    let mut client = SensorClient::connect_with(
+        client_end,
+        Some(Box::new(move |msg: &Message| {
+            let seen = match msg {
+                Message::SubscribeAck(_) => Seen::Ack,
+                Message::WorldUpdate(_) => Seen::World,
+                Message::UpdateBatch(u) => Seen::Update {
+                    reports: u.updates.len(),
+                },
+                _ => return,
+            };
+            let _ = seen_tx.send(seen);
+        })),
+    )
+    .expect("connect");
+    client
+        .subscribe_with(SubscriptionBuilder::room(ROOM).no_events().build())
+        .expect("subscribe");
+    // The subscription must be in before the first report, or the
+    // room's first epochs would close with nobody to send them to.
+    assert!(matches!(seen_rx.recv().expect("ack"), Seen::Ack));
+    client
+        .hello(hello_for(&base, 0, PipelineKind::SingleTarget))
+        .expect("hello");
+
+    let from = Vec3::new(0.0, 2.5, 1.0);
+    let to = Vec3::new(0.0, 5.0, 1.0);
+    let mut sim = MultiVantageSimulator::new(
+        SimConfig {
+            sweep: base.sweep,
+            noise_std: 0.05,
+            seed: 5,
+        },
+        AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
+        scenario::facing_pair(HALLWAY_M, COVERAGE_M)
+            .into_iter()
+            .take(1)
+            .collect(),
+        vec![PersonSpec::adult(LinePath::new(
+            from,
+            to,
+            from.distance(to) / 1.5,
+        ))],
+    );
+    let mut pending = Vec::new();
+    let mut seq = 0;
+    while let Some(round) = sim.next_round() {
+        for rs in round {
+            pending.push(rs.set.per_rx);
+            if pending.len() == base.sweep.sweeps_per_frame {
+                client.send_sweeps(0, seq, &pending).expect("send");
+                seq += 1;
+                pending.clear();
+            }
+        }
+    }
+    // Read every report back before hanging up: closing the connection
+    // drops its subscription while the shard may still hold batches.
+    let (mut worlds, mut reports, mut batches) = (0, 0, 0);
+    while reports < seq as usize {
+        let seen = seen_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("every report comes back");
+        match seen {
+            Seen::Ack => panic!("one subscription, one ack"),
+            Seen::World => worlds += 1,
+            Seen::Update { reports: n } => {
+                reports += n;
+                batches += 1;
+                assert!(
+                    worlds >= reports,
+                    "update batch {batches} brings the report count to {reports}, \
+                     but only {worlds} world updates arrived ahead of it"
+                );
+            }
+        }
+    }
+    client.teardown(0).expect("teardown");
+    client.close();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.updates_dropped, 0, "nothing may shed here");
+    assert!(batches > 100, "only {batches} update batches");
+    assert_eq!(worlds, reports, "one fused epoch per report");
+}
+
+#[test]
 fn two_sensors_two_walkers_two_world_tracks_across_handoff() {
     // Walker A crosses the whole hallway (sensor 0's exclusive region →
     // overlap → sensor 1's exclusive region: the handoff); walker B
