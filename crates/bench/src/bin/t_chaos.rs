@@ -385,7 +385,7 @@ fn run_cell(room_name: &str, fault: FaultClass) -> CellResult {
 
     // Drive the three phases. Frames are sent as fast as the pipelines
     // absorb them except during an outage window, where the driver paces
-    // ~1 ms/frame so the hub's wall-clock liveness tick can observe the
+    // ~1 ms/frame so the room shard's wall-clock liveness tick can observe the
     // silence (and the revival) inside the window.
     let sweeps_per_frame = base.sweep.sweeps_per_frame;
     let mut pending: Vec<Vec<Vec<Vec<f64>>>> = vec![Vec::new(); 2];

@@ -253,9 +253,9 @@ impl Default for BackoffConfig {
 /// Owns a dial factory instead of one connection: when a send fails, it
 /// tears the dead [`SensorClient`] down, redials under the
 /// [`BackoffConfig`] (capped exponential, jittered), replays its `Hello`
-/// — the server's scoped teardown for the dead connection frees the
-/// sensor id, and the existing handoff machinery preserves track
-/// identity — and retries the send. Sequence numbers stay monotone
+/// — the server's cleanup of the dead connection frees the sensor id,
+/// and the existing handoff machinery preserves track identity — and
+/// retries the send. Sequence numbers stay monotone
 /// across reconnects, so the server sees an honest forward gap
 /// (surfaced as a `SeqGap` anomaly) rather than a replayed stream.
 pub struct ReconnectingClient<T: Transport> {

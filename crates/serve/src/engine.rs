@@ -1,9 +1,11 @@
 //! The sharded engine: N sensor streams multiplexed over worker shards.
 //!
-//! Each sensor id is pinned to one shard (`sensor_id mod num_shards`), and
-//! each shard worker owns the [`FramePipeline`] instances of the sensors
-//! pinned to it — so a sensor's sweeps are always processed in order, by
-//! one thread, with no locking around pipeline state. Shard input queues
+//! Each sensor id is pinned to one shard — its fused room's, or
+//! `sensor_id mod num_shards` for a sensor no room fuses (see
+//! [`crate::hub`]) — and each shard worker owns the [`FramePipeline`]
+//! instances of the sensors pinned to it, so a sensor's sweeps are always
+//! processed in order, by one thread, with no locking around pipeline
+//! state. Shard input queues
 //! are **bounded**: a producer outrunning the engine either blocks
 //! ([`OverloadPolicy::Block`], socket-like backpressure) or has its newest
 //! batch dropped and counted ([`OverloadPolicy::DropNewest`], for sensors
@@ -24,25 +26,27 @@
 //! straight into the connection's bounded outbox — shedding, never
 //! blocking, when it is full: one lagging client must not stall a shard.
 //!
-//! With a [`WorldConfig`], a fused sensor's shard also does the sensor's
-//! fusion: it locks the sensor's room, pushes each new report into the
-//! room's fusion engine and delivers every epoch that closes, and only
-//! then pushes the reports' `UpdateBatch` — so a fused location leaves
-//! together with its sensor's update. Shards serving sensors of the same
-//! room take turns on that room's lock; session close (and the shard's
-//! exit drain) removes the sensor from its room the same way. The hub
-//! thread keeps only the control plane (see [`crate::hub`]).
+//! With a [`WorldConfig`], each fused room lives on the shard that runs
+//! all of its sensors, and that shard owns it outright: it pushes each
+//! new report into the room's fusion engine, delivers every epoch that
+//! closes, and only then pushes the reports' `UpdateBatch` — so a fused
+//! location leaves together with its sensor's update. Session close (and
+//! the shard's exit drain) removes the sensor from its room the same
+//! way. The room's control plane — subscribe, unsubscribe, connection
+//! close, the liveness tick and held-reply retries — runs on that shard
+//! too, between its messages. An engine without a world is one with zero
+//! rooms.
 
-use crate::hub::{HubHandle, HubMsg, WorldConfig, WorldHub};
+use crate::hub::{Placement, Rooms, WorldConfig, LIVENESS_TICK, REPLY_RETRY};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::pool::{BufPool, PooledBatch, PooledBuf, SamplePools};
-use crate::wire::{self, Hello, Message, RejectCode, Teardown};
+use crate::wire::{self, Hello, Message, RejectCode, SubscribeV3, Teardown};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use witrack_core::{FramePipeline, FrameReport};
 use witrack_obs::{
     AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label, Registry, StageStats,
@@ -100,8 +104,8 @@ pub type UpdateSink = SyncSender<PooledBuf<u8>>;
 pub const OUTBOX_CAPACITY: usize = 64;
 
 /// A connection's outbox sender plus the connection's id (connection ids
-/// scope best-effort cleanup teardowns; see
-/// [`EngineHandle::submit_teardown_scoped`]). Opened by
+/// scope the cleanup at connection close; see
+/// [`EngineHandle::notify_conn_closed`]). Opened by
 /// [`EngineHandle::open_connection`].
 #[derive(Clone)]
 pub struct ConnSink {
@@ -168,14 +172,16 @@ enum ShardMsg {
     /// A sweep batch (header + pooled samples), its connection's sink and
     /// its enqueue instant (queue-wait telemetry).
     Batch(PooledBatch, ConnSink, Instant),
-    /// Teardown; `scoped` limits it to a session the sink's connection
-    /// owns (best-effort cleanup at connection close must not kill a
-    /// session some other connection owns).
-    Teardown {
-        teardown: Teardown,
-        sink: ConnSink,
-        scoped: bool,
-    },
+    Teardown(Teardown, ConnSink),
+    /// A room subscription, for the room's shard to install or refuse.
+    Subscribe(SubscribeV3, ConnSink),
+    /// A subscription release, for the room's shard.
+    Unsubscribe(wire::Unsubscribe, ConnSink),
+    /// A connection hung up: every shard closes the sessions it owns and
+    /// drops its subscriptions and held replies *now*. Holding them until
+    /// a failed send would also hold the connection's outbox sender — and
+    /// the connection writer only exits when every sender is gone.
+    ConnClosed(u64),
     /// Shutdown nudge: wakes the shard so it notices the stop flag.
     Wake,
 }
@@ -191,8 +197,8 @@ pub struct EngineHandle {
     ingest: SamplePools,
     /// Recycles outbox encode buffers (shard → outbox → transport).
     frame_pool: BufPool<u8>,
-    /// The world hub, when this engine fuses rooms.
-    hub: Option<HubHandle>,
+    /// Which shard runs each fused room and each sensor.
+    placement: Arc<Placement>,
     /// The engine's metric registry (all `engine`/`shard`/`sensor`/
     /// `pipeline`/`room` series).
     registry: Arc<Registry>,
@@ -207,10 +213,6 @@ pub struct EngineHandle {
 }
 
 impl EngineHandle {
-    fn shard_idx(&self, sensor_id: u32) -> usize {
-        sensor_id as usize % self.shards.len()
-    }
-
     /// The pools connection readers should decode sweep samples into
     /// (see [`crate::transport::TransportRx::recv_msg_pooled`]).
     pub fn ingest_pools(&self) -> &SamplePools {
@@ -240,31 +242,33 @@ impl EngineHandle {
     /// `SweepBatchQ` follows the configured [`OverloadPolicy`].
     ///
     /// A refused `Hello` sends its `Reject` to `sink` and leaves no
-    /// session state behind. `SubscribeV3`/`Unsubscribe` go to the world
-    /// hub, which answers with a `SubscribeAck`/`SubscriptionStats` (or a
-    /// `Reject` carrying [`RejectCode::BadProgram`]/
-    /// [`RejectCode::UnknownSubscription`]); without a hub (the engine
-    /// was started without a [`WorldConfig`]) they are refused with
-    /// `UnknownSubscription`. A `StatsQuery` is answered at once with a
+    /// session state behind. `SubscribeV3`/`Unsubscribe` go to the shard
+    /// owning the room, which answers with a
+    /// `SubscribeAck`/`SubscriptionStats` (or a `Reject` carrying
+    /// [`RejectCode::BadProgram`]/[`RejectCode::UnknownSubscription`]);
+    /// a room no shard owns — every room, for an engine started without
+    /// a [`WorldConfig`] — is refused by shard 0. Those replies are never
+    /// shed. A `StatsQuery` is answered at once with a
     /// `StatsReport` of [`Self::stats_samples`] — no shard round-trip.
     pub fn submit(&self, msg: Message, sink: &ConnSink) -> Result<Submitted, SubmitError> {
         match msg {
-            Message::Hello(h) => self.send_control(h.sensor_id, ShardMsg::Hello(h, sink.clone())),
+            Message::Hello(h) => self.send_control(
+                self.placement.sensor_shard(h.sensor_id),
+                ShardMsg::Hello(h, sink.clone()),
+            ),
             Message::Teardown(t) => self.send_control(
-                t.sensor_id,
-                ShardMsg::Teardown {
-                    teardown: t,
-                    sink: sink.clone(),
-                    scoped: false,
-                },
+                self.placement.sensor_shard(t.sensor_id),
+                ShardMsg::Teardown(t, sink.clone()),
             ),
             Message::SweepBatchQ(q) => self.submit_batch_pooled(PooledBatch::from_owned_q(q), sink),
-            Message::SubscribeV3(s) => {
-                self.send_to_hub(s.room_id, sink, |k| HubMsg::Subscribe(s, k))
-            }
-            Message::Unsubscribe(u) => {
-                self.send_to_hub(u.room_id, sink, |k| HubMsg::Unsubscribe(u, k))
-            }
+            Message::SubscribeV3(s) => self.send_control(
+                self.placement.room_shard(s.room_id),
+                ShardMsg::Subscribe(s, sink.clone()),
+            ),
+            Message::Unsubscribe(u) => self.send_control(
+                self.placement.room_shard(u.room_id),
+                ShardMsg::Unsubscribe(u, sink.clone()),
+            ),
             Message::StatsQuery(_) => {
                 let samples = self.stats_samples();
                 let mut buf = self.frame_pool.get(64 * samples.len().max(1));
@@ -279,25 +283,6 @@ impl EngineHandle {
             | Message::StatsReport(_)
             | Message::SubscribeAck(_)
             | Message::SubscriptionStats(_) => Err(SubmitError::ServerOnlyMessage),
-        }
-    }
-
-    /// Hands a subscription message to the world hub, or refuses it over
-    /// the connection when this engine fuses no rooms.
-    fn send_to_hub(
-        &self,
-        room_id: u32,
-        sink: &ConnSink,
-        msg: impl FnOnce(ConnSink) -> HubMsg,
-    ) -> Result<Submitted, SubmitError> {
-        match &self.hub {
-            Some(hub) if hub.send(msg(sink.clone())) => Ok(Submitted::Queued),
-            Some(_) => Err(SubmitError::EngineDown),
-            None => {
-                self.metrics.batches_rejected.inc();
-                self.send_reject(sink, room_id, RejectCode::UnknownSubscription);
-                Ok(Submitted::Queued)
-            }
         }
     }
 
@@ -330,39 +315,9 @@ impl EngineHandle {
         &self.recorder
     }
 
-    /// Best-effort teardown scoped to the connection of `sink`: closes
-    /// the session only if that connection owns it, and refuses nothing.
-    /// Used at connection close, where tearing down a sensor now owned by
-    /// another connection would be worse than leaking nothing.
-    pub fn submit_teardown_scoped(
-        &self,
-        sensor_id: u32,
-        sink: &ConnSink,
-    ) -> Result<Submitted, SubmitError> {
-        self.send_control(
-            sensor_id,
-            ShardMsg::Teardown {
-                teardown: Teardown { sensor_id },
-                sink: sink.clone(),
-                scoped: true,
-            },
-        )
-    }
-
-    fn send_control(&self, sensor_id: u32, msg: ShardMsg) -> Result<Submitted, SubmitError> {
-        // Count before sending: the shard's dequeue must never observe an
-        // un-counted message (inflight would underflow).
-        let idx = self.shard_idx(sensor_id);
-        self.metrics.enqueued();
-        self.queue_depths[idx].add(1);
-        match self.shards[idx].send(msg) {
-            Ok(()) => Ok(Submitted::Queued),
-            Err(_) => {
-                self.metrics.enqueue_failed();
-                self.queue_depths[idx].add(-1);
-                Err(SubmitError::EngineDown)
-            }
-        }
+    /// Sends a control message to shard `idx`, blocking on a full queue.
+    fn send_control(&self, idx: usize, msg: ShardMsg) -> Result<Submitted, SubmitError> {
+        self.enqueue(idx, msg, true)
     }
 
     /// Submits one decoded sweep batch whose samples live in a pooled
@@ -375,47 +330,52 @@ impl EngineHandle {
         sink: &ConnSink,
     ) -> Result<Submitted, SubmitError> {
         let (sensor_id, seq) = (batch.shape.sensor_id, batch.shape.seq);
-        let idx = self.shard_idx(sensor_id);
-        let shard = &self.shards[idx];
-        self.metrics.enqueued();
-        self.queue_depths[idx].add(1);
+        let idx = self.placement.sensor_shard(sensor_id);
         let msg = ShardMsg::Batch(batch, sink.clone(), Instant::now());
-        let rollback = || {
-            self.metrics.enqueue_failed();
-            self.queue_depths[idx].add(-1);
-        };
-        match self.overload {
-            OverloadPolicy::Block => match shard.send(msg) {
-                Ok(()) => Ok(Submitted::Queued),
-                Err(_) => {
-                    rollback();
-                    Err(SubmitError::EngineDown)
-                }
-            },
-            OverloadPolicy::DropNewest => match shard.try_send(msg) {
-                Ok(()) => Ok(Submitted::Queued),
-                Err(TrySendError::Full(_)) => {
-                    rollback();
-                    self.metrics.batches_dropped.inc();
-                    self.recorder
-                        .record(AnomalyKind::Drop, sensor_id as u64, idx as u64, seq);
-                    Ok(Submitted::Dropped)
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    rollback();
-                    Err(SubmitError::EngineDown)
-                }
-            },
+        let sent = self.enqueue(idx, msg, self.overload == OverloadPolicy::Block);
+        if sent == Ok(Submitted::Dropped) {
+            self.metrics.batches_dropped.inc();
+            self.recorder
+                .record(AnomalyKind::Drop, sensor_id as u64, idx as u64, seq);
         }
+        sent
     }
 
-    /// Tells the world hub a connection ended, releasing its room
-    /// subscriptions (and with them the hub's clone of the connection's
-    /// outbox sender, which the connection writer's exit waits on).
-    /// No-op without a hub.
+    /// Queues one message on shard `idx`: blocking on a full queue, or
+    /// (`block` false) dropping the message instead.
+    fn enqueue(&self, idx: usize, msg: ShardMsg, block: bool) -> Result<Submitted, SubmitError> {
+        // Count before sending: the shard's dequeue must never observe an
+        // un-counted message (inflight would underflow).
+        self.metrics.enqueued();
+        self.queue_depths[idx].add(1);
+        let sent = if block {
+            match self.shards[idx].send(msg) {
+                Ok(()) => Ok(Submitted::Queued),
+                Err(_) => Err(SubmitError::EngineDown),
+            }
+        } else {
+            match self.shards[idx].try_send(msg) {
+                Ok(()) => Ok(Submitted::Queued),
+                Err(TrySendError::Full(_)) => Ok(Submitted::Dropped),
+                Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
+            }
+        };
+        if sent != Ok(Submitted::Queued) {
+            self.metrics.enqueue_failed();
+            self.queue_depths[idx].add(-1);
+        }
+        sent
+    }
+
+    /// Tells every shard a connection ended. Each closes the sessions the
+    /// connection owns — and only those: a sensor some other connection
+    /// owns is spared — and releases its room subscriptions and held
+    /// replies, and with them the shards' clones of the connection's
+    /// outbox sender, which the connection writer's exit waits on. A
+    /// shard does this after everything the connection queued before.
     pub fn notify_conn_closed(&self, conn_id: u64) {
-        if let Some(hub) = &self.hub {
-            let _ = hub.send(HubMsg::ConnClosed(conn_id));
+        for idx in 0..self.shards.len() {
+            let _ = self.send_control(idx, ShardMsg::ConnClosed(conn_id));
         }
     }
 
@@ -425,16 +385,11 @@ impl EngineHandle {
     }
 }
 
-/// The running engine: shard workers plus their queues (and the world
-/// hub, when rooms are fused).
+/// The running engine: shard workers plus their queues.
 pub struct ShardedEngine {
     handle: EngineHandle,
     workers: Vec<JoinHandle<()>>,
-    hub: Option<WorldHub>,
     stop: Arc<AtomicBool>,
-    metrics: Arc<EngineMetrics>,
-    registry: Arc<Registry>,
-    recorder: Arc<FlightRecorder>,
 }
 
 impl ShardedEngine {
@@ -445,7 +400,7 @@ impl ShardedEngine {
         EngineBuilder {
             cfg: EngineConfig::default(),
             factory,
-            world: None,
+            world: WorldConfig::default(),
         }
     }
 
@@ -460,7 +415,7 @@ impl ShardedEngine {
 pub struct EngineBuilder {
     cfg: EngineConfig,
     factory: Arc<PipelineFactory>,
-    world: Option<WorldConfig>,
+    world: WorldConfig,
 }
 
 impl EngineBuilder {
@@ -470,16 +425,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Attach a world hub fusing the configured rooms: every session's
-    /// frame reports are forwarded to its room's
+    /// Fuse the configured rooms: each room goes to one shard with its
+    /// sensors, every fused session's frame reports feed its room's
     /// [`witrack_fuse::FusionEngine`], and connections may subscribe to
     /// rooms for fused `WorldUpdate`/`Event` streams.
     pub fn world(mut self, world: WorldConfig) -> Self {
-        self.world = Some(world);
+        self.world = world;
         self
     }
 
-    /// Starts the shard workers (and hub, when a world is configured).
+    /// Starts the shard workers.
     pub fn start(self) -> ShardedEngine {
         let EngineBuilder {
             cfg,
@@ -498,19 +453,7 @@ impl EngineBuilder {
         // are small and bounded by outbox depth.
         let ingest = SamplePools::new(num_shards * cfg.queue_capacity.max(1) + 2 * num_shards + 8);
         let frame_pool = BufPool::new(256);
-        let (hub, hub_handle) = match world {
-            Some(world_cfg) => {
-                let (hub, handle) = WorldHub::start(
-                    world_cfg,
-                    frame_pool.clone(),
-                    Arc::clone(&metrics),
-                    Arc::clone(&recorder),
-                    Arc::clone(&stop),
-                );
-                (Some(hub), Some(handle))
-            }
-            None => (None, None),
-        };
+        let (placement, shard_rooms) = Placement::new(world, num_shards);
         let queue_depths: Arc<Vec<Gauge>> = Arc::new(
             (0..num_shards)
                 .map(|i| registry.gauge("shard", "queue_depth", Label::Shard(i as u32)))
@@ -518,7 +461,8 @@ impl EngineBuilder {
         );
         let mut shards = Vec::with_capacity(num_shards);
         let mut workers = Vec::with_capacity(num_shards);
-        for i in 0..num_shards {
+        let started = Instant::now();
+        for (i, rooms) in shard_rooms.into_iter().enumerate() {
             let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
             shards.push(tx);
             let shard_label = Label::Shard(i as u32);
@@ -530,7 +474,14 @@ impl EngineBuilder {
                 sessions: HashMap::new(),
                 frame_pool: frame_pool.clone(),
                 updates_scratch: Vec::new(),
-                hub: hub_handle.clone(),
+                rooms: Rooms::new(
+                    rooms,
+                    frame_pool.clone(),
+                    Arc::clone(&metrics),
+                    Arc::clone(&recorder),
+                ),
+                started,
+                last_tick: started,
                 registry: Arc::clone(&registry),
                 recorder: Arc::clone(&recorder),
                 queue_depth: queue_depths[i].clone(),
@@ -548,23 +499,19 @@ impl EngineBuilder {
         let handle = EngineHandle {
             shards,
             overload: cfg.overload,
-            metrics: Arc::clone(&metrics),
+            metrics,
             ingest,
             frame_pool,
-            hub: hub_handle,
-            registry: Arc::clone(&registry),
-            recorder: Arc::clone(&recorder),
+            placement: Arc::new(placement),
+            registry,
+            recorder,
             queue_depths,
             next_conn_id: Arc::new(AtomicU64::new(1)),
         };
         ShardedEngine {
             handle,
             workers,
-            hub,
             stop,
-            metrics,
-            registry,
-            recorder,
         }
     }
 }
@@ -572,24 +519,25 @@ impl EngineBuilder {
 impl ShardedEngine {
     /// Current counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.handle.metrics()
     }
 
     /// The engine's metric registry: every `engine`/`shard`/`sensor`/
     /// `pipeline`/`room` series this engine registers.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.handle.registry()
     }
 
     /// The engine's anomaly flight recorder (drops, rejects, sequence
     /// gaps, shed updates, ghost quarantines, handoffs).
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
+        self.handle.recorder()
     }
 
     /// Stops the shards after they drain their queues and joins them.
-    /// Outstanding [`EngineHandle`] clones see [`SubmitError::EngineDown`]
-    /// afterwards.
+    /// Each shard drops its rooms as it exits, and with them every
+    /// subscriber's outbox sender. Outstanding [`EngineHandle`] clones see
+    /// [`SubmitError::EngineDown`] afterwards.
     pub fn shutdown(self) -> MetricsSnapshot {
         self.stop.store(true, Ordering::SeqCst);
         for shard in &self.handle.shards {
@@ -600,13 +548,7 @@ impl ShardedEngine {
         for w in self.workers {
             w.join().expect("shard worker panicked");
         }
-        // The shards are gone, and with them every fusion; the hub thread
-        // drains the control messages already in its inbox, sees the
-        // stop flag, and exits.
-        if let Some(hub) = self.hub {
-            hub.join();
-        }
-        self.metrics.snapshot()
+        self.handle.metrics()
     }
 }
 
@@ -636,9 +578,14 @@ struct ShardWorker {
     /// Per-batch report scratch, reused across batches (taken/returned
     /// around each batch so the session borrow stays clean).
     updates_scratch: Vec<FrameReport>,
-    /// The world hub, when this engine fuses rooms: the shard fuses every
-    /// emitted report batch into its sensor's room itself.
-    hub: Option<HubHandle>,
+    /// The fused rooms this shard owns (and the control replies it
+    /// holds): the shard fuses every emitted report batch of their
+    /// sensors itself.
+    rooms: Rooms,
+    /// Shard start; liveness silence is measured on this clock.
+    started: Instant,
+    /// Last liveness sweep (sweeps run every [`LIVENESS_TICK`]).
+    last_tick: Instant,
     /// The engine registry (per-sensor series register at session open).
     registry: Arc<Registry>,
     /// The engine's anomaly flight recorder.
@@ -657,7 +604,13 @@ struct ShardWorker {
 impl ShardWorker {
     fn run(mut self) {
         loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
+            // Sleep until the next held-reply retry or liveness sweep.
+            let wait = if self.rooms.holds_replies() {
+                REPLY_RETRY
+            } else {
+                LIVENESS_TICK.saturating_sub(self.last_tick.elapsed())
+            };
+            match self.rx.recv_timeout(wait) {
                 Ok(msg) => self.dispatch(msg),
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                     // Queue empty: the only time shutdown may interrupt —
@@ -665,6 +618,7 @@ impl ShardWorker {
                     if self.stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    self.housekeep();
                 }
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
             }
@@ -672,11 +626,25 @@ impl ShardWorker {
         // Sessions still open at shutdown close here — the only exit
         // their pipelines have — so `sessions_closed` balances
         // `sessions_opened` even for clients that never sent `Teardown`.
+        // The rooms (and their subscribers' outbox senders) drop with
+        // the worker.
         for (sensor_id, _) in self.sessions.drain() {
             self.metrics.sessions_closed.inc();
-            if let Some(hub) = &self.hub {
-                hub.remove_sensor(sensor_id);
-            }
+            self.rooms.remove_sensor(sensor_id);
+        }
+    }
+
+    /// Offers held replies again and, once [`LIVENESS_TICK`] has passed
+    /// since the last sweep, sweeps the rooms for silent sensors. Runs on
+    /// every wake and between drained messages, so a steady stream of
+    /// messages cannot starve either.
+    fn housekeep(&mut self) {
+        if self.rooms.holds_replies() {
+            self.rooms.retry_held();
+        }
+        if self.last_tick.elapsed() >= LIVENESS_TICK {
+            self.last_tick = Instant::now();
+            self.rooms.tick(self.started.elapsed().as_secs_f64());
         }
     }
 
@@ -713,6 +681,7 @@ impl ShardWorker {
                 grouped += 1;
             }
             self.handle(msg);
+            self.housekeep();
             match self.rx.try_recv() {
                 Ok(next) => msg = next,
                 Err(_) => break,
@@ -724,25 +693,18 @@ impl ShardWorker {
     }
 
     fn handle(&mut self, msg: ShardMsg) {
+        if !matches!(msg, ShardMsg::Wake) {
+            self.metrics.dequeued();
+            self.queue_depth.add(-1);
+        }
         match msg {
             ShardMsg::Wake => {}
-            ShardMsg::Hello(h, sink) => {
-                self.metrics.dequeued();
-                self.queue_depth.add(-1);
-                self.open_session(h, sink);
-            }
-            ShardMsg::Teardown {
-                teardown,
-                sink,
-                scoped,
-            } => {
-                self.metrics.dequeued();
-                self.queue_depth.add(-1);
-                self.close_session(teardown, &sink, scoped);
-            }
+            ShardMsg::Hello(h, sink) => self.open_session(h, sink),
+            ShardMsg::Teardown(teardown, sink) => self.close_session(teardown, &sink),
+            ShardMsg::Subscribe(sub, sink) => self.rooms.subscribe(sub, sink),
+            ShardMsg::Unsubscribe(unsub, sink) => self.rooms.unsubscribe(unsub, sink),
+            ShardMsg::ConnClosed(conn_id) => self.conn_closed(conn_id),
             ShardMsg::Batch(b, sink, enqueued_at) => {
-                self.metrics.dequeued();
-                self.queue_depth.add(-1);
                 let dequeued_at = Instant::now();
                 self.queue_wait
                     .record(dequeued_at.duration_since(enqueued_at).as_nanos() as u64);
@@ -792,28 +754,33 @@ impl ShardWorker {
         );
     }
 
-    fn close_session(&mut self, t: Teardown, carried: &ConnSink, scoped: bool) {
-        if scoped {
-            // Scoped cleanup: silently skip sessions this connection does
-            // not own (including already-closed ones).
-            let owned = self
-                .sessions
-                .get(&t.sensor_id)
-                .is_some_and(|s| s.sink.conn_id == carried.conn_id);
-            if !owned {
-                return;
-            }
-        }
+    fn close_session(&mut self, t: Teardown, carried: &ConnSink) {
         if self.sessions.remove(&t.sensor_id).is_some() {
             self.metrics.sessions_closed.inc();
-            if let Some(hub) = &self.hub {
-                // The fusion watermark must stop waiting for this sensor
-                // (its world tracks coast until reacquired).
-                hub.remove_sensor(t.sensor_id);
-            }
+            // The fusion watermark must stop waiting for this sensor (its
+            // world tracks coast until reacquired).
+            self.rooms.remove_sensor(t.sensor_id);
         } else {
             self.reject(carried, t.sensor_id, RejectCode::UnknownSensor);
         }
+    }
+
+    /// Closes every session a hung-up connection owns, in sensor order,
+    /// and drops its subscriptions and held replies.
+    fn conn_closed(&mut self, conn_id: u64) {
+        let mut owned: Vec<u32> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.sink.conn_id == conn_id)
+            .map(|(&id, _)| id)
+            .collect();
+        owned.sort_unstable();
+        for sensor_id in owned {
+            self.sessions.remove(&sensor_id);
+            self.metrics.sessions_closed.inc();
+            self.rooms.remove_sensor(sensor_id);
+        }
+        self.rooms.conn_closed(conn_id);
     }
 
     fn process_batch(&mut self, b: PooledBatch, carried: &ConnSink) {
@@ -878,9 +845,7 @@ impl ShardWorker {
             // Fuse first: the epochs these reports close leave for their
             // subscribers ahead of the reports' own update, so a fused
             // location trails its sensor's by no thread hop.
-            if let Some(hub) = &self.hub {
-                hub.fuse_reports(shape.sensor_id, &updates);
-            }
+            self.rooms.fuse_reports(shape.sensor_id, &updates);
             // The frame is encoded straight from the report slice into a
             // pooled buffer: no owned `UpdateBatch`, no per-event
             // allocation.

@@ -1,31 +1,35 @@
 //! The world hub: per-room cross-sensor fusion behind the wire protocol.
 //!
-//! Each fused room (sensor→room comes from the [`WorldConfig`]'s
-//! registrations, fixed at start) lives behind its own lock and owns its
-//! [`FusionEngine`], its subscribers and its encode scratch. Reports do
-//! not travel to a hub thread: the shard that made a sensor's
-//! [`FrameReport`]s locks the sensor's room, fuses them, and broadcasts
-//! each closed [`WorldFrame`] — as `WorldUpdate` wire frames — plus its
-//! fleet events — as `Event` wire frames — to every connection
-//! subscribed to that room, all before it pushes the reports' own
-//! `UpdateBatch`. Clients therefore subscribe to *rooms*, not raw
-//! sensors: occupancy, handoffs, and falls arrive pre-fused.
+//! Each fused room has exactly one owner, the shard that runs its
+//! sensors. `Placement` picks that shard once, from the
+//! [`WorldConfig`] fixed at start: rooms go greedily, in config order, to
+//! the shard with the fewest placed sensors, and a room's sensors follow
+//! it (unfused sensors keep `sensor_id mod num_shards`). The shard holds
+//! its rooms in a plain `Rooms` — each room's [`FusionEngine`], its
+//! subscribers and its encode scratch — so no lock and no thread sits
+//! between a report and its fused delivery: the shard that made a
+//! sensor's [`FrameReport`]s fuses them and broadcasts each closed
+//! [`WorldFrame`] — as `WorldUpdate` wire frames — plus its fleet events
+//! — as `Event` wire frames — to every connection subscribed to that
+//! room, all before it pushes the reports' own `UpdateBatch`. Clients
+//! therefore subscribe to *rooms*, not raw sensors: occupancy, handoffs,
+//! and falls arrive pre-fused.
 //!
-//! The hub thread is the control plane: subscribe, unsubscribe,
-//! connection close, the liveness tick and held-reply retries arrive on
-//! its channel or its timer, and it takes a room's lock to apply them.
-//! Lock order is always room → held replies; nothing takes a room lock
-//! while holding the held-reply lock.
+//! The control plane rides the same shards: subscribe and unsubscribe
+//! are shard messages to the room's shard (a room nobody fuses is shard
+//! 0's to refuse), connection close goes to every shard, and the
+//! liveness tick and held-reply retries run from the shard loop.
 //!
 //! Delivery mirrors the per-sensor update path: frames are encoded into
 //! pooled buffers and `try_send`-shed to lagging subscribers (counted in
 //! [`MetricsSnapshot::updates_dropped`]); a vanished subscriber is pruned
 //! on its first failed send. Control replies (acks, rejects, final
 //! `SubscriptionStats`) are never shed: one that meets a full outbox is
-//! held and retried, and its connection takes no world traffic until
-//! the reply is through. Replies about a room's subscriptions are sent
-//! under that room's lock, so an ack precedes the subscription's first
-//! world frame and final stats follow its last.
+//! held by the shard and retried, and its connection takes no world
+//! traffic from that shard's rooms until the reply is through. One
+//! thread runs a room's subscriptions and its deliveries, so an ack
+//! precedes the subscription's first world frame and final stats follow
+//! its last.
 //!
 //! Subscriptions are *programmable*: each carries a compiled
 //! [`FilterProgram`](crate::program::FilterProgram) the room evaluates
@@ -48,10 +52,8 @@ use crate::pool::{BufPool, PooledBuf};
 use crate::program::{CompiledProgram, EventCtx, ProgramState};
 use crate::wire::{self, Message, RejectCode, SubscribeAck, SubscribeV3, SubscriptionStats};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::mpsc::TrySendError;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use witrack_core::FrameReport;
 use witrack_fuse::{
@@ -59,13 +61,13 @@ use witrack_fuse::{
 };
 use witrack_obs::{AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label};
 
-/// How often the hub sweeps its rooms for silent sensors. Also the floor
+/// How often a shard sweeps its rooms for silent sensors. Also the floor
 /// on liveness-timeout resolution — `FuseConfig::suspect_timeout_s`
 /// below this still takes one tick to notice.
-const LIVENESS_TICK: Duration = Duration::from_millis(50);
+pub(crate) const LIVENESS_TICK: Duration = Duration::from_millis(50);
 
-/// Longest the hub sleeps while a control reply waits on a full outbox.
-const REPLY_RETRY: Duration = Duration::from_millis(1);
+/// Longest a shard sleeps while a control reply waits on a full outbox.
+pub(crate) const REPLY_RETRY: Duration = Duration::from_millis(1);
 
 /// One fused room: its sensor registration and fusion tuning.
 pub struct RoomSpec {
@@ -99,75 +101,68 @@ impl WorldConfig {
     }
 }
 
-/// Control-plane requests for the hub thread.
-pub(crate) enum HubMsg {
-    /// A connection wants a room's world stream; the hub answers with a
-    /// `SubscribeAck` or a `Reject`.
-    Subscribe(SubscribeV3, ConnSink),
-    /// A connection releases one subscription; the hub answers with its
-    /// final `SubscriptionStats`.
-    Unsubscribe(wire::Unsubscribe, ConnSink),
-    /// A connection hung up: drop its subscriptions *now*. Holding them
-    /// until a failed send would also hold the connection's outbox
-    /// sender — and the connection writer only exits when every sender
-    /// is gone, so a stale subscription would wedge connection teardown.
-    ConnClosed(u64),
+/// Which shard runs each fused room and each sensor, fixed at start.
+pub(crate) struct Placement {
+    num_shards: usize,
+    /// room id → shard (the first room wins a duplicated id).
+    rooms: HashMap<u32, usize>,
+    /// Fused sensor id → its room's shard.
+    sensors: HashMap<u32, usize>,
 }
 
-/// Cloneable access to the hub: the control channel for connections,
-/// and the shared rooms shards fuse into.
-#[derive(Clone)]
-pub(crate) struct HubHandle {
-    tx: Sender<HubMsg>,
-    state: Arc<HubState>,
-}
-
-impl HubHandle {
-    /// `false` when the hub thread is gone (engine shutting down).
-    pub(crate) fn send(&self, msg: HubMsg) -> bool {
-        self.tx.send(msg).is_ok()
-    }
-
-    /// Fuses one sensor's frame reports on the calling thread and
-    /// delivers every epoch they close. Sensors outside every room still
-    /// stream their per-sensor updates; they just don't fuse.
-    pub(crate) fn fuse_reports(&self, sensor_id: u32, reports: &[FrameReport]) {
-        if let Some(mut room) = self.state.room_of(sensor_id) {
-            for report in reports {
-                let frames = room.engine.push_report(sensor_id, report);
-                room.deliver(frames, &self.state);
+impl Placement {
+    /// Places rooms greedily, in config order, on the shard with the
+    /// fewest placed sensors (lowest index first on ties). Returns the
+    /// placement and each shard's rooms.
+    pub(crate) fn new(cfg: WorldConfig, num_shards: usize) -> (Placement, Vec<Vec<RoomSpec>>) {
+        let mut load = vec![0usize; num_shards];
+        let mut per_shard: Vec<Vec<RoomSpec>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut placement = Placement {
+            num_shards,
+            rooms: HashMap::new(),
+            sensors: HashMap::new(),
+        };
+        for spec in cfg.rooms {
+            let shard = (0..num_shards).min_by_key(|&s| load[s]).expect("a shard");
+            placement.rooms.entry(spec.room_id).or_insert(shard);
+            for sensor in spec.registration.sensor_ids() {
+                let prev = placement.sensors.insert(sensor, shard);
+                assert!(prev.is_none(), "sensor {sensor} registered to two rooms");
+                load[shard] += 1;
             }
+            per_shard[shard].push(spec);
+        }
+        (placement, per_shard)
+    }
+
+    /// The shard running `sensor_id`'s session: its room's, or
+    /// `sensor_id mod num_shards` for a sensor no room fuses.
+    pub(crate) fn sensor_shard(&self, sensor_id: u32) -> usize {
+        match self.sensors.get(&sensor_id) {
+            Some(&shard) => shard,
+            None => sensor_id as usize % self.num_shards,
         }
     }
 
-    /// A sensor's session closed: its room stops waiting for it at
-    /// fusion watermarks (its world tracks coast until reacquired), and
-    /// whatever epochs that unblocks are delivered.
-    pub(crate) fn remove_sensor(&self, sensor_id: u32) {
-        if let Some(mut room) = self.state.room_of(sensor_id) {
-            let frames = room.engine.remove_sensor(sensor_id);
-            room.deliver(frames, &self.state);
-        }
+    /// The shard owning room `room_id`; shard 0 refuses unknown rooms.
+    pub(crate) fn room_shard(&self, room_id: u32) -> usize {
+        self.rooms.get(&room_id).copied().unwrap_or(0)
     }
 }
 
-/// The running hub thread (owned by the engine).
-pub(crate) struct WorldHub {
-    thread: JoinHandle<()>,
-}
-
-/// Everything shards and the hub thread share.
-struct HubState {
-    rooms: Vec<Mutex<Room>>,
-    /// Each room's id, indexed like `rooms` (readable without its lock).
-    room_ids: Vec<u32>,
+/// The rooms one shard owns, and the control replies it holds.
+pub(crate) struct Rooms {
+    rooms: Vec<Room>,
     /// sensor id → index into `rooms`; fixed at start.
     sensor_rooms: HashMap<u32, usize>,
-    /// Control replies that met a full outbox, oldest first, retried on
-    /// every hub wake-up (at least every [`REPLY_RETRY`]) until their
-    /// connection takes them or closes. Taken after a room's lock, never
-    /// before one.
-    held: Mutex<Vec<(ConnSink, PooledBuf<u8>)>>,
+    out: Out,
+}
+
+/// What a room's delivery and replies write through.
+struct Out {
+    /// Control replies that met a full outbox, oldest first, retried
+    /// until their connection takes them or closes.
+    held: Vec<(ConnSink, PooledBuf<u8>)>,
     frame_pool: BufPool<u8>,
     metrics: Arc<EngineMetrics>,
     recorder: Arc<FlightRecorder>,
@@ -233,8 +228,6 @@ struct DeliverScratch {
     recipients: Vec<u32>,
     /// Recipients whose connection is gone, in subscriber order.
     gone: Vec<u32>,
-    /// Connections with a held reply when this frame went out.
-    held_conns: Vec<u64>,
 }
 
 impl Room {
@@ -258,14 +251,14 @@ impl Room {
     /// Broadcasts fused frames (and their events) to the room's
     /// subscribers, shedding to lagging connections and pruning dead
     /// ones.
-    fn deliver(&mut self, frames: Vec<WorldFrame>, hub: &HubState) {
+    fn deliver(&mut self, frames: Vec<WorldFrame>, out: &Out) {
         // Ghost suppressions happen inside fusion; surface the delta as
         // a room counter and quarantine records.
         let ghosts = self.engine.stats().ghosts_suppressed;
         if ghosts > self.last_ghosts {
             let new = ghosts - self.last_ghosts;
             self.ghosts_quarantined.add(new);
-            hub.recorder.record(
+            out.recorder.record(
                 AnomalyKind::GhostQuarantine,
                 self.room_id as u64,
                 new,
@@ -274,8 +267,8 @@ impl Room {
             self.last_ghosts = ghosts;
         }
         for frame in frames {
-            hub.metrics.world_frames.inc();
-            hub.metrics.world_events.add(frame.events.len() as u64);
+            out.metrics.world_frames.inc();
+            out.metrics.world_events.add(frame.events.len() as u64);
             self.tracks.set(frame.tracks.len() as i64);
             self.epoch_lag
                 .set(self.engine.watermark_lag_epochs() as i64);
@@ -288,7 +281,7 @@ impl Room {
                 } = event
                 {
                     self.handoffs.inc();
-                    hub.recorder.record(
+                    out.recorder.record(
                         AnomalyKind::Handoff,
                         *from_sensor as u64,
                         *to_sensor as u64,
@@ -299,7 +292,7 @@ impl Room {
             let seq = self.out_seq;
             self.out_seq += 1;
             if !self.subscribers.is_empty() {
-                self.deliver_frame(&frame, seq, hub);
+                self.deliver_frame(&frame, seq, out);
             }
         }
     }
@@ -307,8 +300,8 @@ impl Room {
     /// Evaluates, encodes once and fans out one fused frame. Each frame
     /// and event is serialized exactly once (into the reused scratch) and
     /// copied byte-for-byte into per-subscriber pooled buffers.
-    fn deliver_frame(&mut self, frame: &WorldFrame, seq: u64, hub: &HubState) {
-        let metrics = &*hub.metrics;
+    fn deliver_frame(&mut self, frame: &WorldFrame, seq: u64, out: &Out) {
+        let metrics = &*out.metrics;
         let Room {
             room_id,
             subscribers,
@@ -327,7 +320,6 @@ impl Room {
             events_to,
             recipients,
             gone,
-            held_conns,
         } = scratch;
 
         // --- Phase 1: decide, before anything is encoded. -------------
@@ -427,28 +419,26 @@ impl Room {
         recipients.extend_from_slice(events_to);
         recipients.sort_unstable();
         recipients.dedup();
-        held_conns.clear();
-        held_conns.extend(hub.held().iter().map(|(s, _)| s.conn_id));
         gone.clear();
         for &si in recipients.iter() {
             let sub = &mut subscribers[si as usize];
-            let yields = held_conns.contains(&sub.sink.conn_id);
-            let out = |buf| push(&sub.sink, buf, yields, metrics, &hub.recorder);
+            let yields = out.held.iter().any(|(s, _)| s.conn_id == sub.sink.conn_id);
+            let send = |buf| push(&sub.sink, buf, yields, metrics, &out.recorder);
             let mut alive = true;
             if sub.send_world {
-                let mut buf = hub.frame_pool.get(world_len);
+                let mut buf = out.frame_pool.get(world_len);
                 buf.extend_from_slice(&encoded[..world_len]);
                 metrics.world_bytes.add(world_len as u64);
-                alive &= out(buf) != Pushed::Gone;
+                alive &= send(buf) != Pushed::Gone;
             }
             if alive {
                 for &ei in &sub.hits {
                     let (start, end) = ranges[ei as usize];
                     let bytes = &encoded[start as usize..end as usize];
-                    let mut buf = hub.frame_pool.get(bytes.len());
+                    let mut buf = out.frame_pool.get(bytes.len());
                     buf.extend_from_slice(bytes);
                     metrics.world_bytes.add(bytes.len() as u64);
-                    match out(buf) {
+                    match send(buf) {
                         Pushed::Sent => {}
                         Pushed::Shed => sub.shed += 1,
                         Pushed::Gone => {
@@ -517,30 +507,26 @@ impl Subscriber {
     }
 }
 
-impl HubState {
-    fn new(
-        cfg: WorldConfig,
+impl Rooms {
+    /// Builds the rooms one shard owns, registering each room's and each
+    /// sensor's series.
+    pub(crate) fn new(
+        specs: Vec<RoomSpec>,
         frame_pool: BufPool<u8>,
         metrics: Arc<EngineMetrics>,
         recorder: Arc<FlightRecorder>,
-    ) -> HubState {
+    ) -> Rooms {
         let registry = Arc::clone(metrics.registry());
         let mut sensor_rooms = HashMap::new();
-        let mut room_ids = Vec::with_capacity(cfg.rooms.len());
-        let rooms = cfg
-            .rooms
+        let rooms = specs
             .into_iter()
             .enumerate()
             .map(|(idx, spec)| {
-                for sensor in spec.registration.sensor_ids() {
-                    let prev = sensor_rooms.insert(sensor, idx);
-                    assert!(prev.is_none(), "sensor {sensor} registered to two rooms");
-                }
-                room_ids.push(spec.room_id);
                 let label = Label::Room(spec.room_id);
                 let mut liveness = HashMap::new();
                 let mut reconnects = HashMap::new();
                 for sensor in spec.registration.sensor_ids() {
+                    sensor_rooms.insert(sensor, idx);
                     let g = registry.gauge("sensor", "liveness", Label::Sensor(sensor));
                     g.set(SensorLiveness::Live.as_gauge());
                     liveness.insert(sensor, g);
@@ -554,7 +540,7 @@ impl HubState {
                 // worse anchor, in ns of epoch time) land in the room's
                 // handoff-latency histogram.
                 engine.attach_handoff_histo(registry.histo("room", "handoff_latency_ns", label));
-                Mutex::new(Room {
+                Room {
                     room_id: spec.room_id,
                     engine,
                     subscribers: Vec::new(),
@@ -572,47 +558,53 @@ impl HubState {
                     event_kind_mask: 0,
                     event_eval_ns: registry.histo("room", "event_eval_ns", label),
                     scratch: DeliverScratch::default(),
-                })
+                }
             })
             .collect();
-        HubState {
+        Rooms {
             rooms,
-            room_ids,
             sensor_rooms,
-            held: Mutex::new(Vec::new()),
-            frame_pool,
-            metrics,
-            recorder,
+            out: Out {
+                held: Vec::new(),
+                frame_pool,
+                metrics,
+                recorder,
+            },
         }
     }
 
-    fn room(&self, idx: usize) -> MutexGuard<'_, Room> {
-        self.rooms[idx]
-            .lock()
-            .expect("room lock poisoned: a fusion or delivery panicked")
+    /// Fuses one sensor's frame reports and delivers every epoch they
+    /// close. Sensors outside every room still stream their per-sensor
+    /// updates; they just don't fuse.
+    pub(crate) fn fuse_reports(&mut self, sensor_id: u32, reports: &[FrameReport]) {
+        if let Some(&idx) = self.sensor_rooms.get(&sensor_id) {
+            let room = &mut self.rooms[idx];
+            for report in reports {
+                let frames = room.engine.push_report(sensor_id, report);
+                room.deliver(frames, &self.out);
+            }
+        }
     }
 
-    /// The locked room fusing `sensor_id`, if any room does.
-    fn room_of(&self, sensor_id: u32) -> Option<MutexGuard<'_, Room>> {
-        self.sensor_rooms.get(&sensor_id).map(|&idx| self.room(idx))
+    /// A sensor's session closed: its room stops waiting for it at
+    /// fusion watermarks (its world tracks coast until reacquired), and
+    /// whatever epochs that unblocks are delivered.
+    pub(crate) fn remove_sensor(&mut self, sensor_id: u32) {
+        if let Some(&idx) = self.sensor_rooms.get(&sensor_id) {
+            let room = &mut self.rooms[idx];
+            let frames = room.engine.remove_sensor(sensor_id);
+            room.deliver(frames, &self.out);
+        }
     }
 
-    fn held(&self) -> MutexGuard<'_, Vec<(ConnSink, PooledBuf<u8>)>> {
-        self.held
-            .lock()
-            .expect("held-reply lock poisoned: a reply retry panicked")
-    }
-
-    /// Sweeps every room for silent sensors: advances each
-    /// [`FusionEngine`]'s liveness state machine, surfaces the
-    /// transitions as anomalies and per-sensor series, and delivers any
-    /// epochs the sweep unblocked.
-    fn tick(&self, now_s: f64) {
-        for idx in 0..self.rooms.len() {
-            let mut room = self.room(idx);
+    /// Sweeps every room for silent sensors at `now_s` (seconds on the
+    /// owning shard's clock): advances each [`FusionEngine`]'s liveness
+    /// state machine, surfaces the transitions as anomalies and
+    /// per-sensor series, and delivers any epochs the sweep unblocked.
+    pub(crate) fn tick(&mut self, now_s: f64) {
+        for room in &mut self.rooms {
             let frames = room.engine.tick(now_s);
-            let transitions = room.engine.take_liveness_transitions();
-            for t in &transitions {
+            for t in &room.engine.take_liveness_transitions() {
                 if let Some(g) = room.liveness.get(&t.sensor_id) {
                     g.set(t.to.as_gauge());
                 }
@@ -628,11 +620,35 @@ impl HubState {
                         AnomalyKind::SensorRecovered
                     }
                 };
-                self.recorder
+                self.out
+                    .recorder
                     .record(kind, t.sensor_id as u64, room.room_id as u64, silence_ns);
             }
             if !frames.is_empty() {
-                room.deliver(frames, self);
+                room.deliver(frames, &self.out);
+            }
+        }
+    }
+
+    /// Whether some control reply still waits on a full outbox.
+    pub(crate) fn holds_replies(&self) -> bool {
+        !self.out.held.is_empty()
+    }
+
+    /// Offers every held reply to its outbox again, in order. A
+    /// connection whose oldest reply still meets a full outbox keeps the
+    /// rest of its replies held behind it.
+    pub(crate) fn retry_held(&mut self) {
+        let mut blocked: Vec<u64> = Vec::new();
+        for (sink, buf) in std::mem::take(&mut self.out.held) {
+            if blocked.contains(&sink.conn_id) {
+                self.out.held.push((sink, buf));
+                continue;
+            }
+            // A disconnected outbox means the connection is closing.
+            if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
+                blocked.push(sink.conn_id);
+                self.out.held.push((sink, buf));
             }
         }
     }
@@ -640,52 +656,42 @@ impl HubState {
     /// Sends a reply frame (ack, stats, reject) back to a subscriber's
     /// connection. A full outbox holds the reply for a retry instead of
     /// shedding it, behind any reply the connection already waits on.
-    /// Callers may hold a room lock (room → held).
-    fn reply(&self, sink: &ConnSink, msg: &Message) {
-        let mut buf = self.frame_pool.get(64);
+    fn reply(&mut self, sink: &ConnSink, msg: &Message) {
+        let mut buf = self.out.frame_pool.get(64);
         wire::encode_into(msg, &mut buf);
-        let mut held = self.held();
-        held.push((sink.clone(), buf));
-        retry(&mut held);
+        self.out.held.push((sink.clone(), buf));
+        self.retry_held();
     }
 
-    /// Offers every held reply to its outbox again; `true` while some
-    /// are still held.
-    fn retry_held_replies(&self) -> bool {
-        let mut held = self.held();
-        retry(&mut held);
-        !held.is_empty()
+    /// Refuses a subscription message naming `room_id`.
+    fn reject(&mut self, sink: &ConnSink, room_id: u32, code: RejectCode) {
+        self.out.metrics.batches_rejected.inc();
+        self.reply(
+            sink,
+            &Message::Reject(wire::Reject {
+                sensor_id: room_id,
+                code,
+            }),
+        );
     }
 
-    fn subscribe(&self, sub: SubscribeV3, sink: ConnSink) {
-        let Some(idx) = self.room_ids.iter().position(|&id| id == sub.room_id) else {
-            self.metrics.batches_rejected.inc();
-            self.reply(
-                &sink,
-                &Message::Reject(wire::Reject {
-                    sensor_id: sub.room_id,
-                    code: RejectCode::UnknownSubscription,
-                }),
-            );
+    /// Installs a subscription and acks it, or refuses it: an unknown
+    /// room as `UnknownSubscription`, an invalid program as `BadProgram`.
+    pub(crate) fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink) {
+        let Some(idx) = self.rooms.iter().position(|r| r.room_id == sub.room_id) else {
+            self.reject(&sink, sub.room_id, RejectCode::UnknownSubscription);
             return;
         };
         // Validate the program once at install time: a stack-invalid or
         // oversized program is the client's bug, reported as BadProgram;
         // the connection (and its other subscriptions) survive.
         let Ok(program) = sub.program.compile() else {
-            self.metrics.batches_rejected.inc();
-            self.reply(
-                &sink,
-                &Message::Reject(wire::Reject {
-                    sensor_id: sub.room_id,
-                    code: RejectCode::BadProgram,
-                }),
-            );
+            self.reject(&sink, sub.room_id, RejectCode::BadProgram);
             return;
         };
-        self.metrics.subscriptions_opened.inc();
+        self.out.metrics.subscriptions_opened.inc();
         let state = program.new_state();
-        let mut room = self.room(idx);
+        let room = &mut self.rooms[idx];
         room.subscribers.push(Subscriber {
             sink: sink.clone(),
             sub_id: sub.sub_id,
@@ -707,8 +713,6 @@ impl HubState {
             rate_limited: 0,
         });
         room.rebuild_index();
-        // Still under the room lock: no world frame can reach the new
-        // subscriber ahead of its ack.
         let reply = Message::SubscribeAck(SubscribeAck {
             room_id: sub.room_id,
             sub_id: sub.sub_id,
@@ -720,163 +724,40 @@ impl HubState {
     /// Removes one `(connection, sub_id)` subscription and answers with
     /// its final counters. Unknown subscriptions get
     /// `UnknownSubscription` — same as subscribing to an unknown room.
-    fn unsubscribe(&self, unsub: wire::Unsubscribe, sink: ConnSink) {
-        if let Some(idx) = self.room_ids.iter().position(|&id| id == unsub.room_id) {
-            let mut room = self.room(idx);
+    pub(crate) fn unsubscribe(&mut self, unsub: wire::Unsubscribe, sink: ConnSink) {
+        let found = self.rooms.iter_mut().find_map(|room| {
+            if room.room_id != unsub.room_id {
+                return None;
+            }
             let at = room
                 .subscribers
                 .iter()
-                .position(|s| s.sink.conn_id == sink.conn_id && s.sub_id == unsub.sub_id);
-            if let Some(at) = at {
-                let sub = room.subscribers.swap_remove(at);
-                room.rebuild_index();
-                self.metrics.subscriptions_closed.inc();
-                // Under the room lock: the subscription's last frame is
-                // already out, so its final counters are final.
-                self.reply(&sink, &Message::SubscriptionStats(sub.stats(room.room_id)));
-                return;
-            }
-        }
-        self.metrics.batches_rejected.inc();
-        self.reply(
-            &sink,
-            &Message::Reject(wire::Reject {
-                sensor_id: unsub.room_id,
-                code: RejectCode::UnknownSubscription,
-            }),
-        );
-    }
-
-    /// Drops every subscription and held reply (hub thread exit). The
-    /// rooms outlive the thread in every engine handle, but with no
-    /// thread left to prune them their outbox senders would keep each
-    /// connection's writer — which exits only once every sender is
-    /// gone — waiting forever.
-    fn release_connections(&self) {
-        self.held().clear();
-        for idx in 0..self.rooms.len() {
-            let mut room = self.room(idx);
-            room.subscribers.clear();
+                .position(|s| s.sink.conn_id == sink.conn_id && s.sub_id == unsub.sub_id)?;
+            let sub = room.subscribers.swap_remove(at);
             room.rebuild_index();
+            Some(sub.stats(room.room_id))
+        });
+        match found {
+            Some(stats) => {
+                self.out.metrics.subscriptions_closed.inc();
+                self.reply(&sink, &Message::SubscriptionStats(stats));
+            }
+            None => self.reject(&sink, unsub.room_id, RejectCode::UnknownSubscription),
         }
     }
 
     /// Drops every held reply and subscription of a closed connection.
-    fn conn_closed(&self, conn_id: u64) {
-        self.held().retain(|(s, _)| s.conn_id != conn_id);
-        for idx in 0..self.rooms.len() {
-            let mut room = self.room(idx);
+    pub(crate) fn conn_closed(&mut self, conn_id: u64) {
+        self.out.held.retain(|(s, _)| s.conn_id != conn_id);
+        for room in &mut self.rooms {
             let before = room.subscribers.len();
             room.subscribers.retain(|s| s.sink.conn_id != conn_id);
             let closed = before - room.subscribers.len();
             if closed > 0 {
-                self.metrics.subscriptions_closed.add(closed as u64);
+                self.out.metrics.subscriptions_closed.add(closed as u64);
                 room.rebuild_index();
             }
         }
-    }
-}
-
-/// Offers every held reply to its outbox again, in order. A connection
-/// whose oldest reply still meets a full outbox keeps the rest of its
-/// replies held behind it.
-fn retry(held: &mut Vec<(ConnSink, PooledBuf<u8>)>) {
-    let mut blocked: Vec<u64> = Vec::new();
-    for (sink, buf) in std::mem::take(held) {
-        if blocked.contains(&sink.conn_id) {
-            held.push((sink, buf));
-            continue;
-        }
-        // A disconnected outbox means the connection is closing.
-        if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
-            blocked.push(sink.conn_id);
-            held.push((sink, buf));
-        }
-    }
-}
-
-/// The hub thread's state: the control channel and the liveness clock.
-struct HubWorker {
-    rx: Receiver<HubMsg>,
-    state: Arc<HubState>,
-    stop: Arc<AtomicBool>,
-    /// Hub start; liveness silence is measured on this clock.
-    epoch: Instant,
-    /// Last liveness sweep (sweeps run every [`LIVENESS_TICK`]).
-    last_tick: Instant,
-}
-
-impl WorldHub {
-    pub(crate) fn start(
-        cfg: WorldConfig,
-        frame_pool: BufPool<u8>,
-        metrics: Arc<EngineMetrics>,
-        recorder: Arc<FlightRecorder>,
-        stop: Arc<AtomicBool>,
-    ) -> (WorldHub, HubHandle) {
-        let (tx, rx) = channel();
-        let state = Arc::new(HubState::new(cfg, frame_pool, metrics, recorder));
-        let now = Instant::now();
-        let worker = HubWorker {
-            rx,
-            state: Arc::clone(&state),
-            stop,
-            epoch: now,
-            last_tick: now,
-        };
-        let thread = std::thread::Builder::new()
-            .name("hub".into())
-            .spawn(move || worker.run())
-            .expect("spawn the hub thread");
-        (WorldHub { thread }, HubHandle { tx, state })
-    }
-
-    /// Joins the hub thread (engine shutdown, after the shards).
-    pub(crate) fn join(self) {
-        self.thread.join().expect("world hub panicked");
-    }
-}
-
-impl HubWorker {
-    fn run(mut self) {
-        loop {
-            let wait = if self.state.retry_held_replies() {
-                REPLY_RETRY
-            } else {
-                LIVENESS_TICK.saturating_sub(self.last_tick.elapsed())
-            };
-            match self.rx.recv_timeout(wait) {
-                Ok(msg) => {
-                    match msg {
-                        HubMsg::Subscribe(sub, sink) => self.state.subscribe(sub, sink),
-                        HubMsg::Unsubscribe(unsub, sink) => self.state.unsubscribe(unsub, sink),
-                        HubMsg::ConnClosed(conn_id) => self.state.conn_closed(conn_id),
-                    }
-                    // A steady stream of control messages must not
-                    // starve the sweep (cadence-gated below).
-                    self.maybe_tick();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    // Inbox empty: the only time shutdown may interrupt.
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    self.maybe_tick();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.state.release_connections();
-    }
-
-    /// Runs the liveness sweep when [`LIVENESS_TICK`] has passed since
-    /// the last one.
-    fn maybe_tick(&mut self) {
-        if self.last_tick.elapsed() < LIVENESS_TICK {
-            return;
-        }
-        self.last_tick = Instant::now();
-        self.state.tick(self.epoch.elapsed().as_secs_f64());
     }
 }
 
@@ -916,32 +797,80 @@ fn push(
 mod tests {
     use super::*;
     use crate::program::{EventKind, SubscriptionBuilder};
-    use std::sync::mpsc::sync_channel;
+    use std::sync::mpsc::{sync_channel, Receiver};
     use witrack_fuse::WorldTrackId;
     use witrack_geom::RigidTransform;
     use witrack_obs::Registry;
 
     const ROOM: u32 = 3;
 
-    fn hub_state() -> HubState {
-        let registration = Registration::new().with_sensor(0, RigidTransform::IDENTITY);
-        HubState::new(
-            WorldConfig::single_room(ROOM, FuseConfig::default(), registration),
+    fn room(room_id: u32, sensors: &[u32]) -> RoomSpec {
+        let registration = sensors.iter().fold(Registration::new(), |r, &s| {
+            r.with_sensor(s, RigidTransform::IDENTITY)
+        });
+        RoomSpec {
+            room_id,
+            fuse: FuseConfig::default(),
+            registration,
+        }
+    }
+
+    fn rooms() -> Rooms {
+        Rooms::new(
+            vec![room(ROOM, &[0])],
             BufPool::new(64),
             Arc::new(EngineMetrics::new(Arc::new(Registry::new()))),
             Arc::new(FlightRecorder::new(64)),
         )
     }
 
-    fn connection(conn_id: u64) -> (ConnSink, Receiver<PooledBuf<u8>>) {
-        let (tx, rx) = sync_channel(64);
+    fn connection(conn_id: u64, capacity: usize) -> (ConnSink, Receiver<PooledBuf<u8>>) {
+        let (tx, rx) = sync_channel(capacity);
         (ConnSink { conn_id, tx }, rx)
+    }
+
+    #[test]
+    fn fused_rooms_sit_whole_on_the_least_loaded_shard() {
+        // The `rooms_fused` shape: six rooms of sensors {2r, 2r + 1}.
+        let rooms = (0..6).map(|r| room(r, &[2 * r, 2 * r + 1])).collect();
+        let (p, per_shard) = Placement::new(WorldConfig { rooms }, 2);
+        for r in 0..6u32 {
+            assert_eq!(p.sensor_shard(2 * r), p.room_shard(r), "room {r}");
+            assert_eq!(p.sensor_shard(2 * r + 1), p.room_shard(r), "room {r}");
+        }
+        for (shard, rooms) in per_shard.iter().enumerate() {
+            assert_eq!(rooms.len(), 3, "shard {shard}'s rooms");
+            let sensors = (0..12).filter(|&s| p.sensor_shard(s) == shard).count();
+            assert_eq!(sensors, 6, "shard {shard}'s sensors");
+        }
+
+        // Rooms of unequal size balance by sensor count, not room count;
+        // an unfused sensor keeps `sensor_id mod num_shards`, and a room
+        // nobody fuses is shard 0's to refuse.
+        let unequal = || WorldConfig {
+            rooms: vec![
+                room(10, &[0, 1, 2, 3]),
+                room(11, &[4]),
+                room(12, &[5]),
+                room(13, &[6, 7]),
+            ],
+        };
+        let (p, _) = Placement::new(unequal(), 2);
+        let shards: Vec<usize> = (10..14).map(|r| p.room_shard(r)).collect();
+        assert_eq!(shards, vec![0, 1, 1, 1]);
+        assert_eq!((p.sensor_shard(8), p.sensor_shard(9)), (0, 1));
+        assert_eq!(p.room_shard(99), 0);
+
+        // One shard takes everything.
+        let (p, _) = Placement::new(unequal(), 1);
+        assert!((10..14).all(|r| p.room_shard(r) == 0));
+        assert!((0..10).all(|s| p.sensor_shard(s) == 0));
     }
 
     /// The index lists and coarse mask equal a full scan of the
     /// subscriber set, and no per-frame scratch outlives its frame.
-    fn assert_index_matches_scan(state: &HubState, after: &str) {
-        let room = state.room(0);
+    fn assert_index_matches_scan(rooms: &Rooms, after: &str) {
+        let room = &rooms.rooms[0];
         let scan = |want: fn(&Subscriber) -> bool| -> Vec<u32> {
             (0..room.subscribers.len() as u32)
                 .filter(|&i| want(&room.subscribers[i as usize]))
@@ -985,10 +914,16 @@ mod tests {
         }
     }
 
+    fn deliver(rooms: &mut Rooms, frame: WorldFrame) {
+        rooms.rooms[0].deliver(vec![frame], &rooms.out);
+    }
+
     #[test]
     fn index_lists_equal_a_full_scan_through_every_membership_change() {
-        let state = hub_state();
-        let conns: Vec<_> = (1..=4).map(connection).collect();
+        let mut rooms = rooms();
+        // Two-slot outboxes nobody drains: each connection's later
+        // replies are held.
+        let conns: Vec<_> = (1..=4).map(|id| connection(id, 2)).collect();
         let shapes = [
             SubscriptionBuilder::room(ROOM),
             SubscriptionBuilder::room(ROOM).no_events(),
@@ -1004,32 +939,39 @@ mod tests {
         for (sink, _) in &conns {
             for shape in &shapes {
                 sub_id += 1;
-                state.subscribe(shape.clone().id(sub_id).build(), sink.clone());
-                assert_index_matches_scan(&state, &format!("subscribe {sub_id}"));
+                rooms.subscribe(shape.clone().id(sub_id).build(), sink.clone());
+                assert_index_matches_scan(&rooms, &format!("subscribe {sub_id}"));
             }
         }
 
         // Delivery leaves the lists (and the scratch) as they were.
-        state.room(0).deliver(vec![frame_with_an_event(1)], &state);
-        assert_index_matches_scan(&state, "delivery");
+        deliver(&mut rooms, frame_with_an_event(1));
+        assert_index_matches_scan(&rooms, "delivery");
 
         // Unsubscribe swaps the last subscriber into the hole.
         let unsub = |sub_id| wire::Unsubscribe {
             room_id: ROOM,
             sub_id,
         };
-        state.unsubscribe(unsub(2), conns[0].0.clone());
-        assert_index_matches_scan(&state, "unsubscribe 2");
-        state.unsubscribe(unsub(8), conns[1].0.clone());
-        assert_index_matches_scan(&state, "unsubscribe 8");
+        rooms.unsubscribe(unsub(2), conns[0].0.clone());
+        assert_index_matches_scan(&rooms, "unsubscribe 2");
+        rooms.unsubscribe(unsub(8), conns[1].0.clone());
+        assert_index_matches_scan(&rooms, "unsubscribe 8");
 
-        state.conn_closed(conns[2].0.conn_id);
-        assert_index_matches_scan(&state, "connection close");
-        assert!(state
-            .room(0)
-            .subscribers
-            .iter()
-            .all(|s| s.sink.conn_id != conns[2].0.conn_id));
+        // A close drops that connection's held replies and subscriptions,
+        // and only that connection's.
+        let held =
+            |rooms: &Rooms| -> Vec<u64> { rooms.out.held.iter().map(|(s, _)| s.conn_id).collect() };
+        let closed = conns[2].0.conn_id;
+        let mut others = held(&rooms);
+        others.retain(|&c| c != closed);
+        let subs_before = rooms.rooms[0].subscribers.len();
+        rooms.conn_closed(closed);
+        assert_index_matches_scan(&rooms, "connection close");
+        assert_eq!(held(&rooms), others, "other connections' held replies");
+        let subs = &rooms.rooms[0].subscribers;
+        assert!(subs.iter().all(|s| s.sink.conn_id != closed));
+        assert_eq!(subs.len(), subs_before - shapes.len());
 
         // Connection 4 vanishes without a close: its subscribers that get
         // something are pruned on their first failed send; those offered
@@ -1037,11 +979,15 @@ mod tests {
         let mut conns = conns;
         let (dead, dead_rx) = conns.pop().expect("four connections");
         drop(dead_rx);
-        let before = state.room(0).subscribers.len();
-        let closed_before = state.metrics.snapshot().subscriptions_closed;
-        state.room(0).deliver(vec![frame_with_an_event(2)], &state);
-        assert_index_matches_scan(&state, "prune");
-        let room = state.room(0);
+        // Its held replies go on the next retry, so nothing makes its
+        // traffic yield.
+        rooms.retry_held();
+        assert!(held(&rooms).iter().all(|&c| c != dead.conn_id));
+        let before = rooms.rooms[0].subscribers.len();
+        let closed_before = rooms.out.metrics.snapshot().subscriptions_closed;
+        deliver(&mut rooms, frame_with_an_event(2));
+        assert_index_matches_scan(&rooms, "prune");
+        let room = &rooms.rooms[0];
         let mut left: Vec<u64> = room
             .subscribers
             .iter()
@@ -1052,7 +998,7 @@ mod tests {
         assert_eq!(left, vec![19, 20], "falls only, and neither stream");
         assert_eq!(room.subscribers.len(), before - 3);
         assert_eq!(
-            state.metrics.snapshot().subscriptions_closed,
+            rooms.out.metrics.snapshot().subscriptions_closed,
             closed_before + 3
         );
     }

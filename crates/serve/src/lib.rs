@@ -21,8 +21,8 @@
 //!   pooled buffers (`recv_msg_pooled`), still quantized.
 //! * [`engine`] — the [`ShardedEngine`]: each sensor id is pinned to one
 //!   worker shard owning its [`FramePipeline`](witrack_core::FramePipeline)
-//!   instances, with bounded-queue backpressure, drop/lag metrics, and
-//!   sequence-gap accounting.
+//!   instances (and its fused rooms, see [`hub`]), with bounded-queue
+//!   backpressure, drop/lag metrics, and sequence-gap accounting.
 //! * [`server`] / [`client`] — the connection layer over any transport,
 //!   multiplexing many sensors per connection, and the sensor-side client
 //!   (with a reconnecting variant surviving transport loss).

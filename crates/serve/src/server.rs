@@ -22,7 +22,7 @@ use crate::hub::WorldConfig;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::PooledBuf;
 use crate::transport::{recv_error_is_frame_scoped, RxMsg, Transport, TransportRx, TransportTx};
-use crate::wire::{Message, RejectCode};
+use crate::wire::RejectCode;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,8 +98,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Attach a world hub fusing the configured rooms, enabling room
-    /// subscriptions on attached connections.
+    /// Fuse the configured rooms, each on the shard of its sensors,
+    /// enabling room subscriptions on attached connections.
     pub fn world(mut self, world: WorldConfig) -> Self {
         self.engine = self.engine.world(world);
         self
@@ -162,19 +162,9 @@ where
     // Sweep samples decode straight into the engine's recycled i16
     // buffers: at steady state the reader allocates nothing per message.
     let ingest_pools = handle.ingest_pools().clone();
-    // Sensors this connection said Hello for. The engine itself decides
-    // ownership (a duplicate Hello is refused and its sink dropped), so
-    // the EOF cleanup below is scoped to this connection — it can never
-    // tear down a session some other connection owns.
-    let mut greeted: Vec<u32> = Vec::new();
     loop {
         match rx.recv_msg_pooled(&ingest_pools) {
             Ok(Some(msg)) => {
-                if let RxMsg::Control(Message::Hello(h)) = &msg {
-                    if !greeted.contains(&h.sensor_id) {
-                        greeted.push(h.sensor_id);
-                    }
-                }
                 // Every message carries this connection's sink, so even
                 // refusals with no session behind them (unknown sensor,
                 // refused hello) come back over the wire.
@@ -211,17 +201,11 @@ where
             Err(_) => break, // desynced stream or dead socket
         }
     }
-    // The connection is gone: close the sessions it owns so their
-    // pipelines (and their clones of our outbox) free up. The shard
-    // processes this after everything already queued, emits the final
-    // updates, and drops the session sink — which is what lets the writer
-    // below drain out and exit.
-    for sensor_id in greeted {
-        let _ = handle.submit_teardown_scoped(sensor_id, &sink);
-    }
-    // Release this connection's room subscriptions: the hub holds outbox
-    // sender clones for them, and the writer below only drains out once
-    // every sender is gone.
+    // The connection is gone: every shard closes the sessions it owns
+    // and drops its room subscriptions and held replies, after everything
+    // already queued. That releases the shards' clones of our outbox
+    // sender, and the writer below only drains out once every sender is
+    // gone.
     handle.notify_conn_closed(conn_id);
     drop(sink);
     writer.join().expect("connection writer panicked");

@@ -418,7 +418,7 @@ fn silent_sensor_degrades_gracefully_and_recovers() {
     let fuse = FuseConfig::builder()
         .frame_period_s(base.sweep.frame_duration_s())
         // Aggressive timeouts so the test runs in well under a second of
-        // wall clock (the hub sweeps every 50 ms).
+        // wall clock (the room's shard sweeps every 50 ms).
         .suspect_timeout_s(0.06)
         .dead_timeout_s(0.15)
         .build();
@@ -450,8 +450,8 @@ fn silent_sensor_degrades_gracefully_and_recovers() {
         std::thread::sleep(Duration::from_millis(2));
     }
     // Phase 2: sensor 2 falls silent; sensor 1 keeps the room alive. The
-    // hub's liveness sweep must demote 2 (Stall anomaly at Suspect, then
-    // SensorDead) without stalling epoch closure.
+    // room shard's liveness sweep must demote 2 (Stall anomaly at Suspect,
+    // then SensorDead) without stalling epoch closure.
     let mut seq1 = 20u64;
     let deadline = Instant::now() + Duration::from_secs(5);
     while !recorder

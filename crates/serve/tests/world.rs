@@ -1,5 +1,5 @@
 //! End-to-end world-model acceptance: real RF simulation → wire → shards
-//! → fusion hub → wire subscriber.
+//! (each fused room on the shard of its sensors) → wire subscriber.
 //!
 //! Two sensors with overlapping coverage watch the same walkers
 //! ([`witrack_sim::vantage`]); their baseband streams enter the server
@@ -17,11 +17,11 @@ use witrack_core::WiTrackConfig;
 use witrack_fuse::{FuseConfig, Registration, WorldEvent};
 use witrack_geom::AntennaArray;
 use witrack_geom::{RigidTransform, Vec3};
-use witrack_serve::engine::{EngineConfig, OverloadPolicy};
+use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine};
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::hub::WorldConfig;
 use witrack_serve::transport::in_proc_pair;
-use witrack_serve::wire::{EventMsg, Message, PipelineKind, WorldUpdateMsg};
+use witrack_serve::wire::{self, EventMsg, Message, PipelineKind, WorldUpdateMsg};
 use witrack_serve::{SensorClient, Server, SubscriptionBuilder};
 use witrack_sim::motion::{Activity, ActivityScript, LinePath};
 use witrack_sim::multi::PersonSpec;
@@ -91,20 +91,22 @@ struct Collected {
     sensor_reports: Vec<(u32, witrack_core::FrameReport)>,
 }
 
-/// Streams a multi-vantage sim through a world-serving engine over the
-/// in-process wire; returns everything the subscribing client received.
+/// Streams a multi-vantage sim through a world-serving engine of
+/// `num_shards` shards over the in-process wire; returns everything the
+/// subscribing client received.
 fn run_world(
     base: WiTrackConfig,
     fuse: FuseConfig,
     mut sim: MultiVantageSimulator,
     kind: PipelineKind,
+    num_shards: usize,
 ) -> Collected {
     let (registration, _) = hallway_registration();
     let server = Server::builder(witrack_factory(base))
         .config(EngineConfig {
+            num_shards,
             queue_capacity: 8,
             overload: OverloadPolicy::Block,
-            ..Default::default()
         })
         .world(WorldConfig::single_room(ROOM, fuse, registration))
         .start();
@@ -175,7 +177,7 @@ fn run_world(
 fn unknown_subscriptions_are_rejected_over_the_wire() {
     let base = mid_base();
     let (registration, _) = hallway_registration();
-    // A server with a world hub: subscribing to a room it does not fuse
+    // A server fusing one room: subscribing to a room it does not fuse
     // must come back as a Reject, not silence (and not a hangup).
     let server = Server::builder(witrack_factory(base))
         .world(WorldConfig::single_room(
@@ -214,7 +216,7 @@ fn unknown_subscriptions_are_rejected_over_the_wire() {
         witrack_serve::wire::RejectCode::UnknownSubscription
     );
 
-    // A server with no world hub at all refuses every subscription.
+    // A server fusing no rooms at all refuses every subscription.
     let server = Server::builder(witrack_factory(base)).start();
     let (client_end, server_end) = in_proc_pair(8);
     server.attach(server_end).expect("attach");
@@ -224,15 +226,67 @@ fn unknown_subscriptions_are_rejected_over_the_wire() {
         .expect("send");
     let stats = client.close();
     server.shutdown();
-    assert_eq!(stats.rejects, 1, "no hub: every subscription refused");
+    assert_eq!(stats.rejects, 1, "no rooms: every subscription refused");
+}
+
+#[test]
+fn a_subscription_reject_waits_out_a_full_outbox() {
+    // An engine fusing no rooms, and a connection whose outbox is full
+    // because nobody reads it: the refusal of a subscription is a
+    // control reply, so it must be held until the outbox drains — never
+    // shed like a world update.
+    let engine = ShardedEngine::builder(witrack_factory(mid_base())).start();
+    let handle = engine.handle();
+    let (conn, outbox) = handle.open_connection();
+    for _ in 0..witrack_serve::engine::OUTBOX_CAPACITY {
+        handle
+            .submit(Message::StatsQuery(wire::StatsQuery { flags: 0 }), &conn)
+            .expect("stats query");
+    }
+    assert_eq!(
+        handle.metrics().updates_dropped,
+        0,
+        "the outbox holds them all"
+    );
+    handle
+        .submit(
+            Message::SubscribeV3(SubscriptionBuilder::room(ROOM).build()),
+            &conn,
+        )
+        .expect("subscribe");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while handle.metrics().batches_rejected == 0 {
+        assert!(std::time::Instant::now() < deadline, "never refused");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    let mut reports = 0;
+    let reject = loop {
+        let frame = outbox
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the reject arrives once the outbox drains");
+        match wire::decode(&frame).expect("a wire frame").0 {
+            Message::StatsReport(_) => reports += 1,
+            Message::Reject(r) => break r,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    assert_eq!(reports, witrack_serve::engine::OUTBOX_CAPACITY);
+    assert_eq!(reject.sensor_id, ROOM);
+    assert_eq!(
+        reject.code,
+        witrack_serve::wire::RejectCode::UnknownSubscription
+    );
+    let metrics = engine.shutdown();
+    assert_eq!(metrics.updates_dropped, 0, "the reject was never shed");
 }
 
 #[test]
 fn a_subscriber_connection_closes_after_server_shutdown() {
-    // Rooms outlive the hub thread inside every engine handle; the
-    // connection's reader holds one, and its writer exits only once the
-    // room's subscriber has let go of the outbox. Shutting down first
-    // must still let the connection close.
+    // The room's shard holds the subscriber's outbox sender, and the
+    // connection's writer exits only once every sender is gone. Shutting
+    // down first must still let the connection close: each shard drops
+    // its rooms as it exits.
     let base = mid_base();
     let (registration, _) = hallway_registration();
     let server = Server::builder(witrack_factory(base))
@@ -368,29 +422,24 @@ fn each_fused_epoch_leaves_before_the_update_that_closed_it() {
     assert_eq!(worlds, reports, "one fused epoch per report");
 }
 
-#[test]
-fn two_sensors_two_walkers_two_world_tracks_across_handoff() {
-    // Walker A crosses the whole hallway (sensor 0's exclusive region →
-    // overlap → sensor 1's exclusive region: the handoff); walker B
-    // crosses the other way. Offset in x so the crossing is never
-    // ambiguous.
-    let duration = 7.0;
-    let a_path = (Vec3::new(-1.2, 2.2, 1.05), Vec3::new(-1.2, 9.8, 1.05));
-    let b_path = (Vec3::new(1.2, 9.8, 0.95), Vec3::new(1.2, 2.2, 0.95));
-    let people = vec![
-        PersonSpec::adult(LinePath::new(
-            a_path.0,
-            a_path.1,
-            a_path.0.distance(a_path.1) / duration,
-        )),
-        PersonSpec::adult(LinePath::new(
-            b_path.0,
-            b_path.1,
-            b_path.0.distance(b_path.1) / duration,
-        )),
-    ];
-    let base = mid_base();
-    let sim = MultiVantageSimulator::new(
+/// The handoff scenario's length (s) and its two walkers' paths. Walker
+/// A crosses the whole hallway (sensor 0's exclusive region → overlap →
+/// sensor 1's exclusive region: the handoff); walker B crosses the other
+/// way. Offset in x so the crossing is never ambiguous.
+const HANDOFF_S: f64 = 7.0;
+const HANDOFF_PATHS: [(Vec3, Vec3); 2] = [
+    (Vec3::new(-1.2, 2.2, 1.05), Vec3::new(-1.2, 9.8, 1.05)),
+    (Vec3::new(1.2, 9.8, 0.95), Vec3::new(1.2, 2.2, 0.95)),
+];
+
+fn handoff_sim(base: &WiTrackConfig) -> MultiVantageSimulator {
+    let people = HANDOFF_PATHS
+        .iter()
+        .map(|&(from, to)| {
+            PersonSpec::adult(LinePath::new(from, to, from.distance(to) / HANDOFF_S))
+        })
+        .collect();
+    MultiVantageSimulator::new(
         SimConfig {
             sweep: base.sweep,
             noise_std: 0.05,
@@ -399,10 +448,24 @@ fn two_sensors_two_walkers_two_world_tracks_across_handoff() {
         AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
         scenario::facing_pair(HALLWAY_M, COVERAGE_M),
         people,
-    );
+    )
+}
+
+#[test]
+fn two_sensors_two_walkers_two_world_tracks_across_handoff() {
+    let duration = HANDOFF_S;
+    let [a_path, b_path] = HANDOFF_PATHS;
+    let base = mid_base();
+    let sim = handoff_sim(&base);
     let fuse = room_fuse_config(&base, FallConfig::default());
     let period = fuse.frame_period_s;
-    let got = run_world(base, fuse, sim, PipelineKind::MultiTarget);
+    let got = run_world(
+        base,
+        fuse,
+        sim,
+        PipelineKind::MultiTarget,
+        EngineConfig::default().num_shards,
+    );
 
     let truth_a = |t: f64| a_path.0.lerp(a_path.1, (t / duration).clamp(0.0, 1.0));
     let truth_b = |t: f64| b_path.0.lerp(b_path.1, (t / duration).clamp(0.0, 1.0));
@@ -566,6 +629,71 @@ fn two_sensors_two_walkers_two_world_tracks_across_handoff() {
     let _ = period;
 }
 
+/// One world update as the shard-count comparison sees it: stream
+/// sequence, epoch, and each track's id with its position's bits.
+type WorldKey = (u64, u64, Vec<(u64, [u64; 3])>);
+
+fn world_keys(got: &Collected) -> Vec<WorldKey> {
+    let track = |t: &witrack_fuse::WorldTrackSnapshot| {
+        let p = t.position;
+        (t.id.0, [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+    };
+    got.updates
+        .iter()
+        .map(|u| {
+            (
+                u.seq,
+                u.frame.epoch,
+                u.frame.tracks.iter().map(track).collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn fused_streams_are_bit_identical_on_one_two_and_four_shards() {
+    // The handoff scenario served on 1, 2 and 4 shards. Liveness timeouts
+    // far beyond the run keep the wall clock out of fusion, so the shard
+    // count is the only thing that differs between the runs.
+    let base = mid_base();
+    let fuse = FuseConfig {
+        suspect_timeout_s: 1e6,
+        dead_timeout_s: 1e6,
+        ..room_fuse_config(&base, FallConfig::default())
+    };
+    let serve = |shards| {
+        let got = run_world(
+            base,
+            fuse.clone(),
+            handoff_sim(&base),
+            PipelineKind::MultiTarget,
+            shards,
+        );
+        // Debug formatting of an f64 round-trips exactly, so equal
+        // strings mean bit-identical events.
+        let events: Vec<String> = got.events.iter().map(|e| format!("{e:?}")).collect();
+        (world_keys(&got), events)
+    };
+    let (updates, events) = serve(1);
+    assert!(updates.len() > 500, "only {} world updates", updates.len());
+    assert!(!events.is_empty(), "no events to compare");
+    for shards in [2, 4] {
+        let (other_updates, other_events) = serve(shards);
+        assert_eq!(
+            other_updates.len(),
+            updates.len(),
+            "{shards} shards: world update count"
+        );
+        if let Some(i) = (0..updates.len()).find(|&i| other_updates[i] != updates[i]) {
+            panic!(
+                "{shards} shards: world update {i} differs from one shard's: {:?} vs {:?}",
+                other_updates[i], updates[i]
+            );
+        }
+        assert_eq!(other_events, events, "{shards} shards: event stream");
+    }
+}
+
 #[test]
 fn fall_in_the_overlap_reaches_a_wire_subscriber() {
     // One person paces in the overlap region (both sensors watching),
@@ -604,7 +732,13 @@ fn fall_in_the_overlap_reaches_a_wire_subscriber() {
         people,
     );
     let fuse = room_fuse_config(&base, fall_cfg);
-    let got = run_world(base, fuse, sim, PipelineKind::SingleTarget);
+    let got = run_world(
+        base,
+        fuse,
+        sim,
+        PipelineKind::SingleTarget,
+        EngineConfig::default().num_shards,
+    );
 
     // Both sensors contributed to the fused track at some point.
     assert!(
