@@ -404,17 +404,7 @@ impl MotionModel for DoorSwing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick_sweep() -> SweepConfig {
-        SweepConfig {
-            start_freq_hz: 5.56e8,
-            bandwidth_hz: 1.69e8,
-            sweep_duration_s: 1e-3,
-            sample_rate_hz: 100e3,
-            sweeps_per_frame: 5,
-            transmit_power_w: 1e-3,
-        }
-    }
+    use crate::quick_cfg;
 
     #[test]
     fn a_dense_crowd_builds_and_emits() {
@@ -424,7 +414,7 @@ mod tests {
             .with_mover(MoverKind::Fan)
             .with_mover(MoverKind::Door)
             .with_duration(0.05);
-        let mut built = spec.build(quick_sweep(), 0.02);
+        let mut built = spec.build(quick_cfg(0).sweep, 0.02);
         assert_eq!(built.humans(), 10);
         assert_eq!(built.sim().num_people(), 13);
         let round = built.next_round().expect("emits");
@@ -439,21 +429,21 @@ mod tests {
             .with_interference(0.05)
             .with_duration(0.02)
             .with_seed(77);
-        let mut a = spec.build(quick_sweep(), 0.02);
-        let mut b = spec.clone().build(quick_sweep(), 0.02);
+        let mut a = spec.build(quick_cfg(0).sweep, 0.02);
+        let mut b = spec.clone().build(quick_cfg(0).sweep, 0.02);
         while let (Some(ra), Some(rb)) = (a.next_round(), b.next_round()) {
             for (x, y) in ra.iter().zip(&rb) {
                 assert_eq!(x.set.per_rx, y.set.per_rx);
             }
         }
-        let mut c = spec.with_seed(78).build(quick_sweep(), 0.02);
+        let mut c = spec.with_seed(78).build(quick_cfg(0).sweep, 0.02);
         let (ra, rc) = (
             ScenarioSpec::new("det")
                 .with_walkers(3)
                 .with_interference(0.05)
                 .with_duration(0.02)
                 .with_seed(77)
-                .build(quick_sweep(), 0.02)
+                .build(quick_cfg(0).sweep, 0.02)
                 .next_round()
                 .unwrap(),
             c.next_round().unwrap(),
@@ -466,11 +456,11 @@ mod tests {
         let clean = ScenarioSpec::new("clean").with_duration(0.01);
         let noisy = clean.clone().with_interference(0.5);
         let ra = clean
-            .build(quick_sweep(), 0.02)
+            .build(quick_cfg(0).sweep, 0.02)
             .next_round()
             .expect("clean round");
         let rb = noisy
-            .build(quick_sweep(), 0.02)
+            .build(quick_cfg(0).sweep, 0.02)
             .next_round()
             .expect("noisy round");
         // Same seed → identical underlying samples, so the difference is
@@ -490,7 +480,7 @@ mod tests {
         let spec = ScenarioSpec::new("drift")
             .with_duration(0.01)
             .with_clock_drift(1, 0.01); // 1% fast: visible at t > 0
-        let mut built = spec.build(quick_sweep(), 0.02);
+        let mut built = spec.build(quick_cfg(0).sweep, 0.02);
         built.next_round().expect("round 0"); // t = 0: drift invisible
         let round = built.next_round().expect("round 1");
         let (s0, s1) = (&round[0], &round[1]);

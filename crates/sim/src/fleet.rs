@@ -2,14 +2,22 @@
 //!
 //! The serving layer (`witrack-serve`) multiplexes many sensor deployments
 //! on one host; this module generates its workload. A [`FleetSimulator`]
-//! runs K rooms, each an independent [`MultiSimulator`] — own walls, own
-//! walkers, own noise seeds — and emits every room's sweeps in lockstep
-//! (all rooms share the sweep clock, like sensors free-running at the same
-//! configured rate). Room `i` is sensor id `i`.
+//! runs K rooms, each its own [`MultiSimulator`] — own walls, own
+//! walkers — and emits every room's sweeps in lockstep (all rooms share
+//! the sweep clock, like sensors free-running at the same configured
+//! rate). Room `i` is sensor id `i`.
 //!
 //! Rooms vary deterministically with the fleet seed: walker count cycles
-//! 1/2/3 per room by default, walk paths are seeded per room, and every
-//! other room is through-wall.
+//! 1/2/3 per room by default, and every other room is through-wall.
+//!
+//! The per-room seeds overlap. Room `i` seeds from
+//! `s_i = seed·0x9E37_79B9 + i`; its front end `k` draws noise from
+//! `s_i + k + 1` and its walker `w` walks from `s_i + w + 1`. So room
+//! `i`'s antenna `k + 1` carries exactly the receiver noise of room
+//! `i + 1`'s antenna `k`, and room `i`'s walker `w + 1` walks room
+//! `i + 1`'s walker `w`'s floor path. This is a known flaw, kept so
+//! that fleet streams stay comparable across versions; fleetbench's
+//! single-sensor recorder repeats the same seed pattern.
 
 use crate::motion::{RandomWalk, Rect};
 use crate::multi::{MultiSimulator, PersonSpec};
@@ -179,25 +187,13 @@ impl FleetSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use witrack_fmcw::SweepConfig;
 
     fn quick_fleet(rooms: usize) -> FleetConfig {
         FleetConfig {
             rooms,
             max_walkers_per_room: 3,
             duration_s: 0.1,
-            sim: SimConfig {
-                sweep: SweepConfig {
-                    start_freq_hz: 5.56e8,
-                    bandwidth_hz: 1.69e8,
-                    sweep_duration_s: 1e-3,
-                    sample_rate_hz: 100e3,
-                    sweeps_per_frame: 5,
-                    transmit_power_w: 1e-3,
-                },
-                noise_std: 0.02,
-                seed: 11,
-            },
+            sim: crate::quick_cfg(11),
         }
     }
 

@@ -19,16 +19,25 @@
 //! Layers, bottom-up: [`material`]/[`scene`] (geometry + losses), [`body`]
 //! (reflector model), [`motion`] (trajectories, activities, gestures),
 //! [`channel`] (echo paths per antenna), [`frontend`] (baseband synthesis,
-//! including a full chirp-mixing validation path), and [`simulator`] (the
-//! experiment driver that also records VICON-style ground truth).
-//! [`fleet`] scales the whole stack out: K independent rooms emitting
+//! including a full chirp-mixing validation path), and one room engine,
+//! [`vantage`]'s [`MultiVantageSimulator`]: N people observed by V posed
+//! sensors, emitting per-sensor sweeps and recording VICON-style ground
+//! truth. Three constructors sit on that engine:
+//!
+//! * [`simulator`]'s [`Simulator`] — one person, one sensor at the
+//!   identity pose: the paper's §8 protocol;
+//! * [`multi`]'s [`MultiSimulator`] — N people, one sensor: the §10
+//!   multi-person case;
+//! * [`MultiVantageSimulator::new`] — N people, V posed sensors with
+//!   overlapping coverage: the workload of cross-sensor fusion
+//!   (`witrack-fuse`).
+//!
+//! [`fleet`] scales the stack out: K independent rooms emitting
 //! per-sensor sweep streams in lockstep, the workload of the
-//! `witrack-serve` engine. [`vantage`] is the converse: one room's
-//! walkers observed by several posed sensors with overlapping coverage,
-//! the workload of cross-sensor fusion (`witrack-fuse`). [`chaos`] builds
-//! adversarial variants of those rooms declaratively: dense crowds,
-//! non-human movers, co-channel interference, clock drift, and transport
-//! fault schedules, for the degradation harness.
+//! `witrack-serve` engine. [`chaos`] builds adversarial variants of the
+//! fused rooms declaratively: dense crowds, non-human movers, co-channel
+//! interference, clock drift, and transport fault schedules, for the
+//! degradation harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,6 +78,24 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         }
         let u2: f64 = rng.random();
         return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    }
+}
+
+/// The reduced 100-sample sweep every unit test in this crate runs, at
+/// receiver noise σ 0.02 and the given master seed.
+#[cfg(test)]
+pub(crate) fn quick_cfg(seed: u64) -> SimConfig {
+    SimConfig {
+        sweep: witrack_fmcw::SweepConfig {
+            start_freq_hz: 5.56e8,
+            bandwidth_hz: 1.69e8,
+            sweep_duration_s: 1e-3,
+            sample_rate_hz: 100e3,
+            sweeps_per_frame: 5,
+            transmit_power_w: 1e-3,
+        },
+        noise_std: 0.02,
+        seed,
     }
 }
 

@@ -1,24 +1,26 @@
 //! Multi-person simulation: N moving bodies in one scene.
 //!
 //! The single-person [`Simulator`](crate::Simulator) mirrors the paper's
-//! evaluation protocol (one subject, §8). This module drives the same
-//! channel and front end with **several** bodies at once — the §10 scenario
-//! the paper leaves open and the `witrack-mtt` subsystem exists to solve.
-//! Every body contributes its direct echo and its dynamic-multipath
-//! bounces to every receive antenna; static paths are shared.
+//! evaluation protocol (one subject, §8). A [`MultiSimulator`] drives the
+//! same channel and front end with **several** bodies at once — the §10
+//! scenario the paper leaves open and the `witrack-mtt` subsystem exists
+//! to solve. Every body contributes its direct echo and its
+//! dynamic-multipath bounces to every receive antenna; static paths are
+//! shared. Like `Simulator`, it is a constructor of the room engine
+//! ([`MultiVantageSimulator`]) with one vantage at the identity pose and
+//! no coverage edge, and it seeds the same way, so one person run through
+//! either draws the same streams.
 //!
 //! [`scenario`] holds the scripted walker layouts (two crossing walkers,
 //! a radial pass, three walkers) used by the examples, benches, and
 //! integration tests.
 
 use crate::body::BodyModel;
-use crate::channel::{Channel, PathEcho};
-use crate::frontend::FrontEnd;
+use crate::channel::Channel;
 use crate::motion::{BodyState, MotionModel};
 use crate::scene::Scene;
 use crate::simulator::{SimConfig, SweepSet};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::vantage::MultiVantageSimulator;
 use witrack_geom::{AntennaArray, Vec3};
 
 /// One simulated person: a reflector model plus a motion script.
@@ -39,26 +41,10 @@ impl PersonSpec {
     }
 }
 
-/// Per-person wander state (see `Simulator` for the single-person
-/// rationale: wander redraws once per frame, only while moving).
-struct PersonState {
-    spec: PersonSpec,
-    wander: Vec3,
-    diff_wander: Vec<Vec3>,
-}
-
 /// Plays several motion scripts through one RF channel, emitting the
 /// combined baseband sweeps.
 pub struct MultiSimulator {
-    cfg: SimConfig,
-    channel: Channel,
-    people: Vec<PersonState>,
-    frontends: Vec<FrontEnd>,
-    static_paths: Vec<Vec<PathEcho>>,
-    wander_rng: StdRng,
-    sweep_index: u64,
-    total_sweeps: u64,
-    scratch: Vec<PathEcho>,
+    room: MultiVantageSimulator,
 }
 
 impl MultiSimulator {
@@ -75,158 +61,41 @@ impl MultiSimulator {
         array: AntennaArray,
         people: Vec<PersonSpec>,
     ) -> MultiSimulator {
-        assert!(!people.is_empty(), "need at least one person");
-        let n_rx = array.num_rx();
         // The channel's own body model is only consulted via explicit
-        // per-person calls here; hand it the first person's.
-        let channel = Channel::new(scene, array, people[0].body);
-        let frontends = (0..n_rx)
-            .map(|k| {
-                FrontEnd::new(
-                    cfg.sweep,
-                    cfg.noise_std,
-                    cfg.seed.wrapping_add(k as u64 + 1),
-                )
-            })
-            .collect();
-        let static_paths = (0..n_rx).map(|k| channel.static_paths(k)).collect();
-        let duration = people
-            .iter()
-            .map(|p| p.motion.duration())
-            .fold(0.0_f64, f64::max);
-        let total_sweeps = (duration / cfg.sweep.sweep_duration_s).floor() as u64;
+        // per-person calls; hand it the first person's.
+        let body = people.first().expect("need at least one person").body;
+        let channel = Channel::new(scene, array, body);
         MultiSimulator {
-            people: people
-                .into_iter()
-                .map(|spec| PersonState {
-                    spec,
-                    wander: Vec3::ZERO,
-                    diff_wander: vec![Vec3::ZERO; n_rx],
-                })
-                .collect(),
-            cfg,
-            channel,
-            frontends,
-            static_paths,
-            wander_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(17)),
-            sweep_index: 0,
-            total_sweeps,
-            scratch: Vec::new(),
+            room: MultiVantageSimulator::unposed(cfg, channel, people),
         }
-    }
-
-    /// The simulation config.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The shared channel (scene/array).
-    pub fn channel(&self) -> &Channel {
-        &self.channel
     }
 
     /// Number of simulated people.
     pub fn num_people(&self) -> usize {
-        self.people.len()
+        self.room.num_people()
     }
 
     /// Total sweeps this experiment will emit.
     pub fn total_sweeps(&self) -> u64 {
-        self.total_sweeps
-    }
-
-    /// Experiment duration (s).
-    pub fn duration(&self) -> f64 {
-        self.total_sweeps as f64 * self.cfg.sweep.sweep_duration_s
+        self.room.total_sweeps()
     }
 
     /// True body state of person `i` at time `t`.
     pub fn true_state(&self, i: usize, t: f64) -> BodyState {
-        self.people[i].spec.motion.state(t)
+        self.room.true_state(i, t)
     }
 
     /// §8(a)-compensated ground truth for person `i`: the mean torso
     /// surface point facing the array.
     pub fn surface_truth(&self, i: usize, t: f64) -> Vec3 {
-        let state = self.people[i].spec.motion.state(t);
-        self.people[i]
-            .spec
-            .body
-            .mean_reflection_point(state.center, self.channel.array.tx.position)
+        self.room.surface_truth(0, i, t)
     }
 
     /// Generates the next sweep for every antenna, or `None` when the
     /// longest script has ended.
     pub fn next_sweeps(&mut self) -> Option<SweepSet> {
-        if self.sweep_index >= self.total_sweeps {
-            return None;
-        }
-        let sweeps_per_frame = self.cfg.sweep.sweeps_per_frame as u64;
-        let t = self.sweep_index as f64 * self.cfg.sweep.sweep_duration_s;
-        let n_rx = self.frontends.len();
-        let states: Vec<BodyState> = self.people.iter().map(|p| p.spec.motion.state(t)).collect();
-
-        // Redraw each moving person's specular wander at frame boundaries
-        // (same policy as the single-person simulator).
-        if self.sweep_index.is_multiple_of(sweeps_per_frame) {
-            for (person, state) in self.people.iter_mut().zip(&states) {
-                if !state.moving {
-                    continue;
-                }
-                let b = &person.spec.body;
-                person.wander = Vec3::new(
-                    b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
-                    b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
-                    b.z_wander_std * crate::gaussian(&mut self.wander_rng),
-                );
-                let d = b.differential_wander_std;
-                for w in &mut person.diff_wander {
-                    *w = Vec3::new(
-                        d * crate::gaussian(&mut self.wander_rng),
-                        d * crate::gaussian(&mut self.wander_rng),
-                        d * crate::gaussian(&mut self.wander_rng),
-                    );
-                }
-            }
-        }
-
-        let tx = self.channel.array.tx.position;
-        let mut per_rx = Vec::with_capacity(n_rx);
-        for k in 0..n_rx {
-            let observer = (tx + self.channel.array.rx[k].position) * 0.5;
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&self.static_paths[k]);
-            for (person, state) in self.people.iter().zip(&states) {
-                let torso_point = person.spec.body.reflection_point(
-                    state.center,
-                    observer,
-                    person.wander + person.diff_wander[k],
-                );
-                self.scratch.extend(self.channel.moving_paths(
-                    torso_point,
-                    person.spec.body.torso_rcs,
-                    k,
-                ));
-                if let Some(hand) = state.hand {
-                    self.scratch.extend(
-                        self.channel
-                            .moving_paths(hand, person.spec.body.arm_rcs, k)
-                            .into_iter()
-                            .take(1),
-                    );
-                }
-            }
-            let mut sweep = Vec::new();
-            self.frontends[k].synthesize_sweep(&self.scratch, &mut sweep);
-            per_rx.push(sweep);
-        }
-        let set = SweepSet {
-            sweep_index: self.sweep_index,
-            time_s: t,
-            per_rx,
-        };
-        self.sweep_index += 1;
-        Some(set)
+        let round = self.room.next_round()?;
+        round.into_iter().next().map(|rs| rs.set)
     }
 }
 
@@ -307,26 +176,11 @@ mod tests {
     use super::scenario;
     use super::*;
     use crate::motion::{LinePath, Stand};
-    use witrack_fmcw::SweepConfig;
-
-    fn quick_cfg() -> SimConfig {
-        SimConfig {
-            sweep: SweepConfig {
-                start_freq_hz: 5.56e8,
-                bandwidth_hz: 1.69e8,
-                sweep_duration_s: 1e-3,
-                sample_rate_hz: 100e3,
-                sweeps_per_frame: 5,
-                transmit_power_w: 1e-3,
-            },
-            noise_std: 0.02,
-            seed: 3,
-        }
-    }
+    use crate::quick_cfg;
 
     fn quick_sim(people: Vec<PersonSpec>) -> MultiSimulator {
         MultiSimulator::new(
-            quick_cfg(),
+            quick_cfg(3),
             Scene::witrack_lab(false),
             AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
             people,

@@ -1,17 +1,19 @@
-//! The experiment driver: motion + channel + front end + ground truth.
+//! The single-subject experiment driver: motion + channel + front end +
+//! ground truth.
 //!
-//! A [`Simulator`] plays a [`MotionModel`]
-//! through the [`Channel`] and [`FrontEnd`], producing the per-antenna
-//! baseband sweeps the real prototype's USRP would deliver — and, like the
-//! paper's VICON rig (§8(a)), it knows the exact body trajectory, including
-//! the mean body-surface point that the paper's depth compensation reduces
-//! evaluation to.
+//! A [`Simulator`] plays one [`MotionModel`] through the [`Channel`] and
+//! [`FrontEnd`](crate::FrontEnd), producing the per-antenna baseband
+//! sweeps the real prototype's USRP would deliver — and, like the paper's
+//! VICON rig (§8(a)), it knows the exact body trajectory, including the
+//! mean body-surface point that the paper's depth compensation reduces
+//! evaluation to. It is a constructor of the room engine
+//! ([`MultiVantageSimulator`]): one person, one vantage at the identity
+//! pose, no coverage edge.
 
-use crate::channel::{Channel, PathEcho};
-use crate::frontend::FrontEnd;
+use crate::channel::Channel;
 use crate::motion::{BodyState, MotionModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::multi::PersonSpec;
+use crate::vantage::MultiVantageSimulator;
 use witrack_fmcw::SweepConfig;
 use witrack_geom::Vec3;
 
@@ -49,75 +51,37 @@ pub struct SweepSet {
 
 /// Plays a motion script through the RF channel, emitting baseband sweeps.
 pub struct Simulator {
-    cfg: SimConfig,
-    channel: Channel,
-    motion: Box<dyn MotionModel>,
-    frontends: Vec<FrontEnd>,
-    static_paths: Vec<Vec<PathEcho>>,
-    wander_rng: StdRng,
-    current_wander: Vec3,
-    /// Per-antenna differential wander, redrawn each frame.
-    current_diff_wander: Vec<Vec3>,
-    sweep_index: u64,
-    total_sweeps: u64,
-    scratch: Vec<PathEcho>,
+    room: MultiVantageSimulator,
 }
 
 impl Simulator {
-    /// Creates a simulator. Each receive antenna gets an independent noise
-    /// stream; the specular-wander stream is shared (the body is one object
-    /// seen by all antennas).
+    /// Creates a simulator for one person with `channel.body`. Each
+    /// receive antenna gets an independent noise stream; the
+    /// specular-wander stream is shared (the body is one object seen by
+    /// all antennas).
     pub fn new(cfg: SimConfig, channel: Channel, motion: Box<dyn MotionModel>) -> Simulator {
-        let n_rx = channel.array.num_rx();
-        let frontends = (0..n_rx)
-            .map(|k| {
-                FrontEnd::new(
-                    cfg.sweep,
-                    cfg.noise_std,
-                    cfg.seed.wrapping_add(k as u64 + 1),
-                )
-            })
-            .collect();
-        let static_paths = (0..n_rx).map(|k| channel.static_paths(k)).collect();
-        let total_sweeps = (motion.duration() / cfg.sweep.sweep_duration_s).floor() as u64;
-        Simulator {
-            cfg,
-            channel,
+        let person = PersonSpec {
+            body: channel.body,
             motion,
-            frontends,
-            static_paths,
-            wander_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(17)),
-            current_wander: Vec3::ZERO,
-            current_diff_wander: vec![Vec3::ZERO; n_rx],
-            sweep_index: 0,
-            total_sweeps,
-            scratch: Vec::new(),
+        };
+        Simulator {
+            room: MultiVantageSimulator::unposed(cfg, channel, vec![person]),
         }
-    }
-
-    /// The simulation config.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// The channel (scene/array/body) being simulated.
     pub fn channel(&self) -> &Channel {
-        &self.channel
+        self.room.channel(0)
     }
 
     /// Total sweeps this experiment will emit.
     pub fn total_sweeps(&self) -> u64 {
-        self.total_sweeps
-    }
-
-    /// Experiment duration (s).
-    pub fn duration(&self) -> f64 {
-        self.motion.duration()
+        self.room.total_sweeps()
     }
 
     /// True body state at time `t` (the "VICON" feed).
     pub fn true_state(&self, t: f64) -> BodyState {
-        self.motion.state(t)
+        self.room.true_state(0, t)
     }
 
     /// The §8(a)-compensated ground truth at time `t`: the *mean body
@@ -125,84 +89,14 @@ impl Simulator {
     /// estimate converges to after the paper subtracts each subject's
     /// average center-to-surface depth.
     pub fn surface_truth(&self, t: f64) -> Vec3 {
-        let state = self.motion.state(t);
-        self.channel
-            .body
-            .mean_reflection_point(state.center, self.channel.array.tx.position)
+        self.room.surface_truth(0, 0, t)
     }
 
     /// Generates the next sweep for every antenna, or `None` when the
     /// scripted motion has ended.
     pub fn next_sweeps(&mut self) -> Option<SweepSet> {
-        if self.sweep_index >= self.total_sweeps {
-            return None;
-        }
-        let sweeps_per_frame = self.cfg.sweep.sweeps_per_frame as u64;
-        let t = self.sweep_index as f64 * self.cfg.sweep.sweep_duration_s;
-        let state = self.motion.state(t);
-        // Redraw the specular wander once per processing frame: the wander
-        // is the slowly-varying "which patch of torso reflects" state, not
-        // per-sweep noise (per-sweep redraws would be averaged away). A
-        // motionless body keeps its wander frozen — its reflections must be
-        // *identical* across frames so background subtraction cancels them,
-        // the behavior the paper's interpolation stage exists for (§4.4,
-        // §10's static-user limitation).
-        if self.sweep_index.is_multiple_of(sweeps_per_frame) && state.moving {
-            let b = &self.channel.body;
-            self.current_wander = Vec3::new(
-                b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
-                b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
-                b.z_wander_std * crate::gaussian(&mut self.wander_rng),
-            );
-            let d = b.differential_wander_std;
-            for w in &mut self.current_diff_wander {
-                *w = Vec3::new(
-                    d * crate::gaussian(&mut self.wander_rng),
-                    d * crate::gaussian(&mut self.wander_rng),
-                    d * crate::gaussian(&mut self.wander_rng),
-                );
-            }
-        }
-        let tx = self.channel.array.tx.position;
-
-        let mut per_rx = Vec::with_capacity(self.frontends.len());
-        for k in 0..self.frontends.len() {
-            // The bistatic specular point for antenna k faces the midpoint
-            // of the Tx/Rx_k pair and carries its own wander component.
-            let observer = (tx + self.channel.array.rx[k].position) * 0.5;
-            let torso_point = self.channel.body.reflection_point(
-                state.center,
-                observer,
-                self.current_wander + self.current_diff_wander[k],
-            );
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&self.static_paths[k]);
-            self.scratch.extend(self.channel.moving_paths(
-                torso_point,
-                self.channel.body.torso_rcs,
-                k,
-            ));
-            if let Some(hand) = state.hand {
-                // The hand is small: direct echo only (its wall bounces are
-                // below the noise floor).
-                self.scratch.extend(
-                    self.channel
-                        .moving_paths(hand, self.channel.body.arm_rcs, k)
-                        .into_iter()
-                        .take(1),
-                );
-            }
-            let mut sweep = Vec::new();
-            self.frontends[k].synthesize_sweep(&self.scratch, &mut sweep);
-            per_rx.push(sweep);
-        }
-        let set = SweepSet {
-            sweep_index: self.sweep_index,
-            time_s: t,
-            per_rx,
-        };
-        self.sweep_index += 1;
-        Some(set)
+        let round = self.room.next_round()?;
+        round.into_iter().next().map(|rs| rs.set)
     }
 }
 
@@ -211,26 +105,12 @@ mod tests {
     use super::*;
     use crate::body::BodyModel;
     use crate::motion::{RandomWalk, Rect, Stand};
+    use crate::quick_cfg;
     use crate::scene::Scene;
     use witrack_geom::AntennaArray;
 
-    fn quick_cfg() -> SimConfig {
-        SimConfig {
-            sweep: SweepConfig {
-                start_freq_hz: 5.56e8,
-                bandwidth_hz: 1.69e8,
-                sweep_duration_s: 1e-3,
-                sample_rate_hz: 100e3,
-                sweeps_per_frame: 5,
-                transmit_power_w: 1e-3,
-            },
-            noise_std: 0.02,
-            seed: 3,
-        }
-    }
-
     fn quick_sim(duration: f64) -> Simulator {
-        let cfg = quick_cfg();
+        let cfg = quick_cfg(3);
         let channel = Channel::new(
             Scene::witrack_lab(true),
             AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
@@ -290,7 +170,7 @@ mod tests {
         // A perfectly still person + static scene ⇒ consecutive *frames*
         // carry identical deterministic content (only noise differs); with
         // noise disabled the sweeps repeat exactly.
-        let mut cfg = quick_cfg();
+        let mut cfg = quick_cfg(3);
         cfg.noise_std = 0.0;
         let channel = Channel::new(
             Scene::witrack_lab(true),
@@ -321,7 +201,7 @@ mod tests {
         // With a noiseless front end and a static person, sweeps *within*
         // one frame are identical even with wander enabled (it redraws only
         // at frame boundaries).
-        let mut cfg = quick_cfg();
+        let mut cfg = quick_cfg(3);
         cfg.noise_std = 0.0;
         let channel = Channel::new(
             Scene::witrack_lab(false),

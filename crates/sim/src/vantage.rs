@@ -1,17 +1,27 @@
-//! Multi-vantage simulation: one room, one set of walkers, observed by
-//! several posed sensors at once.
+//! The room engine: N people observed by V posed sensors, and the
+//! multi-vantage simulator built on it.
 //!
-//! [`crate::fleet`] scales out to many *independent* rooms; this module
-//! is the opposite experiment — the workload of cross-sensor fusion
-//! (`witrack-fuse`): N sensors with **overlapping coverage** watch the
-//! *same* bodies, each from its own mounting pose. Every vantage owns a
-//! full RF stack (channel, per-antenna front ends, its own specular
-//! wander — the specular point is viewpoint-dependent, so two sensors
-//! genuinely disagree about where on the torso they see), and each
-//! synthesizes baseband in its **local** frame: the walker's world
-//! position is carried through the vantage's `sensor ← world` transform
-//! before echo generation, exactly inverse to the registration the
-//! fusion layer applies on the way back out.
+//! [`MultiVantageSimulator`] is the one per-sweep echo-synthesis loop in
+//! this crate. Every other scene simulator is a thin constructor of it:
+//! [`Simulator`](crate::Simulator) (one person) and
+//! [`MultiSimulator`](crate::MultiSimulator) (N people) are one vantage
+//! at the identity pose with no coverage edge, and
+//! [`FleetSimulator`](crate::FleetSimulator) runs one `MultiSimulator`
+//! per room. The constructors differ only in how they derive their noise
+//! and wander streams from the master seed (`Seeds`), which keeps each
+//! one's streams stable.
+//!
+//! [`crate::fleet`] scales out to many *independent* rooms; posed
+//! vantages are the opposite experiment — the workload of cross-sensor
+//! fusion (`witrack-fuse`): N sensors with **overlapping coverage**
+//! watch the *same* bodies, each from its own mounting pose. Every
+//! vantage owns a full RF stack (channel, per-antenna front ends, its
+//! own specular wander — the specular point is viewpoint-dependent, so
+//! two sensors genuinely disagree about where on the torso they see),
+//! and each synthesizes baseband in its **local** frame: the walker's
+//! world position is carried through the vantage's `sensor ← world`
+//! transform before echo generation, exactly inverse to the registration
+//! the fusion layer applies on the way back out.
 //!
 //! Coverage edges are first-class: a vantage with `coverage_m` set stops
 //! receiving body echoes beyond that slant range (a wall, a doorway —
@@ -19,7 +29,6 @@
 //! reproducible: the walker *must* leave sensor A's coverage and be
 //! reacquired by sensor B.
 
-use crate::body::BodyModel;
 use crate::channel::{Channel, PathEcho};
 use crate::fleet::RoomSweeps;
 use crate::frontend::FrontEnd;
@@ -47,6 +56,36 @@ pub struct VantageSpec {
     pub coverage_m: Option<f64>,
 }
 
+/// How a room engine derives its random streams from [`SimConfig::seed`].
+///
+/// Front end `k` of vantage `v` seeds from `frontend_base + v·n_rx + k + 1`;
+/// all vantages draw specular wander from one stream seeded `wander`.
+struct Seeds {
+    frontend_base: u64,
+    wander: u64,
+}
+
+impl Seeds {
+    /// [`Simulator`](crate::Simulator) and
+    /// [`MultiSimulator`](crate::MultiSimulator): front ends from `seed`,
+    /// wander from `seed·0x9E37_79B9 + 17`.
+    fn unposed(seed: u64) -> Seeds {
+        Seeds {
+            frontend_base: seed,
+            wander: seed.wrapping_mul(0x9E37_79B9).wrapping_add(17),
+        }
+    }
+
+    /// [`MultiVantageSimulator::new`]: front ends from `seed·0x9E37_79B9`,
+    /// wander from `seed·0x517C_C1B7 + 3`.
+    fn posed(seed: u64) -> Seeds {
+        Seeds {
+            frontend_base: seed.wrapping_mul(0x9E37_79B9),
+            wander: seed.wrapping_mul(0x517C_C1B7).wrapping_add(3),
+        }
+    }
+}
+
 struct Vantage {
     sensor_id: u32,
     world_from_sensor: RigidTransform,
@@ -59,7 +98,6 @@ struct Vantage {
     wander: Vec<Vec3>,
     /// Per-person, per-antenna differential wander.
     diff_wander: Vec<Vec<Vec3>>,
-    scratch: Vec<PathEcho>,
 }
 
 /// N posed sensors observing one shared set of motion scripts.
@@ -70,6 +108,7 @@ pub struct MultiVantageSimulator {
     wander_rng: StdRng,
     sweep_index: u64,
     total_sweeps: u64,
+    scratch: Vec<PathEcho>,
 }
 
 impl MultiVantageSimulator {
@@ -85,9 +124,46 @@ impl MultiVantageSimulator {
         vantages: Vec<VantageSpec>,
         people: Vec<PersonSpec>,
     ) -> MultiVantageSimulator {
-        assert!(!people.is_empty(), "need at least one person");
+        // A channel's own body model is only consulted via explicit
+        // per-person calls here; hand it the first person's.
+        let body = people.first().expect("need at least one person").body;
         assert!(!vantages.is_empty(), "need at least one vantage");
-        let n_rx = array.num_rx();
+        let vantages = vantages
+            .into_iter()
+            .map(|spec| {
+                let channel = Channel::new(spec.scene, array.clone(), body);
+                (
+                    spec.sensor_id,
+                    spec.world_from_sensor,
+                    spec.coverage_m,
+                    channel,
+                )
+            })
+            .collect();
+        Self::with_channels(cfg, Seeds::posed(cfg.seed), vantages, people)
+    }
+
+    /// One vantage at the identity pose, with no coverage edge, hearing
+    /// `people` through `channel` as sensor 0: the room of
+    /// [`Simulator`](crate::Simulator) and
+    /// [`MultiSimulator`](crate::MultiSimulator).
+    pub(crate) fn unposed(
+        cfg: SimConfig,
+        channel: Channel,
+        people: Vec<PersonSpec>,
+    ) -> MultiVantageSimulator {
+        let vantage = (0, RigidTransform::IDENTITY, None, channel);
+        Self::with_channels(cfg, Seeds::unposed(cfg.seed), vec![vantage], people)
+    }
+
+    /// The engine proper. Each vantage is `(sensor id, world ← sensor,
+    /// coverage, channel)`, its channel taken as given.
+    fn with_channels(
+        cfg: SimConfig,
+        seeds: Seeds,
+        vantages: Vec<(u32, RigidTransform, Option<f64>, Channel)>,
+        people: Vec<PersonSpec>,
+    ) -> MultiVantageSimulator {
         let n_people = people.len();
         let duration = people
             .iter()
@@ -97,47 +173,36 @@ impl MultiVantageSimulator {
         let vantages = vantages
             .into_iter()
             .enumerate()
-            .map(|(vi, spec)| {
-                let channel = Channel::new(spec.scene, array.clone(), people[0].body);
+            .map(|(v, (sensor_id, world_from_sensor, coverage_m, channel))| {
+                let n_rx = channel.array.num_rx();
                 let frontends = (0..n_rx)
                     .map(|k| {
-                        FrontEnd::new(
-                            cfg.sweep,
-                            cfg.noise_std,
-                            cfg.seed
-                                .wrapping_mul(0x9E37_79B9)
-                                .wrapping_add((vi * n_rx + k) as u64 + 1),
-                        )
+                        let seed = seeds.frontend_base.wrapping_add((v * n_rx + k) as u64 + 1);
+                        FrontEnd::new(cfg.sweep, cfg.noise_std, seed)
                     })
                     .collect();
-                let static_paths = (0..n_rx).map(|k| channel.static_paths(k)).collect();
                 Vantage {
-                    sensor_id: spec.sensor_id,
-                    sensor_from_world: spec.world_from_sensor.inverse(),
-                    world_from_sensor: spec.world_from_sensor,
-                    coverage_m: spec.coverage_m,
+                    sensor_id,
+                    sensor_from_world: world_from_sensor.inverse(),
+                    world_from_sensor,
+                    coverage_m,
+                    static_paths: (0..n_rx).map(|k| channel.static_paths(k)).collect(),
                     channel,
                     frontends,
-                    static_paths,
                     wander: vec![Vec3::ZERO; n_people],
                     diff_wander: vec![vec![Vec3::ZERO; n_rx]; n_people],
-                    scratch: Vec::new(),
                 }
             })
             .collect();
         MultiVantageSimulator {
-            wander_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x517C_C1B7).wrapping_add(3)),
+            wander_rng: StdRng::seed_from_u64(seeds.wander),
             cfg,
             people,
             vantages,
             sweep_index: 0,
             total_sweeps,
+            scratch: Vec::new(),
         }
-    }
-
-    /// The simulation config.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Number of vantages (sensors).
@@ -158,6 +223,11 @@ impl MultiVantageSimulator {
     /// The ground-truth extrinsic of vantage `v`.
     pub fn world_from_sensor(&self, v: usize) -> &RigidTransform {
         &self.vantages[v].world_from_sensor
+    }
+
+    /// The channel (scene/array/body) of vantage `v`, in its local frame.
+    pub(crate) fn channel(&self, v: usize) -> &Channel {
+        &self.vantages[v].channel
     }
 
     /// True body state of person `i` at time `t`, **world frame**.
@@ -198,16 +268,22 @@ impl MultiVantageSimulator {
         let t = self.sweep_index as f64 * self.cfg.sweep.sweep_duration_s;
         let states: Vec<BodyState> = self.people.iter().map(|p| p.motion.state(t)).collect();
 
-        // Redraw each vantage's specular wander at frame boundaries for
-        // moving people (the wander is a property of the viewpoint, so
-        // each vantage draws its own).
+        // Redraw the specular wander once per processing frame: the wander
+        // is the slowly-varying "which patch of torso reflects" state, not
+        // per-sweep noise (per-sweep redraws would be averaged away). A
+        // motionless body keeps its wander frozen — its reflections must be
+        // *identical* across frames so background subtraction cancels them,
+        // the behavior the paper's interpolation stage exists for (§4.4,
+        // §10's static-user limitation). The wander is a property of the
+        // viewpoint, so each vantage draws its own: vantage-major, then
+        // person-minor.
         if self.sweep_index.is_multiple_of(sweeps_per_frame) {
             for vantage in &mut self.vantages {
-                for (pi, state) in states.iter().enumerate() {
+                for (pi, (person, state)) in self.people.iter().zip(&states).enumerate() {
                     if !state.moving {
                         continue;
                     }
-                    let b = &self.people[pi].body;
+                    let b = &person.body;
                     vantage.wander[pi] = Vec3::new(
                         b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
                         b.xy_wander_std * crate::gaussian(&mut self.wander_rng),
@@ -227,37 +303,38 @@ impl MultiVantageSimulator {
 
         let mut round = Vec::with_capacity(self.vantages.len());
         for vantage in &mut self.vantages {
-            let n_rx = vantage.frontends.len();
-            let tx = vantage.channel.array.tx.position;
-            let mut per_rx = Vec::with_capacity(n_rx);
-            for k in 0..n_rx {
-                let observer = (tx + vantage.channel.array.rx[k].position) * 0.5;
-                vantage.scratch.clear();
-                let statics = &vantage.static_paths[k];
-                vantage.scratch.extend_from_slice(statics);
-                for (pi, state) in states.iter().enumerate() {
+            let array = &vantage.channel.array;
+            let mut per_rx = Vec::with_capacity(vantage.frontends.len());
+            for (k, frontend) in vantage.frontends.iter_mut().enumerate() {
+                // The bistatic specular point for antenna k faces the
+                // midpoint of the Tx/Rx_k pair and carries its own wander
+                // component.
+                let observer = (array.tx.position + array.rx[k].position) * 0.5;
+                self.scratch.clear();
+                self.scratch.extend_from_slice(&vantage.static_paths[k]);
+                for (pi, (person, state)) in self.people.iter().zip(&states).enumerate() {
                     // World → this vantage's local frame, then the usual
                     // per-person echo synthesis.
                     let local_center = vantage.sensor_from_world.apply(state.center);
-                    if let Some(r) = vantage.coverage_m {
-                        if local_center.norm() > r {
-                            continue; // outside this sensor's coverage
-                        }
+                    if vantage.coverage_m.is_some_and(|r| local_center.norm() > r) {
+                        continue; // outside this sensor's coverage
                     }
-                    let body: &BodyModel = &self.people[pi].body;
+                    let body = &person.body;
                     let torso_point = body.reflection_point(
                         local_center,
                         observer,
                         vantage.wander[pi] + vantage.diff_wander[pi][k],
                     );
-                    vantage.scratch.extend(vantage.channel.moving_paths(
+                    self.scratch.extend(vantage.channel.moving_paths(
                         torso_point,
                         body.torso_rcs,
                         k,
                     ));
                     if let Some(hand) = state.hand {
+                        // The hand is small: direct echo only (its wall
+                        // bounces are below the noise floor).
                         let local_hand = vantage.sensor_from_world.apply(hand);
-                        vantage.scratch.extend(
+                        self.scratch.extend(
                             vantage
                                 .channel
                                 .moving_paths(local_hand, body.arm_rcs, k)
@@ -267,9 +344,7 @@ impl MultiVantageSimulator {
                     }
                 }
                 let mut sweep = Vec::new();
-                let echoes = std::mem::take(&mut vantage.scratch);
-                vantage.frontends[k].synthesize_sweep(&echoes, &mut sweep);
-                vantage.scratch = echoes;
+                frontend.synthesize_sweep(&self.scratch, &mut sweep);
                 per_rx.push(sweep);
             }
             round.push(RoomSweeps {
@@ -289,6 +364,7 @@ impl MultiVantageSimulator {
 /// Scenario builders for the fusion tests, benches, and examples.
 pub mod scenario {
     use super::*;
+    use crate::body::BodyModel;
     use crate::motion::LinePath;
     use std::f64::consts::PI;
 
@@ -357,26 +433,11 @@ pub mod scenario {
 mod tests {
     use super::scenario::*;
     use super::*;
-    use witrack_fmcw::SweepConfig;
-
-    fn quick_cfg() -> SimConfig {
-        SimConfig {
-            sweep: SweepConfig {
-                start_freq_hz: 5.56e8,
-                bandwidth_hz: 1.69e8,
-                sweep_duration_s: 1e-3,
-                sample_rate_hz: 100e3,
-                sweeps_per_frame: 5,
-                transmit_power_w: 1e-3,
-            },
-            noise_std: 0.02,
-            seed: 5,
-        }
-    }
+    use crate::quick_cfg;
 
     fn quick_sim(length: f64, coverage: f64, people: Vec<PersonSpec>) -> MultiVantageSimulator {
         MultiVantageSimulator::new(
-            quick_cfg(),
+            quick_cfg(5),
             AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
             facing_pair(length, coverage),
             people,
@@ -429,7 +490,7 @@ mod tests {
     fn out_of_coverage_bodies_add_no_energy() {
         // Same seeds; walker near sensor 0. Vantage 1 (out of coverage)
         // must emit pure static background — identical to an empty room.
-        let cfg = quick_cfg();
+        let cfg = quick_cfg(5);
         let array = AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0);
         let person = || hallway_crossing(12.0, 0.05);
         let mut with_walker =
