@@ -50,6 +50,11 @@ REQUIRED = [
     ("dsp simd_lanes", r"^witrack_dsp_simd_lanes (-?\d+)$"),
     ("dsp scalar_fallbacks registered", r"^witrack_dsp_scalar_fallbacks (\d+)$"),
     ("dsp batched_frames", r'^witrack_dsp_batched_frames\{shard="\d+"\} (\d+)$'),
+    # Messages a connection reader ran on an idle shard instead of
+    # queueing them. Whether any run inline depends on timing (the
+    # example's in-process readers often hold further input), so zero is
+    # a healthy value: presence-only.
+    ("shard inline_runs registered", r'^witrack_shard_inline_runs\{shard="\d+"\} (\d+)$'),
     # Programmable subscriptions (wire v3): the fleet run subscribes to
     # every room, so the hub must have installed subscriptions, run
     # filter programs, matched events, and offered world bytes.
@@ -81,6 +86,7 @@ PRESENCE_ONLY = {
     # Zero is the healthy value on a vector-capable host: it counts
     # processes that fell back to scalar kernels.
     "dsp scalar_fallbacks registered",
+    "shard inline_runs registered",
 }
 
 

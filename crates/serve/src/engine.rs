@@ -2,14 +2,25 @@
 //!
 //! Each sensor id is pinned to one shard — its fused room's, or
 //! `sensor_id mod num_shards` for a sensor no room fuses (see
-//! [`crate::hub`]) — and each shard worker owns the [`FramePipeline`]
-//! instances of the sensors pinned to it, so a sensor's sweeps are always
-//! processed in order, by one thread, with no locking around pipeline
-//! state. Shard input queues
+//! [`crate::hub`]) — and each shard's state owns the [`FramePipeline`]
+//! instances of the sensors pinned to it, behind one per-shard mutex, so
+//! a sensor's sweeps are always processed in order, one message at a
+//! time. Shard input queues
 //! are **bounded**: a producer outrunning the engine either blocks
 //! ([`OverloadPolicy::Block`], socket-like backpressure) or has its newest
 //! batch dropped and counted ([`OverloadPolicy::DropNewest`], for sensors
 //! where stale sweeps are worse than missing ones).
+//!
+//! Who runs a message: [`EngineHandle::submit`] always queues it for the
+//! shard's thread. A served connection's reader, though, runs it to
+//! completion itself when the shard is idle — its state unlocked and its
+//! `shard/queue_depth` at 0 under the lock — and the reader holds no
+//! further input; that saves the shard thread's wake per frame. Depth
+//! only drops under the lock as a message runs, so an inline message
+//! never overtakes one queued ahead of it. Under load (a busy shard, or
+//! a reader with more input waiting) messages queue, and floods still
+//! spread over the shard threads. Shard threads run queued work, the
+//! liveness tick and held-reply retries.
 //!
 //! Lifecycle per sensor: [`Hello`] (builds the pipeline via the
 //! [`PipelineFactory`]) → any number of
@@ -40,13 +51,14 @@
 use crate::hub::{Placement, Rooms, WorldConfig, LIVENESS_TICK, REPLY_RETRY};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::pool::{BufPool, PooledBatch, PooledBuf, SamplePools};
+use crate::transport::RxMsg;
 use crate::wire::{self, Hello, Message, RejectCode, SubscribeV3, Teardown};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use witrack_core::{FramePipeline, FrameReport};
 use witrack_obs::{
     AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label, Registry, StageStats,
@@ -170,8 +182,9 @@ impl std::error::Error for SubmitError {}
 enum ShardMsg {
     Hello(Hello, ConnSink),
     /// A sweep batch (header + pooled samples), its connection's sink and
-    /// its enqueue instant (queue-wait telemetry).
-    Batch(PooledBatch, ConnSink, Instant),
+    /// its enqueue instant (queue-wait telemetry; `None` until queued, and
+    /// for a batch a connection reader runs inline).
+    Batch(PooledBatch, ConnSink, Option<Instant>),
     Teardown(Teardown, ConnSink),
     /// A room subscription, for the room's shard to install or refuse.
     Subscribe(SubscribeV3, ConnSink),
@@ -182,14 +195,15 @@ enum ShardMsg {
     /// a failed send would also hold the connection's outbox sender — and
     /// the connection writer only exits when every sender is gone.
     ConnClosed(u64),
-    /// Shutdown nudge: wakes the shard so it notices the stop flag.
+    /// Wakes the shard thread: to notice the stop flag, or to retry
+    /// replies an inline run left held.
     Wake,
 }
 
 /// Cloneable ingress side of the engine: routes client messages to shards.
 #[derive(Clone)]
 pub struct EngineHandle {
-    shards: Vec<SyncSender<ShardMsg>>,
+    shards: Vec<ShardPort>,
     overload: OverloadPolicy,
     metrics: Arc<EngineMetrics>,
     /// Recycles ingest sample buffers (socket → decode → shard →
@@ -204,9 +218,6 @@ pub struct EngineHandle {
     registry: Arc<Registry>,
     /// The engine's anomaly flight recorder.
     recorder: Arc<FlightRecorder>,
-    /// Per-shard `shard/queue_depth` gauges, indexed like `shards`
-    /// (incremented at enqueue, decremented by the owning worker).
-    queue_depths: Arc<Vec<Gauge>>,
     /// Source of this engine's connection ids (see
     /// [`Self::open_connection`]).
     next_conn_id: Arc<AtomicU64>,
@@ -251,21 +262,63 @@ impl EngineHandle {
     /// shed. A `StatsQuery` is answered at once with a
     /// `StatsReport` of [`Self::stats_samples`] — no shard round-trip.
     pub fn submit(&self, msg: Message, sink: &ConnSink) -> Result<Submitted, SubmitError> {
-        match msg {
-            Message::Hello(h) => self.send_control(
+        match self.route(msg, sink)? {
+            Some((idx, msg)) => self.queue(idx, msg),
+            None => Ok(Submitted::Queued),
+        }
+    }
+
+    /// Submits one message a connection reader decoded. When the reader
+    /// holds no further input (`more_input` false) and the message's
+    /// shard is idle, the reader runs it to completion itself (see
+    /// [`Self::run_if_idle`]); otherwise it is queued exactly as
+    /// [`Self::submit`] queues it.
+    pub(crate) fn submit_read(
+        &self,
+        msg: RxMsg,
+        sink: &ConnSink,
+        more_input: bool,
+    ) -> Result<(), SubmitError> {
+        let routed = match msg {
+            RxMsg::Batch(b) => Some(self.route_batch(b, sink)),
+            RxMsg::Control(m) => self.route(m, sink)?,
+        };
+        let Some((idx, msg)) = routed else {
+            return Ok(());
+        };
+        let msg = if more_input {
+            msg
+        } else {
+            match self.run_if_idle(idx, msg) {
+                Some(msg) => msg,
+                None => return Ok(()),
+            }
+        };
+        self.queue(idx, msg).map(drop)
+    }
+
+    /// The shard a client message goes to, with its shard message — or
+    /// `None` for a `StatsQuery`, answered here at once.
+    fn route(
+        &self,
+        msg: Message,
+        sink: &ConnSink,
+    ) -> Result<Option<(usize, ShardMsg)>, SubmitError> {
+        let (idx, msg) = match msg {
+            Message::Hello(h) => (
                 self.placement.sensor_shard(h.sensor_id),
                 ShardMsg::Hello(h, sink.clone()),
             ),
-            Message::Teardown(t) => self.send_control(
+            Message::Teardown(t) => (
                 self.placement.sensor_shard(t.sensor_id),
                 ShardMsg::Teardown(t, sink.clone()),
             ),
-            Message::SweepBatchQ(q) => self.submit_batch_pooled(PooledBatch::from_owned_q(q), sink),
-            Message::SubscribeV3(s) => self.send_control(
+            Message::SweepBatchQ(q) => self.route_batch(PooledBatch::from_owned_q(q), sink),
+            Message::SubscribeV3(s) => (
                 self.placement.room_shard(s.room_id),
                 ShardMsg::Subscribe(s, sink.clone()),
             ),
-            Message::Unsubscribe(u) => self.send_control(
+            Message::Unsubscribe(u) => (
                 self.placement.room_shard(u.room_id),
                 ShardMsg::Unsubscribe(u, sink.clone()),
             ),
@@ -274,7 +327,7 @@ impl EngineHandle {
                 let mut buf = self.frame_pool.get(64 * samples.len().max(1));
                 wire::encode_stats_report_into(&samples, &mut buf);
                 push_frame(sink, buf, &self.metrics, &self.recorder);
-                Ok(Submitted::Queued)
+                return Ok(None);
             }
             Message::UpdateBatch(_)
             | Message::Reject(_)
@@ -282,8 +335,16 @@ impl EngineHandle {
             | Message::Event(_)
             | Message::StatsReport(_)
             | Message::SubscribeAck(_)
-            | Message::SubscriptionStats(_) => Err(SubmitError::ServerOnlyMessage),
-        }
+            | Message::SubscriptionStats(_) => return Err(SubmitError::ServerOnlyMessage),
+        };
+        Ok(Some((idx, msg)))
+    }
+
+    fn route_batch(&self, batch: PooledBatch, sink: &ConnSink) -> (usize, ShardMsg) {
+        (
+            self.placement.sensor_shard(batch.shape.sensor_id),
+            ShardMsg::Batch(batch, sink.clone(), None),
+        )
     }
 
     /// Encodes a `Reject` into the connection's outbox (shedding like any
@@ -315,11 +376,6 @@ impl EngineHandle {
         &self.recorder
     }
 
-    /// Sends a control message to shard `idx`, blocking on a full queue.
-    fn send_control(&self, idx: usize, msg: ShardMsg) -> Result<Submitted, SubmitError> {
-        self.enqueue(idx, msg, true)
-    }
-
     /// Submits one decoded sweep batch whose samples live in a pooled
     /// buffer — the ingest hot path. The buffer travels to the owning
     /// shard and returns to its pool right after the pipeline consumes
@@ -329,32 +385,68 @@ impl EngineHandle {
         batch: PooledBatch,
         sink: &ConnSink,
     ) -> Result<Submitted, SubmitError> {
-        let (sensor_id, seq) = (batch.shape.sensor_id, batch.shape.seq);
-        let idx = self.placement.sensor_shard(sensor_id);
-        let msg = ShardMsg::Batch(batch, sink.clone(), Instant::now());
-        let sent = self.enqueue(idx, msg, self.overload == OverloadPolicy::Block);
-        if sent == Ok(Submitted::Dropped) {
-            self.metrics.batches_dropped.inc();
-            self.recorder
-                .record(AnomalyKind::Drop, sensor_id as u64, idx as u64, seq);
-        }
-        sent
+        let (idx, msg) = self.route_batch(batch, sink);
+        self.queue(idx, msg)
     }
 
-    /// Queues one message on shard `idx`: blocking on a full queue, or
-    /// (`block` false) dropping the message instead.
-    fn enqueue(&self, idx: usize, msg: ShardMsg, block: bool) -> Result<Submitted, SubmitError> {
+    /// Runs `msg` to completion on the calling thread — the shard's
+    /// [`ShardState::dispatch`] of one message, with no queue and no
+    /// shard-thread wake — when shard `idx` is idle: its state is
+    /// unlocked and live, and its `shard/queue_depth` reads 0 under the
+    /// lock. Depth only drops when a message has run, under this lock, so
+    /// nothing the caller queued for this shard earlier is still ahead of
+    /// `msg`. Everything a run does is non-blocking (outbox pushes shed or
+    /// hold), so the caller never blocks while it holds the lock. Hands
+    /// `msg` back when the shard is busy.
+    fn run_if_idle(&self, idx: usize, msg: ShardMsg) -> Option<ShardMsg> {
+        let shard = &self.shards[idx];
+        let Ok(mut guard) = shard.state.try_lock() else {
+            return Some(msg);
+        };
+        let Some(state) = guard.as_mut().filter(|_| shard.depth.get() == 0) else {
+            return Some(msg);
+        };
+        // Counted like a queued message, so `handle`'s dequeue accounting
+        // balances.
+        self.metrics.enqueued();
+        shard.depth.add(1);
+        state.inline_runs.inc();
+        state.dispatch(msg, None);
+        let holds_replies = state.rooms.holds_replies();
+        drop(guard);
+        if holds_replies {
+            // The shard thread sleeps until its next liveness tick; wake
+            // it to retry the replies on its short timer. A full queue
+            // wakes it anyway.
+            let _ = shard.queue.try_send(ShardMsg::Wake);
+        }
+        None
+    }
+
+    /// Queues `msg` on shard `idx`. Control messages block on a full
+    /// queue (dropping a `Hello` or `Teardown` would wedge a session);
+    /// sweep batches follow the [`OverloadPolicy`], a dropped one counted
+    /// and recorded.
+    fn queue(&self, idx: usize, mut msg: ShardMsg) -> Result<Submitted, SubmitError> {
+        let batch = match &mut msg {
+            ShardMsg::Batch(b, _, queued_at) => {
+                *queued_at = Some(Instant::now());
+                Some((b.shape.sensor_id, b.shape.seq))
+            }
+            _ => None,
+        };
+        let shard = &self.shards[idx];
         // Count before sending: the shard's dequeue must never observe an
         // un-counted message (inflight would underflow).
         self.metrics.enqueued();
-        self.queue_depths[idx].add(1);
-        let sent = if block {
-            match self.shards[idx].send(msg) {
+        shard.depth.add(1);
+        let sent = if batch.is_none() || self.overload == OverloadPolicy::Block {
+            match shard.queue.send(msg) {
                 Ok(()) => Ok(Submitted::Queued),
                 Err(_) => Err(SubmitError::EngineDown),
             }
         } else {
-            match self.shards[idx].try_send(msg) {
+            match shard.queue.try_send(msg) {
                 Ok(()) => Ok(Submitted::Queued),
                 Err(TrySendError::Full(_)) => Ok(Submitted::Dropped),
                 Err(TrySendError::Disconnected(_)) => Err(SubmitError::EngineDown),
@@ -362,7 +454,12 @@ impl EngineHandle {
         };
         if sent != Ok(Submitted::Queued) {
             self.metrics.enqueue_failed();
-            self.queue_depths[idx].add(-1);
+            shard.depth.add(-1);
+        }
+        if let (Ok(Submitted::Dropped), Some((sensor_id, seq))) = (sent, batch) {
+            self.metrics.batches_dropped.inc();
+            self.recorder
+                .record(AnomalyKind::Drop, sensor_id as u64, idx as u64, seq);
         }
         sent
     }
@@ -375,7 +472,7 @@ impl EngineHandle {
     /// shard does this after everything the connection queued before.
     pub fn notify_conn_closed(&self, conn_id: u64) {
         for idx in 0..self.shards.len() {
-            let _ = self.send_control(idx, ShardMsg::ConnClosed(conn_id));
+            let _ = self.queue(idx, ShardMsg::ConnClosed(conn_id));
         }
     }
 
@@ -454,23 +551,16 @@ impl EngineBuilder {
         let ingest = SamplePools::new(num_shards * cfg.queue_capacity.max(1) + 2 * num_shards + 8);
         let frame_pool = BufPool::new(256);
         let (placement, shard_rooms) = Placement::new(world, num_shards);
-        let queue_depths: Arc<Vec<Gauge>> = Arc::new(
-            (0..num_shards)
-                .map(|i| registry.gauge("shard", "queue_depth", Label::Shard(i as u32)))
-                .collect(),
-        );
         let mut shards = Vec::with_capacity(num_shards);
         let mut workers = Vec::with_capacity(num_shards);
         let started = Instant::now();
         for (i, rooms) in shard_rooms.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-            shards.push(tx);
+            let (queue, rx) = sync_channel(cfg.queue_capacity.max(1));
             let shard_label = Label::Shard(i as u32);
-            let worker = ShardWorker {
-                rx,
+            let depth = registry.gauge("shard", "queue_depth", shard_label);
+            let state = Arc::new(Mutex::new(Some(ShardState {
                 factory: Arc::clone(&factory),
                 metrics: Arc::clone(&metrics),
-                stop: Arc::clone(&stop),
                 sessions: HashMap::new(),
                 frame_pool: frame_pool.clone(),
                 updates_scratch: Vec::new(),
@@ -484,10 +574,16 @@ impl EngineBuilder {
                 last_tick: started,
                 registry: Arc::clone(&registry),
                 recorder: Arc::clone(&recorder),
-                queue_depth: queue_depths[i].clone(),
+                queue_depth: depth.clone(),
                 queue_wait: registry.histo("shard", "queue_wait_ns", shard_label),
                 dequeue_to_report: registry.histo("shard", "dequeue_to_report_ns", shard_label),
                 batched_frames: registry.counter("dsp", "batched_frames", shard_label),
+                inline_runs: registry.counter("shard", "inline_runs", shard_label),
+            })));
+            let worker = ShardWorker {
+                rx,
+                state: Arc::clone(&state),
+                stop: Arc::clone(&stop),
             };
             workers.push(
                 std::thread::Builder::new()
@@ -495,6 +591,11 @@ impl EngineBuilder {
                     .spawn(move || worker.run())
                     .expect("spawn a shard worker"),
             );
+            shards.push(ShardPort {
+                queue,
+                depth,
+                state,
+            });
         }
         let handle = EngineHandle {
             shards,
@@ -505,7 +606,6 @@ impl EngineBuilder {
             placement: Arc::new(placement),
             registry,
             recorder,
-            queue_depths,
             next_conn_id: Arc::new(AtomicU64::new(1)),
         };
         ShardedEngine {
@@ -543,7 +643,7 @@ impl ShardedEngine {
         for shard in &self.handle.shards {
             // Best-effort nudge; a full queue will notice the flag on its
             // own at the drain timeout.
-            let _ = shard.try_send(ShardMsg::Wake);
+            let _ = shard.queue.try_send(ShardMsg::Wake);
         }
         for w in self.workers {
             w.join().expect("shard worker panicked");
@@ -567,11 +667,64 @@ struct Session {
     frames: Counter,
 }
 
+/// Ingress's view of one shard.
+#[derive(Clone)]
+struct ShardPort {
+    /// The shard's bounded input queue.
+    queue: SyncSender<ShardMsg>,
+    /// The shard's `shard/queue_depth` gauge: incremented at enqueue,
+    /// decremented under the state lock when the message runs.
+    depth: Gauge,
+    /// The shard's state, run by its thread and by connection readers'
+    /// inline runs. `None` once the shard has exited.
+    state: Arc<Mutex<Option<ShardState>>>,
+}
+
+/// A shard's thread: it runs queued work, the liveness tick and
+/// held-reply retries on the shard's state.
 struct ShardWorker {
     rx: Receiver<ShardMsg>,
+    state: Arc<Mutex<Option<ShardState>>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl ShardWorker {
+    fn run(self) {
+        loop {
+            // Sleep until the next held-reply retry or liveness sweep.
+            let wait = self.with_state(|s| s.next_wait());
+            match self.rx.recv_timeout(wait) {
+                Ok(msg) => self.with_state(|s| s.dispatch(msg, Some(&self.rx))),
+                Err(RecvTimeoutError::Timeout) => {
+                    // Queue empty: the only time shutdown may interrupt —
+                    // accepted work is never abandoned mid-queue.
+                    if self.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    self.with_state(ShardState::housekeep);
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        // Engine handles keep the mutex alive, so take the state out:
+        // its sessions, rooms and every outbox sender they hold go now.
+        let state = self.state.lock().expect("shard state poisoned").take();
+        if let Some(state) = state {
+            state.close();
+        }
+    }
+
+    fn with_state<R>(&self, f: impl FnOnce(&mut ShardState) -> R) -> R {
+        let mut guard = self.state.lock().expect("shard state poisoned");
+        f(guard.as_mut().expect("a running shard holds its state"))
+    }
+}
+
+/// Everything one shard owns: its sessions and their pipelines, its
+/// rooms, and its telemetry.
+struct ShardState {
     factory: Arc<PipelineFactory>,
     metrics: Arc<EngineMetrics>,
-    stop: Arc<AtomicBool>,
     sessions: HashMap<u32, Session>,
     /// Pool the shard encodes outbound frames into.
     frame_pool: BufPool<u8>,
@@ -590,44 +743,38 @@ struct ShardWorker {
     registry: Arc<Registry>,
     /// The engine's anomaly flight recorder.
     recorder: Arc<FlightRecorder>,
-    /// This shard's `shard/queue_depth` gauge (decremented at dequeue).
+    /// This shard's `shard/queue_depth` gauge (decremented as a message
+    /// runs).
     queue_depth: Gauge,
-    /// Batch enqueue → dequeue wall time.
+    /// Batch enqueue → dequeue wall time (0 for an inline run).
     queue_wait: Arc<Histo>,
     /// Batch dequeue → reports-delivered wall time.
     dequeue_to_report: Arc<Histo>,
     /// Sweep batches processed in cache-blocked dispatch groups (this
     /// shard's `dsp/batched_frames` counter; incremented by group size).
     batched_frames: Counter,
+    /// Messages connection readers ran inline on an idle shard
+    /// (`shard/inline_runs`).
+    inline_runs: Counter,
 }
 
-impl ShardWorker {
-    fn run(mut self) {
-        loop {
-            // Sleep until the next held-reply retry or liveness sweep.
-            let wait = if self.rooms.holds_replies() {
-                REPLY_RETRY
-            } else {
-                LIVENESS_TICK.saturating_sub(self.last_tick.elapsed())
-            };
-            match self.rx.recv_timeout(wait) {
-                Ok(msg) => self.dispatch(msg),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    // Queue empty: the only time shutdown may interrupt —
-                    // accepted work is never abandoned mid-queue.
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    self.housekeep();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+impl ShardState {
+    /// How long the shard thread may sleep: until the next held-reply
+    /// retry or liveness sweep.
+    fn next_wait(&self) -> Duration {
+        if self.rooms.holds_replies() {
+            REPLY_RETRY
+        } else {
+            LIVENESS_TICK.saturating_sub(self.last_tick.elapsed())
         }
-        // Sessions still open at shutdown close here — the only exit
-        // their pipelines have — so `sessions_closed` balances
-        // `sessions_opened` even for clients that never sent `Teardown`.
-        // The rooms (and their subscribers' outbox senders) drop with
-        // the worker.
+    }
+
+    /// Closes the sessions still open as the shard exits — the only exit
+    /// their pipelines have — so `sessions_closed` balances
+    /// `sessions_opened` even for clients that never sent `Teardown`.
+    /// The rooms (and their subscribers' outbox senders) drop with the
+    /// state.
+    fn close(mut self) {
         for (sensor_id, _) in self.sessions.drain() {
             self.metrics.sessions_closed.inc();
             self.rooms.remove_sensor(sensor_id);
@@ -636,7 +783,7 @@ impl ShardWorker {
 
     /// Offers held replies again and, once [`LIVENESS_TICK`] has passed
     /// since the last sweep, sweeps the rooms for silent sensors. Runs on
-    /// every wake and between drained messages, so a steady stream of
+    /// every wake and after every message, so a steady stream of
     /// messages cannot starve either.
     fn housekeep(&mut self) {
         if self.rooms.holds_replies() {
@@ -667,13 +814,14 @@ impl ShardWorker {
         push_frame(sink, frame, &self.metrics, &self.recorder);
     }
 
-    /// Handles one dequeued message, then greedily drains everything
-    /// already queued before blocking again. Sweep batches processed in
-    /// one drain run back-to-back while the shard's range-transform
-    /// plans, window tables, and pipeline state are cache-hot — at 100+
-    /// co-sharded sensors the per-dispatch warm-up otherwise dominates —
-    /// and the group size feeds the `dsp/batched_frames` counter.
-    fn dispatch(&mut self, first: ShardMsg) {
+    /// Handles one message, then — given the shard's `queue` — greedily
+    /// drains everything already queued before blocking again. Sweep
+    /// batches processed in one drain run back-to-back while the shard's
+    /// range-transform plans, window tables, and pipeline state are
+    /// cache-hot — at 100+ co-sharded sensors the per-dispatch warm-up
+    /// otherwise dominates — and the group size feeds the
+    /// `dsp/batched_frames` counter. An inline run is a drain of one.
+    fn dispatch(&mut self, first: ShardMsg, queue: Option<&Receiver<ShardMsg>>) {
         let mut grouped = 0u64;
         let mut msg = first;
         loop {
@@ -682,9 +830,9 @@ impl ShardWorker {
             }
             self.handle(msg);
             self.housekeep();
-            match self.rx.try_recv() {
-                Ok(next) => msg = next,
-                Err(_) => break,
+            match queue.map(Receiver::try_recv) {
+                Some(Ok(next)) => msg = next,
+                _ => break,
             }
         }
         if grouped > 0 {
@@ -704,10 +852,11 @@ impl ShardWorker {
             ShardMsg::Subscribe(sub, sink) => self.rooms.subscribe(sub, sink),
             ShardMsg::Unsubscribe(unsub, sink) => self.rooms.unsubscribe(unsub, sink),
             ShardMsg::ConnClosed(conn_id) => self.conn_closed(conn_id),
-            ShardMsg::Batch(b, sink, enqueued_at) => {
+            ShardMsg::Batch(b, sink, queued_at) => {
                 let dequeued_at = Instant::now();
-                self.queue_wait
-                    .record(dequeued_at.duration_since(enqueued_at).as_nanos() as u64);
+                self.queue_wait.record(
+                    queued_at.map_or(0, |t| dequeued_at.duration_since(t).as_nanos() as u64),
+                );
                 self.process_batch(b, &sink);
                 // Dequeue → reports delivered (pipeline + encode + sink
                 // push): the shard's end-to-end service time per batch.

@@ -22,9 +22,9 @@ use witrack_obs::{Counter, Gauge, Label, Registry};
 /// fails — a decrement monotone counters don't allow.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    /// Messages accepted into a shard queue: sweep batches plus control
-    /// messages (hello, teardown, subscribe, unsubscribe, connection
-    /// close).
+    /// Messages a shard accepted — into its queue, or run inline by a
+    /// connection reader: sweep batches plus control messages (hello,
+    /// teardown, subscribe, unsubscribe, connection close).
     pub batches_in: Gauge,
     /// Sweep batches discarded at ingress because the target shard's queue
     /// was full (DropNewest policy only).
@@ -174,8 +174,8 @@ impl Default for EngineMetrics {
 /// A point-in-time copy of [`EngineMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Messages accepted into a shard queue (sweep batches plus control
-    /// messages).
+    /// Messages a shard accepted, queued or run inline (sweep batches
+    /// plus control messages).
     pub batches_in: u64,
     /// Batches discarded at ingress (full queue, DropNewest policy).
     pub batches_dropped: u64,

@@ -7,7 +7,10 @@
 //!
 //! Per connection: a reader thread decodes client messages and submits
 //! them to the engine (inheriting the engine's backpressure), and a
-//! writer thread drains the connection's bounded outbox. The reader opens
+//! writer thread drains the connection's bounded outbox. When the
+//! message's shard is idle and the reader has read nothing further, the
+//! reader runs the message on the shard's state itself rather than
+//! waking the shard thread (see [`crate::engine`]). The reader opens
 //! the connection with [`EngineHandle::open_connection`] — the same call
 //! in-process callers use — and submits every message with its
 //! [`ConnSink`](crate::engine::ConnSink); the shard that owns a session
@@ -21,7 +24,7 @@ use crate::engine::{EngineBuilder, EngineConfig, EngineHandle, PipelineFactory, 
 use crate::hub::WorldConfig;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::PooledBuf;
-use crate::transport::{recv_error_is_frame_scoped, RxMsg, Transport, TransportRx, TransportTx};
+use crate::transport::{recv_error_is_frame_scoped, Transport, TransportRx, TransportTx};
 use crate::wire::RejectCode;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -167,14 +170,11 @@ where
             Ok(Some(msg)) => {
                 // Every message carries this connection's sink, so even
                 // refusals with no session behind them (unknown sensor,
-                // refused hello) come back over the wire.
-                let submitted = match msg {
-                    RxMsg::Batch(b) => handle.submit_batch_pooled(b, &sink),
-                    RxMsg::Control(m) => handle.submit(m, &sink),
-                };
-                match submitted {
-                    Ok(_) => {}
-                    Err(_) => break, // engine down or protocol abuse: hang up
+                // refused hello) come back over the wire. With nothing
+                // further read, an idle shard's message runs right here.
+                let more_input = rx.has_buffered();
+                if handle.submit_read(msg, &sink, more_input).is_err() {
+                    break; // engine down or protocol abuse: hang up
                 }
             }
             Ok(None) => break, // clean close

@@ -13,6 +13,11 @@
 //! A transport [`split`](Transport::split)s into an independently-owned
 //! send half and receive half so a connection can be serviced by one
 //! reader thread and one writer thread without locking.
+//!
+//! A receive half says whether it already holds further input
+//! ([`TransportRx::has_buffered`]): TCP reads whatever the socket holds,
+//! up to one largest frame and a header, into one reused buffer and
+//! serves frames from it; the in-process half looks one frame ahead.
 
 use crate::pool::{PooledBatch, PooledBuf, SamplePools};
 use crate::wire::{self, DecodedMsgQ, Message, WireError, HEADER_LEN};
@@ -103,6 +108,14 @@ pub trait TransportRx: Send {
             other => RxMsg::Control(other),
         }))
     }
+
+    /// Whether this half already holds further input: the next receive
+    /// will not wait on the peer. A connection reader runs a message
+    /// inline only when this is `false` (see [`crate::server`]). The
+    /// default holds nothing.
+    fn has_buffered(&mut self) -> bool {
+        false
+    }
 }
 
 /// A bidirectional message channel that splits into its two halves.
@@ -174,9 +187,11 @@ pub struct InProcTx {
     tx: SyncSender<WireFrame>,
 }
 
-/// In-process receive half.
+/// In-process receive half, with a one-frame lookahead for
+/// [`TransportRx::has_buffered`].
 pub struct InProcRx {
     rx: Receiver<WireFrame>,
+    next: Option<WireFrame>,
 }
 
 /// One endpoint of an in-process duplex channel (see [`in_proc_pair`]).
@@ -194,11 +209,17 @@ pub fn in_proc_pair(capacity: usize) -> (InProcTransport, InProcTransport) {
     (
         InProcTransport {
             tx: InProcTx { tx: a_tx },
-            rx: InProcRx { rx: a_rx },
+            rx: InProcRx {
+                rx: a_rx,
+                next: None,
+            },
         },
         InProcTransport {
             tx: InProcTx { tx: b_tx },
-            rx: InProcRx { rx: b_rx },
+            rx: InProcRx {
+                rx: b_rx,
+                next: None,
+            },
         },
     )
 }
@@ -234,35 +255,46 @@ impl InProcTx {
     }
 }
 
+impl InProcRx {
+    /// The next frame, the looked-ahead one first; `None` once every
+    /// sender is gone.
+    fn next_frame(&mut self) -> Option<WireFrame> {
+        self.next.take().or_else(|| self.rx.recv().ok())
+    }
+}
+
+/// A queued frame is exactly one message: trailing bytes corrupt it.
+fn whole_frame<M>((msg, used): (M, usize), frame: &[u8]) -> io::Result<M> {
+    if used != frame.len() {
+        return Err(corrupt_frame(WireError::BadPayload(
+            "frame carries extra bytes",
+        )));
+    }
+    Ok(msg)
+}
+
 impl TransportRx for InProcRx {
     fn recv_msg(&mut self) -> io::Result<Option<Message>> {
-        match self.rx.recv() {
-            Err(_) => Ok(None), // all senders dropped: clean close
-            Ok(frame) => {
-                let (msg, used) = wire::decode(&frame).map_err(corrupt_frame)?;
-                if used != frame.len() {
-                    return Err(corrupt_frame(WireError::BadPayload(
-                        "frame carries extra bytes",
-                    )));
-                }
-                Ok(Some(msg))
-            }
-        }
+        let Some(frame) = self.next_frame() else {
+            return Ok(None); // all senders dropped: clean close
+        };
+        let decoded = wire::decode(&frame).map_err(corrupt_frame)?;
+        whole_frame(decoded, &frame).map(Some)
     }
 
     fn recv_msg_pooled(&mut self, pools: &SamplePools) -> io::Result<Option<RxMsg>> {
-        match self.rx.recv() {
-            Err(_) => Ok(None),
-            Ok(frame) => {
-                let (msg, used) = decode_pooled(&frame, pools).map_err(corrupt_frame)?;
-                if used != frame.len() {
-                    return Err(corrupt_frame(WireError::BadPayload(
-                        "frame carries extra bytes",
-                    )));
-                }
-                Ok(Some(msg))
-            }
+        let Some(frame) = self.next_frame() else {
+            return Ok(None);
+        };
+        let decoded = decode_pooled(&frame, pools).map_err(corrupt_frame)?;
+        whole_frame(decoded, &frame).map(Some)
+    }
+
+    fn has_buffered(&mut self) -> bool {
+        if self.next.is_none() {
+            self.next = self.rx.try_recv().ok();
         }
+        self.next.is_some()
     }
 }
 
@@ -307,7 +339,7 @@ pub struct TcpTx {
 /// TCP receive half with its streaming read buffer.
 pub struct TcpRx {
     stream: TcpStream,
-    buf: Vec<u8>,
+    buf: RecvBuf,
 }
 
 impl Transport for TcpTransport {
@@ -320,7 +352,7 @@ impl Transport for TcpTransport {
             TcpTx { stream: writer },
             TcpRx {
                 stream: self.stream,
-                buf: vec![0; HEADER_LEN],
+                buf: RecvBuf::new(),
             },
         ))
     }
@@ -342,34 +374,88 @@ impl TransportTx for TcpTx {
     }
 }
 
-impl TcpRx {
-    /// Reads exactly one frame into the half's reused byte buffer and
-    /// returns it: the 12-byte header names the payload length, so
-    /// over-reading (and having to buffer spill for the next call) never
-    /// happens. The buffer (never shorter than a header) only ever grows,
-    /// so a steady stream of same-sized frames never zero-fills it.
-    /// `Ok(None)` on clean EOF.
-    fn fill_one_frame(&mut self) -> io::Result<Option<&[u8]>> {
-        if !read_exact_or_eof(&mut self.stream, &mut self.buf[..HEADER_LEN])? {
+/// A byte stream's receive buffer. Frames are served out of it in place.
+/// The buffer holds the largest frame seen plus one header, and each read
+/// takes whatever the source holds, up to the buffer's end, after the
+/// bytes not yet served moved to its front. Bytes beyond a frame tell the
+/// reader that more input is waiting ([`RecvBuf::has_buffered`]). On a
+/// stream of same-sized frames, a read brings at most one frame and the
+/// next header, so one read serves a frame and the bytes moved to the
+/// front are at most a header. A larger buffer would leave most of a
+/// frame to move on a flood, unless it were large enough to slow
+/// connection set-up. The buffer only grows, and only once a valid header
+/// asks for more room than it has.
+struct RecvBuf {
+    buf: Vec<u8>,
+    /// Start of the bytes not yet served.
+    start: usize,
+    /// End of the bytes read.
+    end: usize,
+}
+
+impl RecvBuf {
+    fn new() -> RecvBuf {
+        RecvBuf {
+            buf: vec![0; 2 * HEADER_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Whether bytes beyond the last served frame are buffered.
+    fn has_buffered(&self) -> bool {
+        self.end > self.start
+    }
+
+    /// The next whole frame, reading from `src` only when the buffer
+    /// holds less than one. `Ok(None)` on a clean EOF at a frame
+    /// boundary; `UnexpectedEof` when the stream ends mid-frame. A
+    /// corrupt header is an `InvalidData` error, raised before the buffer
+    /// grows for it.
+    fn next_frame(&mut self, src: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        if !self.fill(src, HEADER_LEN)? {
             return Ok(None);
         }
-        let (_, frame_len) = wire::decode_header(&self.buf[..HEADER_LEN]).map_err(wire_to_io)?;
-        if self.buf.len() < frame_len {
-            self.buf.resize(frame_len, 0);
+        let header = &self.buf[self.start..self.start + HEADER_LEN];
+        let (_, frame_len) = wire::decode_header(header).map_err(wire_to_io)?;
+        self.fill(src, frame_len)?;
+        let frame = self.start..self.start + frame_len;
+        self.start = frame.end;
+        Ok(Some(&self.buf[frame]))
+    }
+
+    /// Reads until at least `want` unserved bytes are buffered, growing
+    /// the buffer to `want` plus one header if it is smaller. `Ok(false)`
+    /// on EOF with nothing buffered.
+    fn fill(&mut self, src: &mut impl Read, want: usize) -> io::Result<bool> {
+        if self.end - self.start >= want {
+            return Ok(true);
         }
-        self.stream
-            .read_exact(&mut self.buf[HEADER_LEN..frame_len])?;
-        Ok(Some(&self.buf[..frame_len]))
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        if self.buf.len() < want + HEADER_LEN {
+            self.buf.resize(want + HEADER_LEN, 0);
+        }
+        while self.end < want {
+            match src.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(false),
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
     }
 }
 
 impl TransportRx for TcpRx {
-    // Once fill_one_frame() succeeds the stream is positioned exactly at
-    // the next frame boundary, so a payload that fails to decode is a
+    // A served frame leaves the buffer positioned exactly at the next
+    // frame boundary, so a payload that fails to decode is a
     // frame-scoped loss — the connection may keep reading. Only a corrupt
-    // *header* (caught inside fill_one_frame) desyncs the byte stream.
+    // *header* (caught inside next_frame) desyncs the byte stream.
     fn recv_msg(&mut self) -> io::Result<Option<Message>> {
-        let Some(frame) = self.fill_one_frame()? else {
+        let Some(frame) = self.buf.next_frame(&mut self.stream)? else {
             return Ok(None);
         };
         let (msg, _) = wire::decode(frame).map_err(corrupt_frame)?;
@@ -377,34 +463,22 @@ impl TransportRx for TcpRx {
     }
 
     fn recv_msg_pooled(&mut self, pools: &SamplePools) -> io::Result<Option<RxMsg>> {
-        let Some(frame) = self.fill_one_frame()? else {
+        let Some(frame) = self.buf.next_frame(&mut self.stream)? else {
             return Ok(None);
         };
         let (msg, _) = decode_pooled(frame, pools).map_err(corrupt_frame)?;
         Ok(Some(msg))
     }
-}
 
-/// Fills `buf` from `r`; `Ok(false)` on a clean EOF at offset 0,
-/// `UnexpectedEof` if the stream dies mid-buffer.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+    fn has_buffered(&mut self) -> bool {
+        self.buf.has_buffered()
     }
-    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Teardown;
+    use crate::wire::{encode, Teardown};
 
     #[test]
     fn in_proc_pair_round_trips() {
@@ -428,5 +502,191 @@ mod tests {
         assert!(a_tx.try_send_msg(&msg).unwrap());
         assert!(!a_tx.try_send_msg(&msg).unwrap(), "bounded queue is full");
         drop(b_rx);
+    }
+
+    #[test]
+    fn in_proc_lookahead_reports_and_keeps_the_next_frame() {
+        let (a, b) = in_proc_pair(4);
+        let (mut a_tx, _a_rx) = a.split().unwrap();
+        let (_b_tx, mut b_rx) = b.split().unwrap();
+        assert!(!b_rx.has_buffered());
+        a_tx.send_msg(&teardown(1)).unwrap();
+        a_tx.send_msg(&teardown(2)).unwrap();
+        assert!(b_rx.has_buffered());
+        assert!(b_rx.has_buffered(), "looking again takes nothing more");
+        assert_eq!(b_rx.recv_msg().unwrap(), Some(teardown(1)));
+        assert!(b_rx.has_buffered());
+        assert_eq!(b_rx.recv_msg().unwrap(), Some(teardown(2)));
+        assert!(!b_rx.has_buffered());
+    }
+
+    fn teardown(sensor_id: u32) -> Message {
+        Message::Teardown(Teardown { sensor_id })
+    }
+
+    /// A source that hands out its scripted chunks one read at a time,
+    /// never more than one chunk per read.
+    struct Chunks {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Chunks {
+        fn new(chunks: impl IntoIterator<Item = Vec<u8>>) -> Chunks {
+            Chunks {
+                chunks: chunks.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    fn batch_frame(sensor_id: u32, samples_per_sweep: usize) -> Vec<u8> {
+        let sweeps = [vec![vec![0.25; samples_per_sweep]; 3]];
+        wire::encode(&Message::SweepBatchQ(wire::SweepBatchQ::from_sweeps(
+            sensor_id, 0, &sweeps,
+        )))
+    }
+
+    #[test]
+    fn a_frame_split_at_every_byte_boundary_reassembles() {
+        let frame = batch_frame(4, 8);
+        for split in 1..frame.len() {
+            let mut src = Chunks::new([frame[..split].to_vec(), frame[split..].to_vec()]);
+            let mut buf = RecvBuf::new();
+            let got = buf.next_frame(&mut src).unwrap().expect("one frame");
+            assert_eq!(got, &frame[..], "split at {split}");
+            assert!(!buf.has_buffered());
+            assert!(buf.next_frame(&mut src).unwrap().is_none(), "clean EOF");
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_grows_it_once() {
+        let frame = batch_frame(4, 4096);
+        assert!(frame.len() > RecvBuf::new().buf.len());
+        let mid = frame.len() / 2;
+        let mut src = Chunks::new([frame[..7].to_vec(), frame[7..mid].to_vec(), {
+            let mut rest = frame[mid..].to_vec();
+            rest.extend_from_slice(&frame);
+            rest
+        }]);
+        let mut buf = RecvBuf::new();
+        assert_eq!(buf.next_frame(&mut src).unwrap().unwrap(), &frame[..]);
+        let grown = buf.buf.len();
+        assert_eq!(buf.next_frame(&mut src).unwrap().unwrap(), &frame[..]);
+        assert_eq!(buf.buf.len(), grown, "a second frame of the same size fits");
+    }
+
+    #[test]
+    fn several_frames_held_at_once_are_served_in_order() {
+        let frames = [batch_frame(1, 8), encode(&teardown(2)), batch_frame(3, 16)];
+        let mut src = Chunks::new([frames.concat()]);
+        let mut buf = RecvBuf::new();
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(buf.next_frame(&mut src).unwrap().unwrap(), &frame[..]);
+            assert_eq!(buf.has_buffered(), i + 1 < frames.len());
+        }
+        assert!(buf.next_frame(&mut src).unwrap().is_none());
+    }
+
+    #[test]
+    fn same_sized_frames_take_one_read_each_and_leave_a_header_behind() {
+        let frames: Vec<Vec<u8>> = (0..4).map(|id| batch_frame(id, 64)).collect();
+        let mut src = Chunks::new([frames.concat()]);
+        let mut buf = RecvBuf::new();
+        // The first frame grows the buffer; every later one is one read.
+        buf.next_frame(&mut src).unwrap().unwrap();
+        for frame in &frames[1..] {
+            let reads = src.reads;
+            assert!(buf.end - buf.start <= HEADER_LEN, "at most a header moves");
+            assert_eq!(buf.next_frame(&mut src).unwrap().unwrap(), &frame[..]);
+            assert_eq!(src.reads, reads + 1);
+        }
+        assert!(!buf.has_buffered());
+    }
+
+    /// A loopback socket: the writing end, and the reading end as a
+    /// transport's receive half.
+    fn tcp_pair() -> (TcpStream, TcpRx) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        let (_, rx) = TcpTransport::new(reader).split().unwrap();
+        (writer, rx)
+    }
+
+    #[test]
+    fn tcp_serves_back_to_back_frames_and_reports_more_input() {
+        let (mut writer, mut rx) = tcp_pair();
+        let msgs = [teardown(1), teardown(2), teardown(3)];
+        let bytes: Vec<u8> = msgs.iter().flat_map(encode).collect();
+        writer.write_all(&bytes).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        for (i, msg) in msgs.iter().enumerate() {
+            assert_eq!(rx.recv_msg().unwrap().as_ref(), Some(msg));
+            assert_eq!(rx.has_buffered(), i + 1 < msgs.len());
+        }
+        assert!(rx.recv_msg().unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn tcp_corrupt_payload_between_good_frames_is_frame_scoped() {
+        let (mut writer, mut rx) = tcp_pair();
+        // A teardown whose header declares a 3-byte payload: the header
+        // is valid, the payload is not a teardown.
+        let mut corrupt = encode(&teardown(9));
+        corrupt[8..12].copy_from_slice(&3u32.to_le_bytes());
+        corrupt.pop();
+        let mut bytes = encode(&teardown(1));
+        bytes.extend_from_slice(&corrupt);
+        bytes.extend(encode(&teardown(2)));
+        writer.write_all(&bytes).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(rx.recv_msg().unwrap(), Some(teardown(1)));
+        let err = rx.recv_msg().unwrap_err();
+        assert!(recv_error_is_frame_scoped(&err), "{err}");
+        assert_eq!(rx.recv_msg().unwrap(), Some(teardown(2)));
+        assert!(rx.recv_msg().unwrap().is_none());
+    }
+
+    #[test]
+    fn tcp_stream_cut_mid_frame_is_unexpected_eof() {
+        let (mut writer, mut rx) = tcp_pair();
+        let frame = batch_frame(1, 8);
+        writer.write_all(&frame[..frame.len() - 5]).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        let err = rx.recv_msg().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(!recv_error_is_frame_scoped(&err));
+    }
+
+    #[test]
+    fn tcp_oversized_header_fails_before_the_buffer_grows() {
+        let (mut writer, mut rx) = tcp_pair();
+        let mut header = encode(&teardown(1));
+        header.truncate(HEADER_LEN);
+        header[8..12].copy_from_slice(&(wire::MAX_PAYLOAD as u32 + 1).to_le_bytes());
+        writer.write_all(&header).unwrap();
+        let before = rx.buf.buf.len();
+        let err = rx.recv_msg().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!recv_error_is_frame_scoped(&err), "a bad header desyncs");
+        assert_eq!(rx.buf.buf.len(), before, "no room was made for it");
     }
 }

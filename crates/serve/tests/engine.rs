@@ -10,7 +10,7 @@ use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine, Submitt
 use witrack_serve::factory::{hello_for, witrack_factory};
 use witrack_serve::server::Server;
 use witrack_serve::transport::{in_proc_pair, TcpTransport};
-use witrack_serve::wire::{self, Message, PipelineKind, RejectCode, SweepBatchQ};
+use witrack_serve::wire::{self, Hello, Message, PipelineKind, RejectCode, SweepBatchQ};
 use witrack_serve::SensorClient;
 
 fn reduced_base() -> WiTrackConfig {
@@ -166,9 +166,17 @@ fn a_walker_is_tracked_over_tcp_loopback() {
     assert_eq!(m.updates_dropped, 0);
 }
 
-/// A pipeline that burns time: forces queue buildup deterministically.
+/// The two ends of a gate a pipeline's first sweep waits at: it says it
+/// has entered, then blocks until the gate opens.
+type Gate = (std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>);
+
+/// A pipeline that burns `pause` per sweep: forces queue buildup
+/// deterministically. With a gate, its first sweep holds the thread
+/// running it — and so its shard — until the gate opens.
 struct SlowPipeline {
     frame: u64,
+    pause: std::time::Duration,
+    gate: Option<Gate>,
 }
 
 impl FramePipeline for SlowPipeline {
@@ -177,7 +185,11 @@ impl FramePipeline for SlowPipeline {
     }
 
     fn process_sweeps_flat_q(&mut self, _: &[i16], _: usize, _: f64) -> Option<FrameReport> {
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        if let Some((entered, open)) = self.gate.take() {
+            entered.send(()).unwrap();
+            open.recv().unwrap();
+        }
+        std::thread::sleep(self.pause);
         let r = FrameReport {
             frame_index: self.frame,
             time_s: 0.0,
@@ -200,7 +212,11 @@ fn drop_newest_sheds_load_and_counts_it() {
         overload: OverloadPolicy::DropNewest,
     };
     let engine = ShardedEngine::builder(Arc::new(|_h: &_| {
-        Ok(Box::new(SlowPipeline { frame: 0 }) as _)
+        Ok(Box::new(SlowPipeline {
+            frame: 0,
+            pause: std::time::Duration::from_millis(20),
+            gate: None,
+        }) as _)
     }))
     .config(cfg)
     .start();
@@ -411,4 +427,194 @@ fn connection_close_tears_down_only_the_sessions_it_owns() {
     assert_eq!(m.sessions_opened, 1);
     assert_eq!(m.sessions_closed, 1);
     assert_eq!(m.updates_dropped, 0);
+}
+
+#[test]
+fn inline_and_queued_runs_keep_a_connection_in_order() {
+    // A connection reader runs a message itself only when its shard is
+    // idle; otherwise the message queues. Connection A opens one sensor
+    // at a time over TCP — a hello, then its batches — while connection
+    // B occupies the one shard:
+    // - sensor 1 says hello while B's first batch holds the shard, so
+    //   its hello and first batches queue, and the rest follow back to
+    //   back as the shard drains;
+    // - sensors 2 and 3 send back to back while B keeps the shard busy
+    //   on and off, so their messages run both ways;
+    // - sensor 4 sends one batch per update with B gone, so its batches
+    //   run inline.
+    // Each of A's update streams must equal an all-queued run bit for
+    // bit, and no batch may overtake its hello.
+    const SENSORS: std::ops::Range<u32> = 1..5;
+    const BUSY: u32 = 99;
+    const FRAMES: u64 = 30;
+    const GATED: usize = 3;
+    let base = reduced_base();
+    let array =
+        witrack_geom::TArray::symmetric(base.array_origin, base.antenna_separation).antenna_array();
+    let batches = |sensor_id: u32| -> Vec<SweepBatchQ> {
+        (0..FRAMES)
+            .map(|f| {
+                let s = (f + sensor_id as u64) as f64 / FRAMES as f64;
+                let p = Vec3::new(-1.0 + 2.0 * s, 4.0 + s, 1.2);
+                SweepBatchQ::from_sweeps(sensor_id, f, &frame_for(&base, &array, p))
+            })
+            .collect()
+    };
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (open, open_rx) = std::sync::mpsc::channel();
+    let gate = std::sync::Mutex::new(Some((entered_tx, open_rx)));
+    let witrack = witrack_factory(base);
+    let factory: Arc<witrack_serve::PipelineFactory> = Arc::new(move |h: &Hello| {
+        if h.sensor_id == BUSY {
+            Ok(Box::new(SlowPipeline {
+                frame: 0,
+                pause: std::time::Duration::from_micros(300),
+                gate: gate.lock().unwrap().take(),
+            }) as _)
+        } else {
+            witrack(h)
+        }
+    });
+    let cfg = EngineConfig {
+        num_shards: 1,
+        ..EngineConfig::default()
+    };
+    let hello = |sensor_id| hello_for(&base, sensor_id, PipelineKind::SingleTarget);
+    // Re-encoded from the decoded message on both sides.
+    let canonical = |msg: &Message| wire::encode(msg);
+
+    // Reference: the engine handle queues every message, and every batch
+    // completes a frame (one update each).
+    let engine = ShardedEngine::builder(Arc::clone(&factory))
+        .config(cfg)
+        .start();
+    let handle = engine.handle();
+    let (conn, outbox) = handle.open_connection();
+    let mut reference = Vec::new();
+    for sensor_id in SENSORS {
+        handle
+            .submit(Message::Hello(hello(sensor_id)), &conn)
+            .unwrap();
+        for b in batches(sensor_id) {
+            handle.submit(Message::SweepBatchQ(b), &conn).unwrap();
+            reference.push(canonical(&decode(&outbox.recv().unwrap())));
+        }
+    }
+    engine.shutdown();
+
+    let server = Server::builder(factory).config(cfg).start();
+    let queue_depth = server
+        .registry()
+        .gauge("shard", "queue_depth", witrack_obs::Label::Shard(0));
+    // Gives up quietly at one deadline for the whole run: a lost or
+    // refused message then fails the assertions below, after every
+    // connection has closed.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let wait_until = |done: &dyn Fn() -> bool| {
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    let (busy_end, busy_server_end) = in_proc_pair(64);
+    server.attach(busy_server_end).unwrap();
+    let mut busy = SensorClient::connect(busy_end).unwrap();
+    busy.hello(Hello {
+        sensor_id: BUSY,
+        kind: PipelineKind::SingleTarget,
+        n_rx: 3,
+        samples_per_sweep: 4,
+        sweeps_per_frame: 1,
+        quantized: false,
+    })
+    .unwrap();
+    let busy_batch = |seq| SweepBatchQ::from_sweeps(BUSY, seq, &[vec![vec![0.0; 4]; 3]]);
+    // B's first batch holds the shard at the gate.
+    busy.send_batch(busy_batch(0)).unwrap();
+    entered
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("B's first batch never ran: did it overtake B's hello?");
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut busy = Some(busy);
+    let mut busy_thread = None;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let reader = server.attach(TcpTransport::new(accepted)).unwrap();
+    let updates = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&updates);
+    let mut client = SensorClient::connect_with(
+        TcpTransport::new(stream),
+        Some(Box::new(move |msg: &Message| {
+            if let Message::UpdateBatch(u) = msg {
+                if SENSORS.contains(&u.sensor_id) {
+                    sink.lock().unwrap().push(canonical(msg));
+                }
+            }
+        })),
+    )
+    .unwrap();
+    let received = || updates.lock().unwrap().len();
+    for sensor_id in SENSORS {
+        // The previous sensor's updates are all back first.
+        let done = (sensor_id - SENSORS.start) as usize * FRAMES as usize;
+        wait_until(&|| received() >= done);
+        let mut batches = batches(sensor_id).into_iter();
+        client.hello(hello(sensor_id)).unwrap();
+        match sensor_id {
+            1 => {
+                for b in batches.by_ref().take(GATED) {
+                    client.send_batch(b).unwrap();
+                }
+                // The hello and the first batches wait in the queue.
+                wait_until(&|| queue_depth.get() == GATED as i64 + 1);
+                open.send(()).unwrap();
+                // From here on, B keeps the shard busy on and off.
+                let mut busy = busy.take().unwrap();
+                let stop = Arc::clone(&stop);
+                busy_thread = Some(std::thread::spawn(move || {
+                    let mut seq = 1;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        busy.send_batch(busy_batch(seq)).unwrap();
+                        seq += 1;
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    busy.close()
+                }));
+            }
+            4 => {
+                stop.store(true, std::sync::atomic::Ordering::Relaxed);
+                for (i, b) in batches.by_ref().enumerate() {
+                    client.send_batch(b).unwrap();
+                    wait_until(&|| received() > done + i);
+                }
+            }
+            _ => {}
+        }
+        for b in batches {
+            client.send_batch(b).unwrap();
+        }
+    }
+    let stats = client.close();
+    reader.join().unwrap();
+    let busy_stats = busy_thread.unwrap().join().unwrap();
+    let inline_runs = server
+        .registry()
+        .counter("shard", "inline_runs", witrack_obs::Label::Shard(0))
+        .get();
+    let m = server.shutdown();
+
+    assert_eq!(stats.rejects, 0, "a batch overtook its hello");
+    assert_eq!(busy_stats.rejects, 0);
+    assert_eq!(m.unknown_sensor, 0);
+    assert_eq!(m.updates_dropped, 0);
+    assert!(
+        *updates.lock().unwrap() == reference,
+        "served updates differ from the all-queued run"
+    );
+    assert!(
+        inline_runs > 0 && inline_runs < m.batches_in,
+        "{inline_runs} of {} messages ran inline: the runs did not mix",
+        m.batches_in
+    );
 }
