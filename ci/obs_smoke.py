@@ -55,6 +55,13 @@ REQUIRED = [
     # example's in-process readers often hold further input), so zero is
     # a healthy value: presence-only.
     ("shard inline_runs registered", r'^witrack_shard_inline_runs\{shard="\d+"\} (\d+)$'),
+    # Replies sent on the thread that ran their message, and replies left
+    # to a connection's writer thread. The example's in-process
+    # connections send directly whenever the client's queue has room, so
+    # the first must be live; the second is zero while no client lags:
+    # presence-only.
+    ("engine direct_writes", r"^witrack_engine_direct_writes (\d+)$"),
+    ("engine queued_writes registered", r"^witrack_engine_queued_writes (\d+)$"),
     # Programmable subscriptions (wire v3): the fleet run subscribes to
     # every room, so the hub must have installed subscriptions, run
     # filter programs, matched events, and offered world bytes.
@@ -87,6 +94,7 @@ PRESENCE_ONLY = {
     # processes that fell back to scalar kernels.
     "dsp scalar_fallbacks registered",
     "shard inline_runs registered",
+    "engine queued_writes registered",
 }
 
 

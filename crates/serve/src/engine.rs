@@ -30,12 +30,14 @@
 //! sequence number.
 //!
 //! Server→client traffic is **per connection**: every message is submitted
-//! with the [`ConnSink`] of the connection that carried it (served
-//! connections and in-process callers alike open one with
-//! [`EngineHandle::open_connection`]). A `Hello` ties its session to that
-//! sink, and the owning shard encodes the session's updates and rejects
-//! straight into the connection's bounded outbox — shedding, never
-//! blocking, when it is full: one lagging client must not stall a shard.
+//! with the [`ConnSink`] of the connection that carried it (in-process
+//! callers open one with [`EngineHandle::open_connection`]). A `Hello`
+//! ties its session to that sink, and whichever thread runs a message
+//! encodes its updates and replies for that sink — shedding, never
+//! blocking, when the connection already holds [`OUTBOX_CAPACITY`]
+//! frames: one lagging client must not stall a shard. A served
+//! connection's frames leave at the end of the run that made them, on
+//! that thread, in one bounded send per connection (see [`crate::conn`]).
 //!
 //! With a [`WorldConfig`], each fused room lives on the shard that runs
 //! all of its sensors, and that shard owns it outright: it pushes each
@@ -48,10 +50,13 @@
 //! too, between its messages. An engine without a world is one with zero
 //! rooms.
 
+pub use crate::conn::{ConnSink, OUTBOX_CAPACITY};
+
+use crate::conn::{push_frame, ConnWriter, Out};
 use crate::hub::{Placement, Rooms, WorldConfig, LIVENESS_TICK, REPLY_RETRY};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::pool::{BufPool, PooledBatch, PooledBuf, SamplePools};
-use crate::transport::RxMsg;
+use crate::transport::{BoundedTx, RxMsg};
 use crate::wire::{self, Hello, Message, RejectCode, SubscribeV3, Teardown};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,48 +107,6 @@ impl Default for EngineConfig {
 /// Builds a sensor's pipeline from its `Hello`. Returning `Err` rejects
 /// the session with [`RejectCode::BadConfig`].
 pub type PipelineFactory = dyn Fn(&Hello) -> Result<Box<dyn FramePipeline>, String> + Send + Sync;
-
-/// Where one session's server→client traffic goes: a bounded queue of
-/// **already-encoded wire frames** (update batches, rejects) owned by the
-/// session's connection. Shards encode into pool-backed buffers and
-/// `try_send` them, shedding on full
-/// ([`MetricsSnapshot::updates_dropped`]); the connection's writer pushes
-/// the bytes to the transport and the buffer recycles.
-pub type UpdateSink = SyncSender<PooledBuf<u8>>;
-
-/// How many server→client frames one connection may have pending before
-/// pushes into its outbox start shedding.
-pub const OUTBOX_CAPACITY: usize = 64;
-
-/// A connection's outbox sender plus the connection's id (connection ids
-/// scope the cleanup at connection close; see
-/// [`EngineHandle::notify_conn_closed`]). Opened by
-/// [`EngineHandle::open_connection`].
-#[derive(Clone)]
-pub struct ConnSink {
-    /// Opaque id of the owning connection.
-    pub conn_id: u64,
-    /// The connection's outbox.
-    pub tx: UpdateSink,
-}
-
-/// Offers one encoded frame to a connection's outbox without blocking.
-/// A full (or closed) outbox sheds the frame: it is counted in
-/// [`MetricsSnapshot::updates_dropped`] and recorded as an
-/// [`AnomalyKind::Shed`] against the connection. The pooled buffer
-/// recycles either way (the writer drops it after sending; a failed push
-/// drops it here).
-pub(crate) fn push_frame(
-    sink: &ConnSink,
-    frame: PooledBuf<u8>,
-    metrics: &EngineMetrics,
-    recorder: &FlightRecorder,
-) {
-    if sink.tx.try_send(frame).is_err() {
-        metrics.updates_dropped.inc();
-        recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
-    }
-}
 
 /// Whether a submitted batch entered a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,9 +206,19 @@ impl EngineHandle {
     /// read it. Pushes into a full outbox shed, so drain it while
     /// sending.
     pub fn open_connection(&self) -> (ConnSink, Receiver<PooledBuf<u8>>) {
-        let (tx, rx) = sync_channel(OUTBOX_CAPACITY);
+        let (sink, rx, _) = self.attach_connection(None);
+        (sink, rx)
+    }
+
+    /// Opens a served connection: [`Self::open_connection`], plus the
+    /// transport's bounded send handle its runs send through first, and
+    /// the writer's hold on it.
+    pub(crate) fn attach_connection(
+        &self,
+        direct: Option<Box<dyn BoundedTx>>,
+    ) -> (ConnSink, Receiver<PooledBuf<u8>>, ConnWriter) {
         let conn_id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        (ConnSink { conn_id, tx }, rx)
+        ConnSink::open(conn_id, direct)
     }
 
     /// Routes one client message, carried by the connection of `sink`.
@@ -347,8 +320,8 @@ impl EngineHandle {
         )
     }
 
-    /// Encodes a `Reject` into the connection's outbox (shedding like any
-    /// other push when it is full).
+    /// Encodes a `Reject` for the connection and sends it (shedding like
+    /// any other push when the connection is full).
     pub(crate) fn send_reject(&self, sink: &ConnSink, id: u32, code: RejectCode) {
         let mut buf = self.frame_pool.get(32);
         wire::encode_reject_into(id, code, &mut buf);
@@ -395,9 +368,9 @@ impl EngineHandle {
     /// unlocked and live, and its `shard/queue_depth` reads 0 under the
     /// lock. Depth only drops when a message has run, under this lock, so
     /// nothing the caller queued for this shard earlier is still ahead of
-    /// `msg`. Everything a run does is non-blocking (outbox pushes shed or
-    /// hold), so the caller never blocks while it holds the lock. Hands
-    /// `msg` back when the shard is busy.
+    /// `msg`. Everything a run does is non-blocking (offers shed or hold,
+    /// and its sends are bounded), so the caller never waits long while
+    /// it holds the lock. Hands `msg` back when the shard is busy.
     fn run_if_idle(&self, idx: usize, msg: ShardMsg) -> Option<ShardMsg> {
         let shard = &self.shards[idx];
         let Ok(mut guard) = shard.state.try_lock() else {
@@ -562,14 +535,13 @@ impl EngineBuilder {
                 factory: Arc::clone(&factory),
                 metrics: Arc::clone(&metrics),
                 sessions: HashMap::new(),
-                frame_pool: frame_pool.clone(),
-                updates_scratch: Vec::new(),
-                rooms: Rooms::new(
-                    rooms,
+                out: Out::new(
                     frame_pool.clone(),
                     Arc::clone(&metrics),
                     Arc::clone(&recorder),
                 ),
+                updates_scratch: Vec::new(),
+                rooms: Rooms::new(rooms, &registry),
                 started,
                 last_tick: started,
                 registry: Arc::clone(&registry),
@@ -695,15 +667,14 @@ impl ShardWorker {
             let wait = self.with_state(|s| s.next_wait());
             match self.rx.recv_timeout(wait) {
                 Ok(msg) => self.with_state(|s| s.dispatch(msg, Some(&self.rx))),
-                Err(RecvTimeoutError::Timeout) => {
-                    // Queue empty: the only time shutdown may interrupt —
-                    // accepted work is never abandoned mid-queue.
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    self.with_state(ShardState::housekeep);
-                }
+                Err(RecvTimeoutError::Timeout) => self.with_state(|s| s.housekeep(true)),
                 Err(RecvTimeoutError::Disconnected) => break,
+            }
+            // Queue empty — a dispatch drains it, and a timeout found it
+            // so: the only time shutdown may interrupt, so accepted work is
+            // never abandoned mid-queue, and shutdown's wake is enough.
+            if self.stop.load(Ordering::SeqCst) {
+                break;
             }
         }
         // Engine handles keep the mutex alive, so take the state out:
@@ -726,8 +697,9 @@ struct ShardState {
     factory: Arc<PipelineFactory>,
     metrics: Arc<EngineMetrics>,
     sessions: HashMap<u32, Session>,
-    /// Pool the shard encodes outbound frames into.
-    frame_pool: BufPool<u8>,
+    /// What the shard's runs write through (encode pool, the connections
+    /// the current run has collected frames for).
+    out: Out,
     /// Per-batch report scratch, reused across batches (taken/returned
     /// around each batch so the session borrow stays clean).
     updates_scratch: Vec<FrameReport>,
@@ -772,33 +744,40 @@ impl ShardState {
     /// Closes the sessions still open as the shard exits — the only exit
     /// their pipelines have — so `sessions_closed` balances
     /// `sessions_opened` even for clients that never sent `Teardown`.
-    /// The rooms (and their subscribers' outbox senders) drop with the
+    /// The rooms (and their subscribers' connection sinks) drop with the
     /// state.
     fn close(mut self) {
         for (sensor_id, _) in self.sessions.drain() {
             self.metrics.sessions_closed.inc();
-            self.rooms.remove_sensor(sensor_id);
+            self.rooms.remove_sensor(sensor_id, &mut self.out);
         }
+        self.out.flush();
     }
 
     /// Offers held replies again and, once [`LIVENESS_TICK`] has passed
-    /// since the last sweep, sweeps the rooms for silent sensors. Runs on
-    /// every wake and after every message, so a steady stream of
-    /// messages cannot starve either.
-    fn housekeep(&mut self) {
+    /// since the last sweep, sweeps the rooms for silent sensors; then,
+    /// at the end of a run or while a reply is held, sends what the run
+    /// collected. Runs on every wake and after every message, so a steady
+    /// stream of messages cannot starve either.
+    fn housekeep(&mut self, ends_run: bool) {
         if self.rooms.holds_replies() {
-            self.rooms.retry_held();
+            self.rooms.retry_held(&mut self.out);
         }
         if self.last_tick.elapsed() >= LIVENESS_TICK {
             self.last_tick = Instant::now();
-            self.rooms.tick(self.started.elapsed().as_secs_f64());
+            self.rooms
+                .tick(self.started.elapsed().as_secs_f64(), &mut self.out);
+        }
+        // A held reply waits for room that only a send makes.
+        if ends_run || self.rooms.holds_replies() {
+            self.out.flush();
         }
     }
 
     /// Counts a refusal and tells `sink`'s connection. Rejects are
-    /// advisory, so a full outbox sheds them like updates (blocking would
-    /// stall every sensor on the shard).
-    fn reject(&self, sink: &ConnSink, sensor_id: u32, code: RejectCode) {
+    /// advisory, so a full connection sheds them like updates (blocking
+    /// would stall every sensor on the shard).
+    fn reject(&mut self, sink: &ConnSink, sensor_id: u32, code: RejectCode) {
         self.metrics.batches_rejected.inc();
         if code == RejectCode::UnknownSensor {
             self.metrics.unknown_sensor.inc();
@@ -809,9 +788,9 @@ impl ShardState {
             code.to_u16() as u64,
             0,
         );
-        let mut frame = self.frame_pool.get(32);
+        let mut frame = self.out.frame_pool.get(32);
         wire::encode_reject_into(sensor_id, code, &mut frame);
-        push_frame(sink, frame, &self.metrics, &self.recorder);
+        self.out.push(sink, frame);
     }
 
     /// Handles one message, then — given the shard's `queue` — greedily
@@ -821,18 +800,25 @@ impl ShardState {
     /// cache-hot — at 100+ co-sharded sensors the per-dispatch warm-up
     /// otherwise dominates — and the group size feeds the
     /// `dsp/batched_frames` counter. An inline run is a drain of one.
+    /// A batch is a run of its own: the frames it produced leave before
+    /// the next message starts. Consecutive control messages (a burst of
+    /// subscribes, say) are one run, so their replies leave together, one
+    /// send per connection (see [`Self::housekeep`]).
     fn dispatch(&mut self, first: ShardMsg, queue: Option<&Receiver<ShardMsg>>) {
         let mut grouped = 0u64;
         let mut msg = first;
         loop {
-            if matches!(msg, ShardMsg::Batch(..)) {
-                grouped += 1;
-            }
+            let batch = matches!(msg, ShardMsg::Batch(..));
+            grouped += batch as u64;
             self.handle(msg);
-            self.housekeep();
-            match queue.map(Receiver::try_recv) {
-                Some(Ok(next)) => msg = next,
-                _ => break,
+            let next = queue.and_then(|q| q.try_recv().ok());
+            self.housekeep(
+                next.as_ref()
+                    .is_none_or(|next| batch || matches!(next, ShardMsg::Batch(..))),
+            );
+            match next {
+                Some(next) => msg = next,
+                None => break,
             }
         }
         if grouped > 0 {
@@ -849,8 +835,10 @@ impl ShardState {
             ShardMsg::Wake => {}
             ShardMsg::Hello(h, sink) => self.open_session(h, sink),
             ShardMsg::Teardown(teardown, sink) => self.close_session(teardown, &sink),
-            ShardMsg::Subscribe(sub, sink) => self.rooms.subscribe(sub, sink),
-            ShardMsg::Unsubscribe(unsub, sink) => self.rooms.unsubscribe(unsub, sink),
+            ShardMsg::Subscribe(sub, sink) => self.rooms.subscribe(sub, sink, &mut self.out),
+            ShardMsg::Unsubscribe(unsub, sink) => {
+                self.rooms.unsubscribe(unsub, sink, &mut self.out)
+            }
             ShardMsg::ConnClosed(conn_id) => self.conn_closed(conn_id),
             ShardMsg::Batch(b, sink, queued_at) => {
                 let dequeued_at = Instant::now();
@@ -908,7 +896,7 @@ impl ShardState {
             self.metrics.sessions_closed.inc();
             // The fusion watermark must stop waiting for this sensor (its
             // world tracks coast until reacquired).
-            self.rooms.remove_sensor(t.sensor_id);
+            self.rooms.remove_sensor(t.sensor_id, &mut self.out);
         } else {
             self.reject(carried, t.sensor_id, RejectCode::UnknownSensor);
         }
@@ -927,9 +915,9 @@ impl ShardState {
         for sensor_id in owned {
             self.sessions.remove(&sensor_id);
             self.metrics.sessions_closed.inc();
-            self.rooms.remove_sensor(sensor_id);
+            self.rooms.remove_sensor(sensor_id, &mut self.out);
         }
-        self.rooms.conn_closed(conn_id);
+        self.rooms.conn_closed(conn_id, &self.out);
     }
 
     fn process_batch(&mut self, b: PooledBatch, carried: &ConnSink) {
@@ -994,14 +982,15 @@ impl ShardState {
             // Fuse first: the epochs these reports close leave for their
             // subscribers ahead of the reports' own update, so a fused
             // location trails its sensor's by no thread hop.
-            self.rooms.fuse_reports(shape.sensor_id, &updates);
+            self.rooms
+                .fuse_reports(shape.sensor_id, &updates, &mut self.out);
             // The frame is encoded straight from the report slice into a
             // pooled buffer: no owned `UpdateBatch`, no per-event
             // allocation.
-            let mut frame = self.frame_pool.get(64);
+            let mut frame = self.out.frame_pool.get(64);
             wire::encode_update_batch_into(shape.sensor_id, session.out_seq, &updates, &mut frame);
             session.out_seq += 1;
-            push_frame(&session.sink, frame, &self.metrics, &self.recorder);
+            self.out.push(&session.sink, frame);
         }
         updates.clear();
         self.updates_scratch = updates;

@@ -21,11 +21,13 @@
 //! liveness tick and held-reply retries run from the shard loop.
 //!
 //! Delivery mirrors the per-sensor update path: frames are encoded into
-//! pooled buffers and `try_send`-shed to lagging subscribers (counted in
-//! [`MetricsSnapshot::updates_dropped`]); a vanished subscriber is pruned
-//! on its first failed send. Control replies (acks, rejects, final
-//! `SubscriptionStats`) are never shed: one that meets a full outbox is
-//! held by the shard and retried, and its connection takes no world
+//! pooled buffers and offered to each subscriber's connection sink, shed
+//! when a lagging connection is full (counted in
+//! [`MetricsSnapshot::updates_dropped`]), and they leave with the run's
+//! other frames (see [`crate::conn`]); a vanished subscriber is pruned on
+//! its first refused offer. Control replies (acks, rejects, final
+//! `SubscriptionStats`) are never shed: one that meets a full connection
+//! is held by the shard and retried, and its connection takes no world
 //! traffic from that shard's rooms until the reply is through. One
 //! thread runs a room's subscriptions and its deliveries, so an ack
 //! precedes the subscription's first world frame and final stats follow
@@ -46,20 +48,18 @@
 //!
 //! [`MetricsSnapshot::updates_dropped`]: crate::metrics::MetricsSnapshot::updates_dropped
 
-use crate::engine::ConnSink;
-use crate::metrics::EngineMetrics;
-use crate::pool::{BufPool, PooledBuf};
+use crate::conn::{ConnSink, Out, Refused};
+use crate::pool::PooledBuf;
 use crate::program::{CompiledProgram, EventCtx, ProgramState};
 use crate::wire::{self, Message, RejectCode, SubscribeAck, SubscribeV3, SubscriptionStats};
 use std::collections::HashMap;
-use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use witrack_core::FrameReport;
 use witrack_fuse::{
     FuseConfig, FusionEngine, Registration, SensorLiveness, WorldEvent, WorldFrame,
 };
-use witrack_obs::{AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label};
+use witrack_obs::{AnomalyKind, Counter, Gauge, Histo, Label, Registry};
 
 /// How often a shard sweeps its rooms for silent sensors. Also the floor
 /// on liveness-timeout resolution — `FuseConfig::suspect_timeout_s`
@@ -150,22 +150,15 @@ impl Placement {
     }
 }
 
-/// The rooms one shard owns, and the control replies it holds.
+/// The rooms one shard owns, and the control replies it holds. They
+/// write through the shard's [`Out`].
 pub(crate) struct Rooms {
     rooms: Vec<Room>,
     /// sensor id → index into `rooms`; fixed at start.
     sensor_rooms: HashMap<u32, usize>,
-    out: Out,
-}
-
-/// What a room's delivery and replies write through.
-struct Out {
-    /// Control replies that met a full outbox, oldest first, retried
+    /// Control replies that met a full connection, oldest first, retried
     /// until their connection takes them or closes.
     held: Vec<(ConnSink, PooledBuf<u8>)>,
-    frame_pool: BufPool<u8>,
-    metrics: Arc<EngineMetrics>,
-    recorder: Arc<FlightRecorder>,
 }
 
 struct Room {
@@ -249,9 +242,14 @@ impl Room {
     }
 
     /// Broadcasts fused frames (and their events) to the room's
-    /// subscribers, shedding to lagging connections and pruning dead
-    /// ones.
-    fn deliver(&mut self, frames: Vec<WorldFrame>, out: &Out) {
+    /// subscribers, shedding to lagging connections (and to those with a
+    /// `held` reply) and pruning dead ones.
+    fn deliver(
+        &mut self,
+        frames: Vec<WorldFrame>,
+        held: &[(ConnSink, PooledBuf<u8>)],
+        out: &mut Out,
+    ) {
         // Ghost suppressions happen inside fusion; surface the delta as
         // a room counter and quarantine records.
         let ghosts = self.engine.stats().ghosts_suppressed;
@@ -292,7 +290,7 @@ impl Room {
             let seq = self.out_seq;
             self.out_seq += 1;
             if !self.subscribers.is_empty() {
-                self.deliver_frame(&frame, seq, out);
+                self.deliver_frame(&frame, seq, held, out);
             }
         }
     }
@@ -300,7 +298,13 @@ impl Room {
     /// Evaluates, encodes once and fans out one fused frame. Each frame
     /// and event is serialized exactly once (into the reused scratch) and
     /// copied byte-for-byte into per-subscriber pooled buffers.
-    fn deliver_frame(&mut self, frame: &WorldFrame, seq: u64, out: &Out) {
+    fn deliver_frame(
+        &mut self,
+        frame: &WorldFrame,
+        seq: u64,
+        held: &[(ConnSink, PooledBuf<u8>)],
+        out: &mut Out,
+    ) {
         let metrics = &*out.metrics;
         let Room {
             room_id,
@@ -412,8 +416,8 @@ impl Room {
 
         // --- Phase 3: deliver to just the recipients, in subscriber
         // order, shedding and pruning as before. A connection with a held
-        // reply yields its free outbox slots to that reply: its world
-        // traffic sheds until the reply is through.
+        // reply yields its free slots to that reply: its world traffic
+        // sheds until the reply is through.
         recipients.clear();
         recipients.extend_from_slice(world_to);
         recipients.extend_from_slice(events_to);
@@ -422,14 +426,13 @@ impl Room {
         gone.clear();
         for &si in recipients.iter() {
             let sub = &mut subscribers[si as usize];
-            let yields = out.held.iter().any(|(s, _)| s.conn_id == sub.sink.conn_id);
-            let send = |buf| push(&sub.sink, buf, yields, metrics, &out.recorder);
+            let yields = held.iter().any(|(s, _)| s.conn_id == sub.sink.conn_id);
             let mut alive = true;
             if sub.send_world {
                 let mut buf = out.frame_pool.get(world_len);
                 buf.extend_from_slice(&encoded[..world_len]);
-                metrics.world_bytes.add(world_len as u64);
-                alive &= send(buf) != Pushed::Gone;
+                out.metrics.world_bytes.add(world_len as u64);
+                alive &= push(out, &sub.sink, buf, yields) != Pushed::Gone;
             }
             if alive {
                 for &ei in &sub.hits {
@@ -437,8 +440,8 @@ impl Room {
                     let bytes = &encoded[start as usize..end as usize];
                     let mut buf = out.frame_pool.get(bytes.len());
                     buf.extend_from_slice(bytes);
-                    metrics.world_bytes.add(bytes.len() as u64);
-                    match send(buf) {
+                    out.metrics.world_bytes.add(bytes.len() as u64);
+                    match push(out, &sub.sink, buf, yields) {
                         Pushed::Sent => {}
                         Pushed::Shed => sub.shed += 1,
                         Pushed::Gone => {
@@ -455,7 +458,7 @@ impl Room {
             }
         }
         if !gone.is_empty() {
-            metrics.subscriptions_closed.add(gone.len() as u64);
+            out.metrics.subscriptions_closed.add(gone.len() as u64);
             let mut i = 0u32;
             subscribers.retain(|_| {
                 let keep = gone.binary_search(&i).is_err();
@@ -510,13 +513,7 @@ impl Subscriber {
 impl Rooms {
     /// Builds the rooms one shard owns, registering each room's and each
     /// sensor's series.
-    pub(crate) fn new(
-        specs: Vec<RoomSpec>,
-        frame_pool: BufPool<u8>,
-        metrics: Arc<EngineMetrics>,
-        recorder: Arc<FlightRecorder>,
-    ) -> Rooms {
-        let registry = Arc::clone(metrics.registry());
+    pub(crate) fn new(specs: Vec<RoomSpec>, registry: &Registry) -> Rooms {
         let mut sensor_rooms = HashMap::new();
         let rooms = specs
             .into_iter()
@@ -564,24 +561,19 @@ impl Rooms {
         Rooms {
             rooms,
             sensor_rooms,
-            out: Out {
-                held: Vec::new(),
-                frame_pool,
-                metrics,
-                recorder,
-            },
+            held: Vec::new(),
         }
     }
 
     /// Fuses one sensor's frame reports and delivers every epoch they
     /// close. Sensors outside every room still stream their per-sensor
     /// updates; they just don't fuse.
-    pub(crate) fn fuse_reports(&mut self, sensor_id: u32, reports: &[FrameReport]) {
+    pub(crate) fn fuse_reports(&mut self, sensor_id: u32, reports: &[FrameReport], out: &mut Out) {
         if let Some(&idx) = self.sensor_rooms.get(&sensor_id) {
             let room = &mut self.rooms[idx];
             for report in reports {
                 let frames = room.engine.push_report(sensor_id, report);
-                room.deliver(frames, &self.out);
+                room.deliver(frames, &self.held, out);
             }
         }
     }
@@ -589,11 +581,11 @@ impl Rooms {
     /// A sensor's session closed: its room stops waiting for it at
     /// fusion watermarks (its world tracks coast until reacquired), and
     /// whatever epochs that unblocks are delivered.
-    pub(crate) fn remove_sensor(&mut self, sensor_id: u32) {
+    pub(crate) fn remove_sensor(&mut self, sensor_id: u32, out: &mut Out) {
         if let Some(&idx) = self.sensor_rooms.get(&sensor_id) {
             let room = &mut self.rooms[idx];
             let frames = room.engine.remove_sensor(sensor_id);
-            room.deliver(frames, &self.out);
+            room.deliver(frames, &self.held, out);
         }
     }
 
@@ -601,7 +593,7 @@ impl Rooms {
     /// owning shard's clock): advances each [`FusionEngine`]'s liveness
     /// state machine, surfaces the transitions as anomalies and
     /// per-sensor series, and delivers any epochs the sweep unblocked.
-    pub(crate) fn tick(&mut self, now_s: f64) {
+    pub(crate) fn tick(&mut self, now_s: f64, out: &mut Out) {
         for room in &mut self.rooms {
             let frames = room.engine.tick(now_s);
             for t in &room.engine.take_liveness_transitions() {
@@ -620,76 +612,73 @@ impl Rooms {
                         AnomalyKind::SensorRecovered
                     }
                 };
-                self.out
-                    .recorder
+                out.recorder
                     .record(kind, t.sensor_id as u64, room.room_id as u64, silence_ns);
             }
             if !frames.is_empty() {
-                room.deliver(frames, &self.out);
+                room.deliver(frames, &self.held, out);
             }
         }
     }
 
-    /// Whether some control reply still waits on a full outbox.
+    /// Whether some control reply still waits on a full connection.
     pub(crate) fn holds_replies(&self) -> bool {
-        !self.out.held.is_empty()
+        !self.held.is_empty()
     }
 
-    /// Offers every held reply to its outbox again, in order. A
-    /// connection whose oldest reply still meets a full outbox keeps the
+    /// Offers every held reply to its connection again, in order. A
+    /// connection whose oldest reply is still refused as full keeps the
     /// rest of its replies held behind it.
-    pub(crate) fn retry_held(&mut self) {
+    pub(crate) fn retry_held(&mut self, out: &mut Out) {
         let mut blocked: Vec<u64> = Vec::new();
-        for (sink, buf) in std::mem::take(&mut self.out.held) {
+        for (sink, buf) in std::mem::take(&mut self.held) {
             if blocked.contains(&sink.conn_id) {
-                self.out.held.push((sink, buf));
+                self.held.push((sink, buf));
                 continue;
             }
-            // A disconnected outbox means the connection is closing.
-            if let Err(TrySendError::Full(buf)) = sink.tx.try_send(buf) {
+            // A gone connection is closing.
+            if let Err(Refused::Full(buf)) = out.offer(&sink, buf) {
                 blocked.push(sink.conn_id);
-                self.out.held.push((sink, buf));
+                self.held.push((sink, buf));
             }
         }
     }
 
     /// Sends a reply frame (ack, stats, reject) back to a subscriber's
-    /// connection. A full outbox holds the reply for a retry instead of
-    /// shedding it, behind any reply the connection already waits on.
-    fn reply(&mut self, sink: &ConnSink, msg: &Message) {
-        let mut buf = self.out.frame_pool.get(64);
+    /// connection. A full connection holds the reply for a retry instead
+    /// of shedding it, behind any reply the connection already waits on.
+    fn reply(&mut self, sink: &ConnSink, msg: &Message, out: &mut Out) {
+        let mut buf = out.frame_pool.get(64);
         wire::encode_into(msg, &mut buf);
-        self.out.held.push((sink.clone(), buf));
-        self.retry_held();
+        self.held.push((sink.clone(), buf));
+        self.retry_held(out);
     }
 
     /// Refuses a subscription message naming `room_id`.
-    fn reject(&mut self, sink: &ConnSink, room_id: u32, code: RejectCode) {
-        self.out.metrics.batches_rejected.inc();
-        self.reply(
-            sink,
-            &Message::Reject(wire::Reject {
-                sensor_id: room_id,
-                code,
-            }),
-        );
+    fn reject(&mut self, sink: &ConnSink, room_id: u32, code: RejectCode, out: &mut Out) {
+        out.metrics.batches_rejected.inc();
+        let reject = Message::Reject(wire::Reject {
+            sensor_id: room_id,
+            code,
+        });
+        self.reply(sink, &reject, out);
     }
 
     /// Installs a subscription and acks it, or refuses it: an unknown
     /// room as `UnknownSubscription`, an invalid program as `BadProgram`.
-    pub(crate) fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink) {
+    pub(crate) fn subscribe(&mut self, sub: SubscribeV3, sink: ConnSink, out: &mut Out) {
         let Some(idx) = self.rooms.iter().position(|r| r.room_id == sub.room_id) else {
-            self.reject(&sink, sub.room_id, RejectCode::UnknownSubscription);
+            self.reject(&sink, sub.room_id, RejectCode::UnknownSubscription, out);
             return;
         };
         // Validate the program once at install time: a stack-invalid or
         // oversized program is the client's bug, reported as BadProgram;
         // the connection (and its other subscriptions) survive.
         let Ok(program) = sub.program.compile() else {
-            self.reject(&sink, sub.room_id, RejectCode::BadProgram);
+            self.reject(&sink, sub.room_id, RejectCode::BadProgram, out);
             return;
         };
-        self.out.metrics.subscriptions_opened.inc();
+        out.metrics.subscriptions_opened.inc();
         let state = program.new_state();
         let room = &mut self.rooms[idx];
         room.subscribers.push(Subscriber {
@@ -718,13 +707,13 @@ impl Rooms {
             sub_id: sub.sub_id,
             status: 0,
         });
-        self.reply(&sink, &reply);
+        self.reply(&sink, &reply, out);
     }
 
     /// Removes one `(connection, sub_id)` subscription and answers with
     /// its final counters. Unknown subscriptions get
     /// `UnknownSubscription` — same as subscribing to an unknown room.
-    pub(crate) fn unsubscribe(&mut self, unsub: wire::Unsubscribe, sink: ConnSink) {
+    pub(crate) fn unsubscribe(&mut self, unsub: wire::Unsubscribe, sink: ConnSink, out: &mut Out) {
         let found = self.rooms.iter_mut().find_map(|room| {
             if room.room_id != unsub.room_id {
                 return None;
@@ -739,22 +728,22 @@ impl Rooms {
         });
         match found {
             Some(stats) => {
-                self.out.metrics.subscriptions_closed.inc();
-                self.reply(&sink, &Message::SubscriptionStats(stats));
+                out.metrics.subscriptions_closed.inc();
+                self.reply(&sink, &Message::SubscriptionStats(stats), out);
             }
-            None => self.reject(&sink, unsub.room_id, RejectCode::UnknownSubscription),
+            None => self.reject(&sink, unsub.room_id, RejectCode::UnknownSubscription, out),
         }
     }
 
     /// Drops every held reply and subscription of a closed connection.
-    pub(crate) fn conn_closed(&mut self, conn_id: u64) {
-        self.out.held.retain(|(s, _)| s.conn_id != conn_id);
+    pub(crate) fn conn_closed(&mut self, conn_id: u64, out: &Out) {
+        self.held.retain(|(s, _)| s.conn_id != conn_id);
         for room in &mut self.rooms {
             let before = room.subscribers.len();
             room.subscribers.retain(|s| s.sink.conn_id != conn_id);
             let closed = before - room.subscribers.len();
             if closed > 0 {
-                self.out.metrics.subscriptions_closed.add(closed as u64);
+                out.metrics.subscriptions_closed.add(closed as u64);
                 room.rebuild_index();
             }
         }
@@ -771,36 +760,33 @@ enum Pushed {
     Gone,
 }
 
-/// `try_send` into a subscriber, shedding on full (counted in the
-/// engine-wide `updates_dropped`; the caller also counts a shed matched
-/// event in the subscription's own `shed`, which pairs with `matched`).
-fn push(
-    sink: &ConnSink,
-    buf: PooledBuf<u8>,
-    yields: bool,
-    metrics: &EngineMetrics,
-    recorder: &FlightRecorder,
-) -> Pushed {
+/// Offers a frame to a subscriber, shedding it when the connection is
+/// full or `yields` (counted in the engine-wide `updates_dropped`; the
+/// caller also counts a shed matched event in the subscription's own
+/// `shed`, which pairs with `matched`).
+fn push(out: &mut Out, sink: &ConnSink, buf: PooledBuf<u8>, yields: bool) -> Pushed {
     if !yields {
-        match sink.tx.try_send(buf) {
+        match out.offer(sink, buf) {
             Ok(()) => return Pushed::Sent,
-            Err(TrySendError::Disconnected(_)) => return Pushed::Gone,
-            Err(TrySendError::Full(_)) => {}
+            Err(Refused::Gone) => return Pushed::Gone,
+            Err(Refused::Full(_)) => {}
         }
     }
-    metrics.updates_dropped.inc();
-    recorder.record(AnomalyKind::Shed, sink.conn_id, 0, 0);
+    out.shed(sink);
     Pushed::Shed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::OUTBOX_CAPACITY;
+    use crate::metrics::EngineMetrics;
+    use crate::pool::BufPool;
     use crate::program::{EventKind, SubscriptionBuilder};
-    use std::sync::mpsc::{sync_channel, Receiver};
+    use std::sync::mpsc::Receiver;
     use witrack_fuse::WorldTrackId;
     use witrack_geom::RigidTransform;
-    use witrack_obs::Registry;
+    use witrack_obs::FlightRecorder;
 
     const ROOM: u32 = 3;
 
@@ -815,18 +801,28 @@ mod tests {
         }
     }
 
-    fn rooms() -> Rooms {
-        Rooms::new(
-            vec![room(ROOM, &[0])],
+    fn rooms() -> (Rooms, Out) {
+        let registry = Arc::new(Registry::new());
+        let rooms = Rooms::new(vec![room(ROOM, &[0])], &registry);
+        let out = Out::new(
             BufPool::new(64),
-            Arc::new(EngineMetrics::new(Arc::new(Registry::new()))),
+            Arc::new(EngineMetrics::new(registry)),
             Arc::new(FlightRecorder::new(64)),
-        )
+        );
+        (rooms, out)
     }
 
+    /// A connection with no transport whose outbox has room for
+    /// `capacity` more frames.
     fn connection(conn_id: u64, capacity: usize) -> (ConnSink, Receiver<PooledBuf<u8>>) {
-        let (tx, rx) = sync_channel(capacity);
-        (ConnSink { conn_id, tx }, rx)
+        let (sink, rx, _) = ConnSink::open(conn_id, None);
+        for _ in capacity..OUTBOX_CAPACITY {
+            assert!(matches!(
+                sink.offer(PooledBuf::detached(vec![0])),
+                Ok(false)
+            ));
+        }
+        (sink, rx)
     }
 
     #[test]
@@ -914,13 +910,13 @@ mod tests {
         }
     }
 
-    fn deliver(rooms: &mut Rooms, frame: WorldFrame) {
-        rooms.rooms[0].deliver(vec![frame], &rooms.out);
+    fn deliver(rooms: &mut Rooms, out: &mut Out, frame: WorldFrame) {
+        rooms.rooms[0].deliver(vec![frame], &rooms.held, out);
     }
 
     #[test]
     fn index_lists_equal_a_full_scan_through_every_membership_change() {
-        let mut rooms = rooms();
+        let (mut rooms, mut out) = rooms();
         // Two-slot outboxes nobody drains: each connection's later
         // replies are held.
         let conns: Vec<_> = (1..=4).map(|id| connection(id, 2)).collect();
@@ -939,13 +935,13 @@ mod tests {
         for (sink, _) in &conns {
             for shape in &shapes {
                 sub_id += 1;
-                rooms.subscribe(shape.clone().id(sub_id).build(), sink.clone());
+                rooms.subscribe(shape.clone().id(sub_id).build(), sink.clone(), &mut out);
                 assert_index_matches_scan(&rooms, &format!("subscribe {sub_id}"));
             }
         }
 
         // Delivery leaves the lists (and the scratch) as they were.
-        deliver(&mut rooms, frame_with_an_event(1));
+        deliver(&mut rooms, &mut out, frame_with_an_event(1));
         assert_index_matches_scan(&rooms, "delivery");
 
         // Unsubscribe swaps the last subscriber into the hole.
@@ -953,20 +949,20 @@ mod tests {
             room_id: ROOM,
             sub_id,
         };
-        rooms.unsubscribe(unsub(2), conns[0].0.clone());
+        rooms.unsubscribe(unsub(2), conns[0].0.clone(), &mut out);
         assert_index_matches_scan(&rooms, "unsubscribe 2");
-        rooms.unsubscribe(unsub(8), conns[1].0.clone());
+        rooms.unsubscribe(unsub(8), conns[1].0.clone(), &mut out);
         assert_index_matches_scan(&rooms, "unsubscribe 8");
 
         // A close drops that connection's held replies and subscriptions,
         // and only that connection's.
         let held =
-            |rooms: &Rooms| -> Vec<u64> { rooms.out.held.iter().map(|(s, _)| s.conn_id).collect() };
+            |rooms: &Rooms| -> Vec<u64> { rooms.held.iter().map(|(s, _)| s.conn_id).collect() };
         let closed = conns[2].0.conn_id;
         let mut others = held(&rooms);
         others.retain(|&c| c != closed);
         let subs_before = rooms.rooms[0].subscribers.len();
-        rooms.conn_closed(closed);
+        rooms.conn_closed(closed, &out);
         assert_index_matches_scan(&rooms, "connection close");
         assert_eq!(held(&rooms), others, "other connections' held replies");
         let subs = &rooms.rooms[0].subscribers;
@@ -981,11 +977,11 @@ mod tests {
         drop(dead_rx);
         // Its held replies go on the next retry, so nothing makes its
         // traffic yield.
-        rooms.retry_held();
+        rooms.retry_held(&mut out);
         assert!(held(&rooms).iter().all(|&c| c != dead.conn_id));
         let before = rooms.rooms[0].subscribers.len();
-        let closed_before = rooms.out.metrics.snapshot().subscriptions_closed;
-        deliver(&mut rooms, frame_with_an_event(2));
+        let closed_before = out.metrics.snapshot().subscriptions_closed;
+        deliver(&mut rooms, &mut out, frame_with_an_event(2));
         assert_index_matches_scan(&rooms, "prune");
         let room = &rooms.rooms[0];
         let mut left: Vec<u64> = room
@@ -998,7 +994,7 @@ mod tests {
         assert_eq!(left, vec![19, 20], "falls only, and neither stream");
         assert_eq!(room.subscribers.len(), before - 3);
         assert_eq!(
-            rooms.out.metrics.snapshot().subscriptions_closed,
+            out.metrics.snapshot().subscriptions_closed,
             closed_before + 3
         );
     }

@@ -81,6 +81,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod conn;
 pub mod engine;
 pub mod factory;
 pub mod fault;
@@ -95,7 +96,7 @@ pub mod wire;
 pub use client::{BackoffConfig, ClientStats, ReconnectingClient, SensorClient};
 pub use engine::{
     ConnSink, EngineBuilder, EngineConfig, EngineHandle, OverloadPolicy, PipelineFactory,
-    ShardedEngine, SubmitError, Submitted, UpdateSink,
+    ShardedEngine, SubmitError, Submitted,
 };
 pub use factory::{hello_for, hello_quantized_for, witrack_factory};
 pub use fault::{
@@ -111,7 +112,7 @@ pub use program::{
 };
 pub use server::{Server, ServerBuilder, TcpServer};
 pub use transport::{
-    in_proc_pair, recv_error_is_frame_scoped, CorruptFrameError, InProcTransport, RxMsg,
+    in_proc_pair, recv_error_is_frame_scoped, BoundedTx, CorruptFrameError, InProcTransport, RxMsg,
     TcpTransport, Transport, WireFrame,
 };
 pub use wire::{

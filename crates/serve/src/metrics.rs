@@ -56,6 +56,13 @@ pub struct EngineMetrics {
     /// Server→client messages shed because a session's connection outbox
     /// was full (the client is lagging) or gone.
     pub updates_dropped: Counter,
+    /// Server→client frames sent whole on the thread that produced them
+    /// — a connection reader's inline run or a shard thread — with no
+    /// connection-writer hop (see [`crate::conn`]).
+    pub direct_writes: Counter,
+    /// Server→client frames handed to a served connection's writer
+    /// thread: the tail of a partial direct send, and frames behind it.
+    pub queued_writes: Counter,
     /// Fused world frames emitted by the world hub.
     pub world_frames: Counter,
     /// Fleet events emitted by the world hub.
@@ -99,6 +106,8 @@ impl EngineMetrics {
             inflight: g("inflight"),
             max_inflight: g("max_inflight"),
             updates_dropped: c("updates_dropped"),
+            direct_writes: c("direct_writes"),
+            queued_writes: c("queued_writes"),
             world_frames: c("world_frames"),
             world_events: c("world_events"),
             subscriptions_opened: c("subscriptions_opened"),

@@ -7,24 +7,40 @@
 //!
 //! Per connection: a reader thread decodes client messages and submits
 //! them to the engine (inheriting the engine's backpressure), and a
-//! writer thread drains the connection's bounded outbox. When the
-//! message's shard is idle and the reader has read nothing further, the
-//! reader runs the message on the shard's state itself rather than
-//! waking the shard thread (see [`crate::engine`]). The reader opens
-//! the connection with [`EngineHandle::open_connection`] — the same call
-//! in-process callers use — and submits every message with its
-//! [`ConnSink`](crate::engine::ConnSink); the shard that owns a session
-//! sends its updates and rejects straight into that outbox, so there is
-//! no global registry to race against. A slow client whose outbox fills
-//! has messages shed (and counted in
-//! [`MetricsSnapshot::updates_dropped`]) rather than stalling a shard; a
-//! refused `Hello` gets its reject and leaves no state behind.
+//! writer thread drains what the connection's direct sends leave behind.
+//! When the message's shard is idle and the reader has read nothing
+//! further, the reader runs the message on the shard's state itself
+//! rather than waking the shard thread (see [`crate::engine`]). Whichever
+//! thread runs a message sends the frames it produced for the connection
+//! itself, at the end of the run, in one bounded send (see
+//! [`crate::conn`]); only what a full socket or queue leaves goes to the
+//! writer. The reader submits every message with the connection's
+//! [`ConnSink`](crate::engine::ConnSink), so the thread running a
+//! session's message reaches its connection with no global registry to
+//! race against. A slow client whose connection fills has messages shed
+//! (and counted in [`MetricsSnapshot::updates_dropped`]) rather than
+//! stalling a shard; a refused `Hello` gets its reject and leaves no
+//! state behind.
+//!
+//! ```text
+//!   socket ─▶ conn-rx ─ run inline ─┐       (or queue ─▶ shard-N ─┐)
+//!                                   ▼                             ▼
+//!                 frames collected per connection during the run
+//!                                   │ end of run, connection idle
+//!            one bounded write ◀────┤
+//!                                   │ socket full, or frames queued
+//!                                   ▼
+//!                         outbox ─▶ conn-tx ─▶ socket
+//! ```
 
+use crate::conn::ConnWriter;
 use crate::engine::{EngineBuilder, EngineConfig, EngineHandle, PipelineFactory, ShardedEngine};
 use crate::hub::WorldConfig;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::PooledBuf;
-use crate::transport::{recv_error_is_frame_scoped, Transport, TransportRx, TransportTx};
+use crate::transport::{
+    recv_error_is_frame_scoped, timed_out, Transport, TransportRx, TransportTx,
+};
 use crate::wire::RejectCode;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -156,11 +172,14 @@ where
     Tx: TransportTx + 'static,
     Rx: TransportRx + 'static,
 {
-    let (sink, outbox_rx) = handle.open_connection();
+    // A transport that cannot hand out a bounded sender sends every
+    // frame through the writer.
+    let direct = tx.bounded().ok().flatten();
+    let (sink, outbox_rx, conn_writer) = handle.attach_connection(direct);
     let conn_id = sink.conn_id;
     let writer = std::thread::Builder::new()
         .name("conn-tx".into())
-        .spawn(move || writer_main(tx, outbox_rx))
+        .spawn(move || writer_main(tx, outbox_rx, conn_writer))
         .expect("spawn a connection writer");
     // Sweep samples decode straight into the engine's recycled i16
     // buffers: at steady state the reader allocates nothing per message.
@@ -203,23 +222,33 @@ where
     }
     // The connection is gone: every shard closes the sessions it owns
     // and drops its room subscriptions and held replies, after everything
-    // already queued. That releases the shards' clones of our outbox
-    // sender, and the writer below only drains out once every sender is
-    // gone.
+    // already queued. That releases the shards' clones of our sink, and
+    // the writer below only drains out once every sink is gone.
     handle.notify_conn_closed(conn_id);
     drop(sink);
     writer.join().expect("connection writer panicked");
 }
 
-fn writer_main<Tx: TransportTx>(mut tx: Tx, outbox: Receiver<PooledBuf<u8>>) {
-    for frame in outbox {
-        // Frames arrive pre-encoded from the shard; the transport
-        // recycles the buffer once the bytes are on their way.
-        if tx.send_pooled(frame).is_err() {
-            // Peer gone; drain silently so shard try_sends keep failing
-            // fast instead of filling a dead queue.
-            break;
+fn writer_main<Tx: TransportTx>(mut tx: Tx, outbox: Receiver<PooledBuf<u8>>, conn: ConnWriter) {
+    for mut frame in outbox {
+        // Frames arrive pre-encoded — a partial direct send's tail among
+        // them; the buffer recycles once the bytes are on their way.
+        while !frame.is_empty() {
+            match tx.send_part(&mut frame) {
+                Ok(()) => {}
+                // The bound on the connection's direct sends is a send
+                // timeout on the whole socket: the client is slow, not
+                // gone, and the rest of the frame goes again.
+                Err(e) if timed_out(&e) => {}
+                Err(_) => {
+                    // Peer gone: offers are refused from now on, and the
+                    // outbox closes so nothing fills a dead queue.
+                    conn.gone();
+                    return;
+                }
+            }
         }
+        conn.sent();
     }
 }
 

@@ -14,6 +14,12 @@
 //! send half and receive half so a connection can be serviced by one
 //! reader thread and one writer thread without locking.
 //!
+//! A send half may also hand out a [`BoundedTx`]: a second handle on the
+//! same channel that sends without waiting past a short bound, so a
+//! served connection's replies can leave on the thread that produced them
+//! (see [`crate::conn`]). TCP bounds it with a socket-wide send timeout;
+//! the in-process half uses `try_send`.
+//!
 //! A receive half says whether it already holds further input
 //! ([`TransportRx::has_buffered`]): TCP reads whatever the socket holds,
 //! up to one largest frame and a header, into one reused buffer and
@@ -21,9 +27,15 @@
 
 use crate::pool::{PooledBatch, PooledBuf, SamplePools};
 use crate::wire::{self, DecodedMsgQ, Message, WireError, HEADER_LEN};
-use std::io::{self, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::time::Duration;
+
+/// The send timeout on a served TCP connection's socket. The kernel
+/// rounds it up to one scheduler tick.
+const SEND_BOUND: Duration = Duration::from_millis(1);
 
 /// An encoded wire frame in flight on an in-process queue: plain owned
 /// bytes, or a pool-backed buffer that recycles once the receiving side
@@ -73,6 +85,25 @@ pub trait TransportTx: Send {
         self.send_frame(wire::encode(msg))
     }
 
+    /// Sends the front of `frame`, removing the bytes that went: all of
+    /// them, unless a send timeout set by [`Self::bounded`] expired first
+    /// — an `Err` of kind `WouldBlock` or `TimedOut`, or `Ok` with part
+    /// of the frame left — and the caller may offer the rest again. The
+    /// default sends the whole frame with [`Self::send_pooled`].
+    fn send_part(&mut self, frame: &mut PooledBuf<u8>) -> io::Result<()> {
+        self.send_pooled(std::mem::replace(frame, PooledBuf::detached(Vec::new())))
+    }
+
+    /// A second handle on this half for bounded sends from the threads
+    /// that produce the frames, or `None` (the default) when every frame
+    /// goes through this half. [`Server::attach`](crate::server::Server::attach)
+    /// asks once per connection. On TCP the bound is a socket-wide send
+    /// timeout, so this half's own sends may time out from then on: send
+    /// with [`Self::send_part`], which survives it.
+    fn bounded(&self) -> io::Result<Option<Box<dyn BoundedTx>>> {
+        Ok(None)
+    }
+
     /// Signals end-of-stream to the peer while leaving the receive
     /// direction open. Dropping the half does this implicitly for
     /// in-process queues, but a duplex socket needs an explicit
@@ -80,6 +111,15 @@ pub trait TransportTx: Send {
     fn finish(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
+
+/// A bounded send handle on a transport (see [`TransportTx::bounded`]).
+pub trait BoundedTx: Send {
+    /// Sends frames from the front of `frames`, removing each one that
+    /// went out; a partly sent front frame keeps only its unsent tail.
+    /// Returns once the transport has taken every frame or would make the
+    /// caller wait past the bound. `Err` means the peer is gone.
+    fn send_bounded(&mut self, frames: &mut VecDeque<PooledBuf<u8>>) -> io::Result<()>;
 }
 
 /// The receiving half of a transport.
@@ -239,6 +279,33 @@ impl TransportTx for InProcTx {
             .send(WireFrame::Pooled(frame))
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))
     }
+
+    fn bounded(&self) -> io::Result<Option<Box<dyn BoundedTx>>> {
+        Ok(Some(Box::new(InProcTx {
+            tx: self.tx.clone(),
+        })))
+    }
+}
+
+/// One `try_send` per frame, until the peer's queue is full.
+impl BoundedTx for InProcTx {
+    fn send_bounded(&mut self, frames: &mut VecDeque<PooledBuf<u8>>) -> io::Result<()> {
+        while let Some(frame) = frames.pop_front() {
+            match self.tx.try_send(WireFrame::Pooled(frame)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(frame)) => {
+                    if let WireFrame::Pooled(frame) = frame {
+                        frames.push_front(frame);
+                    }
+                    break;
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl InProcTx {
@@ -369,9 +436,76 @@ impl TransportTx for TcpTx {
         self.stream.write_all(&frame)
     }
 
+    fn send_part(&mut self, frame: &mut PooledBuf<u8>) -> io::Result<()> {
+        match self.stream.write(frame)? {
+            0 => Err(io::ErrorKind::WriteZero.into()),
+            n => {
+                frame.drain(..n);
+                Ok(())
+            }
+        }
+    }
+
+    /// Sets `SEND_BOUND` (1 ms) as the socket's send timeout — on every handle
+    /// of the socket, this one included — and hands out a clone.
+    fn bounded(&self) -> io::Result<Option<Box<dyn BoundedTx>>> {
+        let stream = self.stream.try_clone()?;
+        stream.set_write_timeout(Some(SEND_BOUND))?;
+        Ok(Some(Box::new(TcpTx { stream })))
+    }
+
     fn finish(&mut self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
     }
+}
+
+/// Frames one vectored write takes: a connection's whole admitted
+/// backlog.
+const MAX_SLICES: usize = crate::conn::OUTBOX_CAPACITY;
+
+/// One vectored write per `MAX_SLICES` frames, each bounded by the send
+/// timeout [`TransportTx::bounded`] set.
+impl BoundedTx for TcpTx {
+    fn send_bounded(&mut self, frames: &mut VecDeque<PooledBuf<u8>>) -> io::Result<()> {
+        while !frames.is_empty() {
+            let mut slices = [IoSlice::new(&[]); MAX_SLICES];
+            let mut offered = 0;
+            for (slice, frame) in slices.iter_mut().zip(frames.iter()) {
+                *slice = IoSlice::new(frame);
+                offered += frame.len();
+            }
+            let n = frames.len().min(MAX_SLICES);
+            let mut written = match self.stream.write_vectored(&slices[..n]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(written) => written,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if timed_out(&e) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            let bound_expired = written < offered;
+            while let Some(front) = frames.front_mut() {
+                if written < front.len() {
+                    front.drain(..written);
+                    break;
+                }
+                written -= front.len();
+                frames.pop_front();
+            }
+            if bound_expired {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Whether a send error is a send timeout expiring (see
+/// [`TransportTx::bounded`]): the peer is slow, not gone.
+pub(crate) fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 /// A byte stream's receive buffer. Frames are served out of it in place.
@@ -674,6 +808,39 @@ mod tests {
         let err = rx.recv_msg().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(!recv_error_is_frame_scoped(&err));
+    }
+
+    #[test]
+    fn a_client_tcp_sender_waits_out_a_slow_reader() {
+        // A client's send half is a plain blocking writer: a reader that
+        // pauses longer than a send timeout's tick, with more bytes in
+        // flight than the socket buffers hold, must not fail its sends.
+        // Only a served connection's sends are bounded (`bounded`).
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut tx, _rx) = TcpTransport::connect(listener.local_addr().unwrap())
+            .unwrap()
+            .split()
+            .unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        const FRAME: usize = 64 * 1024;
+        const FRAMES: usize = 512;
+        let slow = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let mut buf = vec![0u8; FRAME];
+            let mut total = 0;
+            loop {
+                match reader.read(&mut buf).unwrap() {
+                    0 => return total,
+                    n => total += n,
+                }
+            }
+        });
+        let frame = vec![7u8; FRAME];
+        for _ in 0..FRAMES {
+            tx.send_frame(frame.clone()).expect("a blocking send");
+        }
+        tx.finish().unwrap();
+        assert_eq!(slow.join().unwrap(), FRAME * FRAMES);
     }
 
     #[test]

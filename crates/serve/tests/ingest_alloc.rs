@@ -1,27 +1,36 @@
-//! Counting-allocator proof that the steady-state ingest path of a
-//! served connection — wire frame off a loopback socket, the connection
-//! reader's pooled decode (quantized batches staying i16 end to end), its
-//! submit (run on the idle shard by the reader itself, or queued for the
-//! shard thread), pipeline entry, buffer recycle — performs **zero** heap
-//! allocations per message after warmup.
+//! Counting-allocator proof that a served connection's steady state
+//! performs **zero** heap allocations per message after warmup, both
+//! ways:
+//! - ingest: wire frame off the transport, the connection reader's
+//!   pooled decode (quantized batches staying i16 end to end), its submit
+//!   (run on the idle shard by the reader itself, or queued for the shard
+//!   thread), pipeline entry, buffer recycle;
+//! - replies: the update each frame produces, encoded into a pooled
+//!   buffer, collected and sent directly at the end of its run — and,
+//!   when the client's queue is full, queued for the connection's writer
+//!   thread instead.
 //!
 //! This file is its own test binary on purpose: a global counting
 //! allocator sees every thread in the process, so the measurement must
-//! not share a process with concurrently-running tests. The pipeline
-//! behind the trait is a no-op stub — the WiTrack pipelines' internal
-//! per-frame report assembly is their own concern; this measures the
-//! serving layer's data plane.
+//! not share a process with concurrently-running tests (its own two tests
+//! take turns). The client threads that read replies are exempt from the
+//! count: the subject is the server. The pipeline behind the trait is a
+//! stub that reports one empty frame per batch — the WiTrack pipelines'
+//! internal per-frame report assembly is their own concern; this
+//! measures the serving layer's data plane.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write;
+use std::cell::Cell;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use witrack_core::{FramePipeline, FrameReport};
+use witrack_obs::{Counter, Label};
 use witrack_serve::engine::{EngineConfig, OverloadPolicy};
-use witrack_serve::transport::TcpTransport;
-use witrack_serve::wire::{self, Hello, Message, PipelineKind, SweepBatchQ};
+use witrack_serve::transport::{in_proc_pair, TcpTransport, Transport, TransportRx, TransportTx};
+use witrack_serve::wire::{self, Hello, Message, PipelineKind, SweepBatchQ, HEADER_LEN};
 use witrack_serve::Server;
 
 struct CountingAllocator;
@@ -30,8 +39,12 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Sweeps every pipeline has consumed: the test waits on it without
 /// allocating.
 static SWEEPS_IN: AtomicU64 = AtomicU64::new(0);
+/// Updates the client has read, each in sequence.
+static REPLIES: AtomicU64 = AtomicU64::new(0);
+/// The two tests take turns: both count into the same globals.
+static SERIAL: Mutex<()> = Mutex::new(());
 
-static MEASURING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static MEASURING: AtomicBool = AtomicBool::new(false);
 static SIZES: [AtomicU64; 8] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -43,12 +56,24 @@ static SIZES: [AtomicU64; 8] = [
     AtomicU64::new(0),
 ];
 
+thread_local! {
+    /// Set on client threads: their allocations are not the server's.
+    static EXEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted(size: u64) {
+    if EXEMPT.try_with(Cell::get).unwrap_or(false) {
+        return;
+    }
+    let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if MEASURING.load(Ordering::Relaxed) {
+        SIZES[(n % 8) as usize].store(size, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if MEASURING.load(Ordering::Relaxed) {
-            SIZES[(n % 8) as usize].store(layout.size() as u64, Ordering::Relaxed);
-        }
+        counted(layout.size() as u64);
         unsafe { System.alloc(layout) }
     }
 
@@ -57,10 +82,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let n = ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if MEASURING.load(Ordering::Relaxed) {
-            SIZES[(n % 8) as usize].store((new_size as u64) | (1 << 63), Ordering::Relaxed);
-        }
+        counted((new_size as u64) | (1 << 63));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,9 +90,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// A pipeline that consumes sweeps without touching the heap.
+/// A pipeline that consumes sweeps without touching the heap and reports
+/// one empty frame per `sweeps_per_frame` sweeps.
 struct NullPipeline {
     n_rx: usize,
+    sweeps_per_frame: u64,
     sweeps: u64,
 }
 
@@ -95,7 +119,13 @@ impl FramePipeline for NullPipeline {
             std::thread::sleep(Duration::from_millis(2));
         }
         SWEEPS_IN.fetch_add(1, Ordering::SeqCst);
-        None
+        self.sweeps
+            .is_multiple_of(self.sweeps_per_frame)
+            .then(|| FrameReport {
+                frame_index: self.sweeps / self.sweeps_per_frame,
+                time_s: 0.0,
+                targets: Vec::new(),
+            })
     }
 
     fn reset(&mut self) {
@@ -103,31 +133,31 @@ impl FramePipeline for NullPipeline {
     }
 }
 
-/// Waits (without allocating) until the pipelines have consumed
-/// `sweeps` sweeps, or a deadline passes; the final assertions catch a
-/// frame that never arrived.
-fn wait_for_sweeps(sweeps: u64) {
+const N_RX: u16 = 3;
+const SWEEPS: u16 = 5;
+const WARMUP: u64 = 50;
+const MEASURED: u64 = 200;
+
+/// Waits (without allocating) until `counter` reaches `n`, or a deadline
+/// passes; the final assertions catch a frame that never arrived.
+fn wait_for(counter: &AtomicU64, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    while SWEEPS_IN.load(Ordering::SeqCst) < sweeps && Instant::now() < deadline {
+    while counter.load(Ordering::SeqCst) < n && Instant::now() < deadline {
         std::thread::sleep(Duration::from_micros(50));
     }
 }
 
-#[test]
-fn steady_state_ingest_makes_zero_allocations_per_frame() {
-    const SAMPLES: u32 = 2500;
-    const N_RX: u16 = 3;
-    const SWEEPS: u16 = 5;
-    const WARMUP: u64 = 50;
-    const MEASURED: u64 = 200;
-
-    // queue_capacity 1 makes the connection reader block on a busy shard
-    // from the first frames, so the channel's lazily-allocated
-    // sender-side waker structures come into existence during warmup,
-    // not measurement.
-    let server = Server::builder(Arc::new(|h: &Hello| {
+/// A one-shard server whose reader blocks on a busy shard from the
+/// first frames (queue capacity 1), so the channel's lazily-allocated
+/// sender-side waker structures come into existence during warmup, not
+/// measurement.
+fn server() -> Server {
+    SWEEPS_IN.store(0, Ordering::SeqCst);
+    REPLIES.store(0, Ordering::SeqCst);
+    Server::builder(Arc::new(|h: &Hello| {
         Ok(Box::new(NullPipeline {
             n_rx: h.n_rx as usize,
+            sweeps_per_frame: h.sweeps_per_frame as u64,
             sweeps: 0,
         }) as Box<dyn FramePipeline>)
     }))
@@ -136,18 +166,26 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
         queue_capacity: 1,
         overload: OverloadPolicy::Block,
     })
-    .start();
-    let handle = server.engine_handle();
-    let inline_runs =
-        server
-            .registry()
-            .counter("shard", "inline_runs", witrack_obs::Label::Shard(0));
+    .start()
+}
 
-    // Pre-encode every frame (paper-shaped quantized batches) before the
-    // measurement so the sender writes ready bytes instead of allocating.
-    // Each frame is distinct data.
-    let count = SWEEPS as usize * N_RX as usize * SAMPLES as usize;
-    let frames: Vec<Vec<u8>> = (0..WARMUP + MEASURED)
+fn hello_frame(samples: u32) -> Vec<u8> {
+    wire::encode(&Message::Hello(Hello {
+        sensor_id: 0,
+        kind: PipelineKind::SingleTarget,
+        n_rx: N_RX as u8,
+        samples_per_sweep: samples,
+        sweeps_per_frame: SWEEPS as u32,
+        quantized: true,
+    }))
+}
+
+/// Every frame of a run, pre-encoded (quantized batches of `samples`
+/// per sweep), so the sender writes ready bytes instead of allocating.
+/// Each frame is distinct data.
+fn batch_frames(samples: u32) -> Vec<Vec<u8>> {
+    let count = SWEEPS as usize * N_RX as usize * samples as usize;
+    (0..WARMUP + MEASURED)
         .map(|f| {
             let data: Vec<i16> = (0..count)
                 .map(|i| ((i as u64 * (f + 3)) % 251) as i16)
@@ -157,38 +195,116 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
                 seq: f,
                 n_sweeps: SWEEPS,
                 n_rx: N_RX,
-                samples_per_sweep: SAMPLES,
+                samples_per_sweep: samples,
                 scale: 1.0 / 128.0,
                 data,
             }))
         })
+        .collect()
+}
+
+/// Primes the server's pools to their worst-case concurrency: warmup
+/// traffic alone only populates the *typical* depth, and a mid-run
+/// scheduling blip past it would read as a (one-off, cold) miss.
+fn prime_pools(server: &Server, samples: u32) {
+    let handle = server.engine_handle();
+    let count = SWEEPS as usize * N_RX as usize * samples as usize;
+    let prime: Vec<_> = (0..8)
+        .map(|_| handle.ingest_pools().i16s.get(count))
         .collect();
+    drop(prime);
+    let prime: Vec<_> = (0..16).map(|_| handle.frame_pool().get(64)).collect();
+    drop(prime);
+}
+
+fn engine_counter(server: &Server, name: &'static str) -> Counter {
+    server.registry().counter("engine", name, Label::Global)
+}
+
+/// What one measured window saw.
+struct Window {
+    allocs: u64,
+    sizes: Vec<u64>,
+}
+
+/// Sends every frame with `send`, measuring allocations over the frames
+/// after warmup, from the first measured send until `done` holds.
+fn measure(frames: Vec<Vec<u8>>, mut send: impl FnMut(u64, Vec<u8>), done: impl Fn()) -> Window {
+    let mut start = 0;
+    for (f, frame) in frames.into_iter().enumerate() {
+        let f = f as u64;
+        if f == WARMUP {
+            start = ALLOCATIONS.load(Ordering::SeqCst);
+            MEASURING.store(true, Ordering::SeqCst);
+        }
+        send(f, frame);
+    }
+    done();
+    // Every measured message has fully traversed the path by here — but
+    // closing the connection and shutting down may free/allocate, so
+    // read the counter first, then close.
+    let end = ALLOCATIONS.load(Ordering::SeqCst);
+    MEASURING.store(false, Ordering::SeqCst);
+    Window {
+        allocs: end - start,
+        sizes: SIZES.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+    }
+}
+
+/// Reads a byte stream of reply frames without allocating, checking
+/// that each is an `UpdateBatch` of sensor 0 in sequence.
+fn read_replies(mut stream: TcpStream) {
+    EXEMPT.with(|e| e.set(true));
+    let mut buf = vec![0u8; 1 << 16];
+    let (mut start, mut end) = (0, 0);
+    loop {
+        while end - start >= HEADER_LEN {
+            let (msg_type, len) = wire::decode_header(&buf[start..end]).expect("a reply header");
+            if end - start < len {
+                break;
+            }
+            let frame = &buf[start..start + len];
+            assert_eq!(msg_type, 4, "an UpdateBatch");
+            let seq =
+                u64::from_le_bytes(frame[HEADER_LEN + 4..HEADER_LEN + 12].try_into().unwrap());
+            assert_eq!(seq, REPLIES.load(Ordering::SeqCst), "updates in sequence");
+            REPLIES.fetch_add(1, Ordering::SeqCst);
+            start += len;
+        }
+        buf.copy_within(start..end, 0);
+        (start, end) = (0, end - start);
+        match stream.read(&mut buf[end..]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => end += n,
+        }
+    }
+}
+
+#[test]
+fn steady_state_ingest_makes_zero_allocations_per_frame() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SAMPLES: u32 = 2500;
+    let server = server();
+    let inline_runs = server
+        .registry()
+        .counter("shard", "inline_runs", Label::Shard(0));
+    let direct_writes = engine_counter(&server, "direct_writes");
+    let frames = batch_frames(SAMPLES);
 
     // The full served wire path: a loopback socket into a connection
     // reader that decodes into the engine's pools and submits each
-    // message exactly as a served connection does.
+    // message exactly as a served connection does; its updates come back
+    // over the same socket.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (accepted, _) = listener.accept().unwrap();
     let reader = server.attach(TcpTransport::new(accepted)).unwrap();
-    let hello = Hello {
-        sensor_id: 0,
-        kind: PipelineKind::SingleTarget,
-        n_rx: N_RX as u8,
-        samples_per_sweep: SAMPLES,
-        sweeps_per_frame: SWEEPS as u32,
-        quantized: true,
+    let replies = {
+        let stream = client.try_clone().unwrap();
+        std::thread::spawn(move || read_replies(stream))
     };
-    client
-        .write_all(&wire::encode(&Message::Hello(hello)))
-        .unwrap();
-    let pool = handle.ingest_pools().clone();
-    // Prime the pool to its worst-case concurrency (one buffer in decode,
-    // queue-depth in flight, one in the pipeline, plus slack): warmup
-    // traffic alone only populates the *typical* depth, and a mid-run
-    // scheduling blip past it would read as a (one-off, cold) miss.
-    let prime: Vec<_> = (0..8).map(|_| pool.i16s.get(count)).collect();
-    drop(prime);
+    client.write_all(&hello_frame(SAMPLES)).unwrap();
+    prime_pools(&server, SAMPLES);
 
     // Both halves of warmup and of the measurement send frames two ways:
     // back to back (the reader finds more input or a busy shard, and
@@ -202,29 +318,26 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
             f >= WARMUP + MEASURED / 2
         }
     };
-    let mut measured_start = 0u64;
-    let mut inline_before = 0u64;
-    for (f, frame) in frames.iter().enumerate() {
-        let f = f as u64;
-        if f == WARMUP {
-            inline_before = inline_runs.get();
-            measured_start = ALLOCATIONS.load(Ordering::SeqCst);
-            MEASURING.store(true, Ordering::SeqCst);
-        }
-        if lockstep(f) {
-            wait_for_sweeps(f * SWEEPS as u64);
-        }
-        client.write_all(frame).unwrap();
-    }
-    wait_for_sweeps((WARMUP + MEASURED) * SWEEPS as u64);
-    // Every measured message has fully traversed the path by here — but
-    // closing the connection and shutting down may free/allocate, so
-    // read the counter first, then close.
-    let measured_end = ALLOCATIONS.load(Ordering::SeqCst);
-    MEASURING.store(false, Ordering::SeqCst);
+    let (mut inline_before, mut direct_before) = (0, 0);
+    let window = measure(
+        frames,
+        |f, frame| {
+            if f == WARMUP {
+                inline_before = inline_runs.get();
+                direct_before = direct_writes.get();
+            }
+            if lockstep(f) {
+                wait_for(&SWEEPS_IN, f * SWEEPS as u64);
+            }
+            client.write_all(&frame).unwrap();
+        },
+        || wait_for(&REPLIES, WARMUP + MEASURED),
+    );
     let inline_measured = inline_runs.get() - inline_before;
-    drop(client);
+    let direct_measured = direct_writes.get() - direct_before;
+    client.shutdown(std::net::Shutdown::Write).unwrap();
     reader.join().unwrap();
+    replies.join().unwrap();
     let m = server.shutdown();
 
     assert_eq!(
@@ -232,21 +345,92 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
         (WARMUP + MEASURED) * SWEEPS as u64,
         "every sweep must have reached the pipeline"
     );
+    assert_eq!(REPLIES.load(Ordering::SeqCst), WARMUP + MEASURED);
     assert!(
         inline_measured > 0,
         "no measured frame ran on the connection reader"
     );
-    let allocs = measured_end - measured_start;
-    let sizes: Vec<u64> = SIZES.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+    assert!(direct_measured > 0, "no measured update was sent directly");
     assert_eq!(
-        allocs, 0,
-        "steady-state ingest made {allocs} allocations over {MEASURED} frames \
-         ({inline_measured} run by the reader, the rest queued; expected \
-         zero: pooled decode + recycled dispatch); sizes {sizes:?}"
+        window.allocs, 0,
+        "steady-state serving made {} allocations over {MEASURED} frames \
+         ({inline_measured} run by the reader, the rest queued; \
+         {direct_measured} updates sent directly; expected zero: pooled \
+         decode + recycled dispatch + pooled encode); sizes {:?}",
+        window.allocs, window.sizes
     );
-    let pool_stats = pool.i16s.stats();
-    assert!(
-        pool_stats.misses <= WARMUP,
-        "sample pool kept allocating after warmup: {pool_stats:?}"
+}
+
+#[test]
+fn replies_queued_behind_a_full_client_make_zero_allocations_per_frame() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SAMPLES: u32 = 64;
+    let server = server();
+    let direct_writes = engine_counter(&server, "direct_writes");
+    let queued_writes = engine_counter(&server, "queued_writes");
+    let frames = batch_frames(SAMPLES);
+
+    // An in-process client whose reply queue holds one frame and which
+    // takes 3 ms over each update: a run whose update finds the queue
+    // still full leaves it to the connection's writer thread.
+    let (client_end, server_end) = in_proc_pair(1);
+    let reader = server.attach(server_end).unwrap();
+    let (mut client, mut client_rx) = client_end.split().unwrap();
+    let replies = std::thread::spawn(move || {
+        EXEMPT.with(|e| e.set(true));
+        while let Ok(Some(msg)) = client_rx.recv_msg() {
+            let Message::UpdateBatch(u) = msg else {
+                panic!("unexpected {msg:?}");
+            };
+            assert_eq!(u.seq, REPLIES.load(Ordering::SeqCst), "updates in sequence");
+            REPLIES.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(3));
+        }
+    });
+    // The sending side is the client too.
+    EXEMPT.with(|e| e.set(true));
+    client.send_frame(hello_frame(SAMPLES)).unwrap();
+    prime_pools(&server, SAMPLES);
+
+    // The first half of warmup goes back to back, so every thread of the
+    // path blocks once (the channels allocate their waker lists on first
+    // block) and the writer takes a backlog. After that, an even frame
+    // goes once every earlier update is in: its update finds the
+    // client's queue empty and goes directly. An odd one goes at once:
+    // its update finds the even one still queued and goes to the writer.
+    // At most two are then in flight, far below shedding.
+    let (mut direct_before, mut queued_before) = (0, 0);
+    let window = measure(
+        frames,
+        |f, frame| {
+            if f == WARMUP {
+                direct_before = direct_writes.get();
+                queued_before = queued_writes.get();
+            }
+            if f >= WARMUP / 2 {
+                wait_for(&REPLIES, if f % 2 == 0 { f } else { f - 1 });
+            }
+            client.send_frame(frame).unwrap();
+        },
+        || wait_for(&REPLIES, WARMUP + MEASURED),
+    );
+    EXEMPT.with(|e| e.set(false));
+    let direct_measured = direct_writes.get() - direct_before;
+    let queued_measured = queued_writes.get() - queued_before;
+    drop(client);
+    reader.join().unwrap();
+    replies.join().unwrap();
+    let m = server.shutdown();
+
+    assert_eq!(REPLIES.load(Ordering::SeqCst), WARMUP + MEASURED);
+    assert_eq!(m.updates_dropped, 0);
+    assert!(direct_measured > 0, "no measured update was sent directly");
+    assert!(queued_measured > 0, "no measured update went to the writer");
+    assert_eq!(
+        window.allocs, 0,
+        "replies made {} allocations over {MEASURED} frames ({direct_measured} \
+         sent directly, {queued_measured} queued for the writer; expected \
+         zero); sizes {:?}",
+        window.allocs, window.sizes
     );
 }
