@@ -58,10 +58,11 @@ REQUIRED = [
     # Replies sent on the thread that ran their message, and replies left
     # to a connection's writer thread. The example's in-process
     # connections send directly whenever the client's queue has room, so
-    # the first must be live; the second is zero while no client lags:
-    # presence-only.
+    # the first must be live; the second, and the stall episodes direct
+    # sends started, are zero while no client lags: presence-only.
     ("engine direct_writes", r"^witrack_engine_direct_writes (\d+)$"),
     ("engine queued_writes registered", r"^witrack_engine_queued_writes (\d+)$"),
+    ("engine direct_stalls registered", r"^witrack_engine_direct_stalls (\d+)$"),
     # Programmable subscriptions (wire v3): the fleet run subscribes to
     # every room, so the hub must have installed subscriptions, run
     # filter programs, matched events, and offered world bytes.
@@ -95,6 +96,7 @@ PRESENCE_ONLY = {
     "dsp scalar_fallbacks registered",
     "shard inline_runs registered",
     "engine queued_writes registered",
+    "engine direct_stalls registered",
 }
 
 

@@ -17,9 +17,15 @@
 //! in the writer's hands — a count kept under the connection's lock — and
 //! the unsent tail of a partial write goes first in line to the writer.
 //! So the byte stream stays framed and each sensor's frames keep their
-//! order. A client that stops reading costs one bounded send: its later
-//! frames queue behind the tail without a send attempt, until the writer
-//! has drained them all.
+//! order.
+//!
+//! A send that meets a full socket or queue starts a stall episode: the
+//! connection's runs leave their frames to the writer, without a send
+//! attempt, until the writer has drained them all and [`STALL_QUIET`] has
+//! passed since any send on the connection — direct or the writer's —
+//! last met a full socket. So a client that stops reading, or reads in
+//! trickles, costs the threads that run its messages at most one bounded
+//! send per episode, not one per frame.
 //!
 //! Admission is decided when a frame is offered, so shedding and held
 //! replies keep their meaning on every transport: a connection holds at
@@ -34,12 +40,17 @@ use crate::transport::BoundedTx;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use witrack_obs::{AnomalyKind, FlightRecorder};
 
 /// How many server→client frames one connection may have pending —
 /// collected by runs, queued for its writer or in the writer's hands —
 /// before further offers are refused.
 pub const OUTBOX_CAPACITY: usize = 64;
+
+/// How long a connection's sends must go without meeting a full socket
+/// or queue before its runs send directly again (see the module docs).
+pub const STALL_QUIET: Duration = Duration::from_millis(50);
 
 /// Where one connection's server→client traffic goes (see the module
 /// docs). Opened by
@@ -67,6 +78,26 @@ struct Direct {
     tx: Box<dyn BoundedTx>,
     /// A send failed: the peer is gone.
     gone: bool,
+    /// When a send last met a full socket or queue, during a stall
+    /// episode.
+    stalled_at: Option<Instant>,
+}
+
+impl Direct {
+    /// Whether a run may send directly: nothing of the connection is
+    /// queued, and no stall episode is on.
+    fn may_send(&mut self) -> bool {
+        if self.queued > 0 || self.gone {
+            return false;
+        }
+        match self.stalled_at {
+            Some(at) if at.elapsed() < STALL_QUIET => false,
+            _ => {
+                self.stalled_at = None;
+                true
+            }
+        }
+    }
 }
 
 /// Why an offered frame was not taken.
@@ -97,6 +128,7 @@ impl ConnSink {
                 queued: 0,
                 tx,
                 gone: false,
+                stalled_at: None,
             }))
         });
         let writer = ConnWriter(direct.clone());
@@ -134,37 +166,36 @@ impl ConnSink {
     }
 
     /// Sends what runs have collected for this connection: directly when
-    /// none of its frames is queued or with the writer, in one bounded
-    /// send; whatever that leaves, a partial frame's tail first, goes to
-    /// the writer.
+    /// none of its frames is queued or with the writer and no stall
+    /// episode is on, in one bounded send; whatever that leaves, a
+    /// partial frame's tail first, goes to the writer.
     pub(crate) fn flush(&self, metrics: &EngineMetrics) {
         let Some(direct) = &self.direct else {
             return;
         };
-        let mut d = lock(direct);
-        let Direct {
-            collected,
-            queued,
-            tx,
-            gone,
-        } = &mut *d;
-        if collected.is_empty() {
+        let mut guard = lock(direct);
+        let d = &mut *guard;
+        if d.collected.is_empty() {
             return;
         }
-        if *queued == 0 && !*gone {
-            let offered = collected.len();
-            *gone = tx.send_bounded(collected).is_err();
+        if d.may_send() {
+            let offered = d.collected.len();
+            d.gone = d.tx.send_bounded(&mut d.collected).is_err();
             metrics
                 .direct_writes
-                .add((offered - collected.len()) as u64);
+                .add((offered - d.collected.len()) as u64);
+            if !d.collected.is_empty() && !d.gone {
+                d.stalled_at = Some(Instant::now());
+                metrics.direct_stalls.inc();
+            }
         }
-        for frame in collected.drain(..) {
+        for frame in d.collected.drain(..) {
             // Admission keeps queued + collected within the outbox's
             // capacity, so only a writer that hung up refuses.
-            if *gone || self.outbox.try_send(frame).is_err() {
+            if d.gone || self.outbox.try_send(frame).is_err() {
                 continue;
             }
-            *queued += 1;
+            d.queued += 1;
             metrics.queued_writes.inc();
         }
     }
@@ -175,6 +206,13 @@ impl ConnWriter {
     pub(crate) fn sent(&self) {
         if let Some(direct) = &self.0 {
             lock(direct).queued -= 1;
+        }
+    }
+
+    /// The writer's send met a full socket: a stall episode is on.
+    pub(crate) fn stalled(&self) {
+        if let Some(direct) = &self.0 {
+            lock(direct).stalled_at = Some(Instant::now());
         }
     }
 
@@ -346,17 +384,39 @@ mod tests {
             "one send per stall episode"
         );
         assert_eq!(stream.lock().unwrap().bytes.len(), 10);
-        // The client reads again: the writer drains, and the next run
-        // sends directly once more.
+        // The client reads again and the writer drains, but the stall
+        // episode lasts until no send has met a full socket for
+        // STALL_QUIET: the next run still leaves its frame to the writer.
         stream.lock().unwrap().room = usize::MAX;
         drain_writer(&stream);
-        run(5..7);
+        run(5..6);
+        assert_eq!(stream.lock().unwrap().sends, 1, "a send inside the episode");
+        drain_writer(&stream);
+        // Once it is over, runs send directly again.
+        std::thread::sleep(STALL_QUIET);
+        run(6..8);
         let s = stream.lock().unwrap();
         assert_eq!(s.sends, 2);
-        let expected: Vec<u8> = (0..7).flat_map(|i| [i; 8]).collect();
+        let expected: Vec<u8> = (0..8).flat_map(|i| [i; 8]).collect();
         assert!(s.bytes == expected, "the byte stream lost its framing");
-        assert_eq!(metrics.direct_writes.get(), 3, "frames 0, 5 and 6");
-        assert_eq!(metrics.queued_writes.get(), 4, "frame 1's tail and 2-4");
+        assert_eq!(metrics.direct_writes.get(), 3, "frames 0, 6 and 7");
+        assert_eq!(metrics.queued_writes.get(), 5, "frame 1's tail and 2-5");
+        assert_eq!(metrics.direct_stalls.get(), 1);
+    }
+
+    #[test]
+    fn a_writer_that_meets_a_full_socket_starts_a_stall_episode() {
+        let stream = Arc::new(Mutex::new(Stream {
+            room: usize::MAX,
+            ..Stream::default()
+        }));
+        let metrics = EngineMetrics::default();
+        let (sink, _outbox, writer) = ConnSink::open(1, Some(Box::new(ScriptedTx(stream.clone()))));
+        writer.stalled();
+        assert!(sink.offer(frame(0)).is_ok());
+        sink.flush(&metrics);
+        assert_eq!(stream.lock().unwrap().sends, 0, "a send inside the episode");
+        assert_eq!(metrics.queued_writes.get(), 1);
     }
 
     #[test]

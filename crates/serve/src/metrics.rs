@@ -63,6 +63,9 @@ pub struct EngineMetrics {
     /// Server→client frames handed to a served connection's writer
     /// thread: the tail of a partial direct send, and frames behind it.
     pub queued_writes: Counter,
+    /// Direct sends that met a full socket or queue and started a stall
+    /// episode; on TCP each cost its thread up to one send-timeout tick.
+    pub direct_stalls: Counter,
     /// Fused world frames emitted by the world hub.
     pub world_frames: Counter,
     /// Fleet events emitted by the world hub.
@@ -108,6 +111,7 @@ impl EngineMetrics {
             updates_dropped: c("updates_dropped"),
             direct_writes: c("direct_writes"),
             queued_writes: c("queued_writes"),
+            direct_stalls: c("direct_stalls"),
             world_frames: c("world_frames"),
             world_events: c("world_events"),
             subscriptions_opened: c("subscriptions_opened"),

@@ -39,7 +39,7 @@ use crate::hub::WorldConfig;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::PooledBuf;
 use crate::transport::{
-    recv_error_is_frame_scoped, timed_out, Transport, TransportRx, TransportTx,
+    recv_error_is_frame_scoped, timed_out, BoundedTx, Transport, TransportRx, TransportTx,
 };
 use crate::wire::RejectCode;
 use std::io;
@@ -67,13 +67,18 @@ impl Server {
 
     /// Attaches one client connection; its reader/writer threads live
     /// until the client closes its sending side. Returns the reader's
-    /// join handle.
+    /// join handle. Fails when the transport cannot be split, or cannot
+    /// hand out the bounded sender its replies leave through
+    /// ([`TransportTx::bounded`]).
     pub fn attach<T: Transport + 'static>(&self, transport: T) -> io::Result<JoinHandle<()>> {
         let (tx, rx) = transport.split()?;
+        // A transport with no bounded sender sends every frame through
+        // the connection's writer.
+        let direct = tx.bounded()?;
         let handle = self.engine.handle();
         std::thread::Builder::new()
             .name("conn-rx".into())
-            .spawn(move || connection_main(tx, rx, handle))
+            .spawn(move || connection_main(tx, rx, direct, handle))
     }
 
     /// A cloneable ingress handle to the engine (bypasses transports; used
@@ -167,14 +172,15 @@ impl ServerBuilder {
     }
 }
 
-fn connection_main<Tx, Rx>(tx: Tx, mut rx: Rx, handle: EngineHandle)
-where
+fn connection_main<Tx, Rx>(
+    tx: Tx,
+    mut rx: Rx,
+    direct: Option<Box<dyn BoundedTx>>,
+    handle: EngineHandle,
+) where
     Tx: TransportTx + 'static,
     Rx: TransportRx + 'static,
 {
-    // A transport that cannot hand out a bounded sender sends every
-    // frame through the writer.
-    let direct = tx.bounded().ok().flatten();
     let (sink, outbox_rx, conn_writer) = handle.attach_connection(direct);
     let conn_id = sink.conn_id;
     let writer = std::thread::Builder::new()
@@ -235,11 +241,15 @@ fn writer_main<Tx: TransportTx>(mut tx: Tx, outbox: Receiver<PooledBuf<u8>>, con
         // them; the buffer recycles once the bytes are on their way.
         while !frame.is_empty() {
             match tx.send_part(&mut frame) {
-                Ok(()) => {}
                 // The bound on the connection's direct sends is a send
-                // timeout on the whole socket: the client is slow, not
-                // gone, and the rest of the frame goes again.
-                Err(e) if timed_out(&e) => {}
+                // timeout on the whole socket. A send it cut short met a
+                // full socket: the client is slow, not gone, a stall
+                // episode is on, and the rest of the frame goes again.
+                // So a peer that stops reading wakes its writer once per
+                // timeout tick until it reads or hangs up.
+                Ok(()) if !frame.is_empty() => conn.stalled(),
+                Ok(()) => {}
+                Err(e) if timed_out(&e) => conn.stalled(),
                 Err(_) => {
                     // Peer gone: offers are refused from now on, and the
                     // outbox closes so nothing fills a dead queue.

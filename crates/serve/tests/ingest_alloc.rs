@@ -335,6 +335,7 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
     );
     let inline_measured = inline_runs.get() - inline_before;
     let direct_measured = direct_writes.get() - direct_before;
+    let pool = server.engine_handle().ingest_pools().clone();
     client.shutdown(std::net::Shutdown::Write).unwrap();
     reader.join().unwrap();
     replies.join().unwrap();
@@ -351,6 +352,11 @@ fn steady_state_ingest_makes_zero_allocations_per_frame() {
         "no measured frame ran on the connection reader"
     );
     assert!(direct_measured > 0, "no measured update was sent directly");
+    let pool_stats = pool.i16s.stats();
+    assert!(
+        pool_stats.misses <= WARMUP,
+        "sample pool kept allocating after warmup: {pool_stats:?}"
+    );
     assert_eq!(
         window.allocs, 0,
         "steady-state serving made {} allocations over {MEASURED} frames \
